@@ -92,26 +92,21 @@ class FilteredComplex:
 
     @classmethod
     def build(cls, field: FieldSpec, poset: FinitePoset, cell_specs: Iterable[dict]) -> "FilteredComplex":
-        """Construct from plain dict records (the JSON cell schema)."""
+        """Construct from plain dict records (the JSON cell schema).
+
+        Malformed records raise :class:`InvalidComplex`; unknown birth
+        grades raise ``UnknownElement``.
+        """
         cells = []
         for spec in cell_specs:
+            if not isinstance(spec, dict):
+                raise InvalidComplex(f"cell record must be an object, not {spec!r}")
             try:
-                cid = str(spec["id"])
-                births_raw = spec["births"]
-            except KeyError as exc:
-                raise InvalidComplex(f"cell record missing {exc.args[0]!r}") from None
-            if not isinstance(births_raw, (list, tuple)) or not births_raw:
-                raise InvalidComplex(f"cell {cid!r} needs a non-empty birth list")
-            births = tuple(sorted({poset.resolve(b) for b in births_raw}))
-            if "vertices" in spec:
-                verts = tuple(str(v) for v in spec["vertices"])
-                dim = int(spec.get("dim", len(verts) - 1))
-                cells.append(Cell(cid, dim, births, vertices=verts))
-            else:
-                if "dim" not in spec:
-                    raise InvalidComplex(f"generic cell {cid!r} needs an explicit dim")
-                faces = tuple((str(f), c) for f, c in spec.get("faces", ()))
-                cells.append(Cell(cid, int(spec["dim"]), births, faces=faces))
+                cells.append(_cell_from_spec(field, poset, spec))
+            except InvalidComplex:
+                raise
+            except (TypeError, ValueError) as exc:
+                raise InvalidComplex(f"malformed cell record {spec.get('id')!r}: {exc}") from None
         return cls(field, poset, cells)
 
     # -- cell bookkeeping -------------------------------------------------
@@ -295,6 +290,26 @@ class FilteredComplex:
             sub = column_space(restricted)
         self._point_boundaries[key] = sub
         return sub
+
+
+def _cell_from_spec(field: FieldSpec, poset: FinitePoset, spec: dict) -> Cell:
+    try:
+        cid = str(spec["id"])
+        births_raw = spec["births"]
+    except KeyError as exc:
+        raise InvalidComplex(f"cell record missing {exc.args[0]!r}") from None
+    if not isinstance(births_raw, (list, tuple)) or not births_raw:
+        raise InvalidComplex(f"cell {cid!r} needs a non-empty birth list")
+    births = tuple(sorted({poset.resolve(b) for b in births_raw}))
+    if "vertices" in spec:
+        verts = tuple(str(v) for v in spec["vertices"])
+        dim = int(spec.get("dim", len(verts) - 1))
+        return Cell(cid, dim, births, vertices=verts)
+    if "dim" not in spec:
+        raise InvalidComplex(f"generic cell {cid!r} needs an explicit dim")
+    # Coefficients are checked here so a bad one is a parse error.
+    faces = tuple((str(f), field.coerce(c)) for f, c in spec.get("faces", ()))
+    return Cell(cid, int(spec["dim"]), births, faces=faces)
 
 
 def _embed(field: FieldSpec, sub: Subspace, positions: Sequence[int], ambient: int) -> Subspace:

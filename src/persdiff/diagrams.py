@@ -3,14 +3,25 @@
 A diagram entry reports the minimal generators of the birth and death
 opens (the grade for principal opens) with the pair-group multiplicity.
 Barcodes are the 1-parameter specialization.
+
+Assembly skips pairs whose multiplicity must be zero.  The multiplicity
+is ``dim mem(pair) - dim of the join of mem(b)`` over the degree-1
+blankets b.  Every blanket enlarges the birth open (fewer cycles survive
+on it) or the death open (fewer boundaries), so each mem(b) lies inside
+mem(pair): when the pair's memory is zero the multiplicity is zero, and
+when the birth open carries no cycles every pair with that birth has zero
+memory.  ``pair_group_rank`` itself stays unpruned; ``verify`` checks it
+against the lifespan rank on every pair.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 
 from .calculus import pair_group_rank
 from .complexes import FilteredComplex
+from .memory import cycles_on_open, homological_memory
 from .oracle import chain_positions
 from .posets import BlanketMode, UpSet, enumerate_diagram_pairs, min_elements
 
@@ -43,6 +54,24 @@ def open_repr(p, u: UpSet):
     return tuple(element_repr(p, i) for i in mins)
 
 
+def _multiplicities(k: FilteredComplex, n: int, pairs, mode: BlanketMode):
+    """(pair, multiplicity) in pair order, computing only possible non-zeros.
+
+    ``pairs`` must be grouped by birth open, as ``enumerate_diagram_pairs``
+    returns them.
+    """
+    for birth, group in groupby(pairs, key=lambda pair: pair.birth):
+        if cycles_on_open(k, n, birth).dim == 0:
+            for pair in group:
+                yield pair, 0
+            continue
+        for pair in group:
+            if homological_memory(k, n, pair).dim == 0:
+                yield pair, 0
+            else:
+                yield pair, pair_group_rank(k, n, pair, mode)
+
+
 def compute_diagram(
     k: FilteredComplex,
     degrees=None,
@@ -57,8 +86,7 @@ def compute_diagram(
     pairs = enumerate_diagram_pairs(p)
     out = []
     for n in degrees:
-        for pair in pairs:
-            mult = pair_group_rank(k, n, pair, mode)
+        for pair, mult in _multiplicities(k, n, pairs, mode):
             if mult or include_zero:
                 out.append(
                     DiagramEntry(n, open_repr(p, pair.birth), open_repr(p, pair.death), mult)
@@ -75,9 +103,9 @@ def chain_diagram_counter(
     if degrees is None:
         degrees = range(max(k.max_dim, 0) + 1)
     bars: Counter = Counter()
+    pairs = enumerate_diagram_pairs(p)
     for n in degrees:
-        for pair in enumerate_diagram_pairs(p):
-            mult = pair_group_rank(k, n, pair, mode)
+        for pair, mult in _multiplicities(k, n, pairs, mode):
             if mult:
                 birth = next(iter(min_elements(p, pair.birth)))
                 death = None if pair.death.is_empty else next(iter(min_elements(p, pair.death)))

@@ -7,6 +7,7 @@ point.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,10 +44,11 @@ class FieldSpec:
     def __post_init__(self):
         if self.kind == "prime-field":
             p = self.characteristic
+            # Size first: trial division of a huge number would not finish.
+            if isinstance(p, int) and p >= _MAX_CHARACTERISTIC:
+                raise InvalidField(f"characteristic {p} too large (must be < 2^31)")
             if not isinstance(p, int) or not _is_prime(p):
                 raise InvalidField(f"characteristic {self.characteristic!r} is not prime")
-            if p >= _MAX_CHARACTERISTIC:
-                raise InvalidField(f"characteristic {p} too large (must be < 2^31)")
         elif self.kind == "rational":
             if self.characteristic != 0:
                 raise InvalidField("the rational field has characteristic 0")
@@ -97,16 +99,22 @@ class FieldSpec:
         return 1 if self.is_prime_field else Fraction(1)
 
     def coerce(self, x):
-        """Coerce a number (or an ``a/b`` string) to a field scalar."""
-        if self.is_prime_field:
-            return int(x) % self.characteristic
+        """Coerce an integer, a rational or a numeric string to a field scalar.
+
+        Over GF(p) only integers and integer strings are accepted; over Q
+        also ``Fraction`` objects and ``a/b`` strings.  Bools, floats and
+        anything unparsable raise :class:`InvalidField`.
+        """
         if isinstance(x, bool):
             raise InvalidField(f"bad coefficient {x!r}")
         if isinstance(x, float):
             raise InvalidField("floating point coefficients are not accepted; use 'a/b' strings")
-        if isinstance(x, str):
+        try:
+            if self.is_prime_field:
+                return (int(x) if isinstance(x, str) else operator.index(x)) % self.characteristic
             return Fraction(x)
-        return Fraction(x)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise InvalidField(f"bad coefficient {x!r} for {self.token()}") from None
 
     def normalize(self, a: np.ndarray) -> np.ndarray:
         """Reduce an array back into canonical residues (no-op over Q)."""

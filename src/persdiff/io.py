@@ -3,7 +3,9 @@
 One document describes a multifiltered complex (``format_version`` 1).
 Grid posets are declared by shape; explicit posets by labels and covering
 relations, transitively closed at load.  Births name poset elements by
-grade scalar/vector or by label.
+grade scalar/vector or by label.  Posets with more than
+``posets.MAX_ELEMENTS`` elements are refused before their order matrix is
+built.  Every malformed document raises :class:`InputError`.
 """
 from __future__ import annotations
 
@@ -42,10 +44,12 @@ def poset_from_spec(spec) -> FinitePoset:
                     g = by_label[str(lab)]
                     grades.append(tuple(g) if isinstance(g, (list, tuple)) else (int(g),))
             return FinitePoset.from_covers(labels, covers, grades=grades)
-    except KeyError as exc:
-        raise InputError(f"poset spec missing {exc.args[0]!r}") from None
     except (InvalidPoset, UnknownElement) as exc:
         raise InputError(f"bad poset: {exc}") from None
+    except KeyError as exc:
+        raise InputError(f"poset spec missing {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed poset spec: {exc}") from None
     raise InputError(f"unknown poset kind {kind!r}")
 
 

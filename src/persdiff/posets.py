@@ -10,15 +10,25 @@ inclusion order.  Two cover notions are implemented, selected by
   element whose strict up-set already lies inside the open.
 * ``PRINCIPAL`` restricts attention to principal up-sets and takes the
   inclusion-minimal principal up-sets strictly containing the open.
+
+The order is a dense n x n boolean matrix, so posets larger than
+:data:`MAX_ELEMENTS` are refused before any such matrix is allocated.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product as _iter_product
 from typing import Iterable, Sequence
 
 import numpy as np
+
+# Largest accepted element count: the order matrix costs n^2 bytes, and a
+# transitivity check or closure pass one n x n boolean product.
+MAX_ELEMENTS = 4096
+# Rows per block of a boolean product; bounds its float32 scratch.
+_PRODUCT_ROWS = 512
 
 
 class InvalidPoset(ValueError):
@@ -103,8 +113,9 @@ class FinitePoset:
 
     def __init__(self, labels: Sequence[str], leq, grades=None):
         labels = tuple(str(l) for l in labels)
-        leq = np.array(leq, dtype=bool)
         n = len(labels)
+        _check_size(n)
+        leq = np.array(leq, dtype=bool)
         if leq.shape != (n, n):
             raise InvalidPoset(f"leq must be {n}x{n}")
         if len(set(labels)) != n:
@@ -114,8 +125,7 @@ class FinitePoset:
         sym = leq & leq.T
         if np.any(sym & ~np.eye(n, dtype=bool)):
             raise InvalidPoset("leq is not antisymmetric")
-        closure = (leq.astype(np.int8) @ leq.astype(np.int8)) > 0
-        if np.any(closure & ~leq):
+        if np.any(_boolean_product(leq) & ~leq):
             raise InvalidPoset("leq is not transitive")
         if grades is not None:
             grades = tuple(tuple(int(g) for g in vec) for vec in grades)
@@ -124,13 +134,12 @@ class FinitePoset:
             width = {len(v) for v in grades}
             if len(width) > 1:
                 raise InvalidPoset("grade vectors have differing lengths")
-            for i in range(n):
-                for j in range(n):
-                    prod = all(a <= b for a, b in zip(grades[i], grades[j]))
-                    if bool(leq[i, j]) != prod:
-                        raise InvalidPoset(
-                            f"leq disagrees with the product order at ({labels[i]}, {labels[j]})"
-                        )
+            bad = np.argwhere(_product_order(grades) != leq)
+            if len(bad):
+                i, j = bad[0]
+                raise InvalidPoset(
+                    f"leq disagrees with the product order at ({labels[i]}, {labels[j]})"
+                )
         self.labels = labels
         self.grades = grades
         self.n = n
@@ -149,6 +158,7 @@ class FinitePoset:
         """Build from covering relations; the order is the transitive closure."""
         labels = tuple(str(l) for l in labels)
         n = len(labels)
+        _check_size(n)
         index = {lab: i for i, lab in enumerate(labels)}
         rel = np.eye(n, dtype=bool)
         for lo, hi in covers:
@@ -158,8 +168,7 @@ class FinitePoset:
                 raise UnknownElement(f"unknown element {exc.args[0]!r} in covers") from None
         closed = rel.copy()
         while True:
-            nxt = (closed.astype(np.int8) @ closed.astype(np.int8)) > 0
-            nxt |= closed
+            nxt = _boolean_product(closed)
             if np.array_equal(nxt, closed):
                 break
             closed = nxt
@@ -168,17 +177,16 @@ class FinitePoset:
     @classmethod
     def grid(cls, shape: Sequence[int]) -> "FinitePoset":
         """Product order on a box of integer grade vectors, lex-ordered."""
-        shape = tuple(int(s) for s in shape)
+        try:
+            shape = tuple(int(s) for s in shape)
+        except (TypeError, ValueError):
+            raise InvalidPoset(f"bad grid shape {shape!r}") from None
         if not shape or any(s < 1 for s in shape):
             raise InvalidPoset(f"bad grid shape {shape!r}")
+        _check_size(math.prod(shape))
         vectors = list(_iter_product(*(range(s) for s in shape)))
         labels = [",".join(str(c) for c in v) for v in vectors]
-        n = len(vectors)
-        leq = np.zeros((n, n), dtype=bool)
-        for i, vi in enumerate(vectors):
-            for j, vj in enumerate(vectors):
-                leq[i, j] = all(a <= b for a, b in zip(vi, vj))
-        return cls(labels, leq, grades=vectors)
+        return cls(labels, _product_order(vectors), grades=vectors)
 
     @classmethod
     def chain(cls, length: int) -> "FinitePoset":
@@ -236,6 +244,41 @@ class FinitePoset:
         return UpSet(frozenset(range(self.n)))
 
 
+def _check_size(n: int) -> None:
+    if n > MAX_ELEMENTS:
+        raise InvalidPoset(f"poset has {n} elements; at most {MAX_ELEMENTS} are supported")
+
+
+def _boolean_product(a: np.ndarray) -> np.ndarray:
+    """``a @ a`` over the boolean semiring: is there a two-step path i -> j?
+
+    Path counts are summed in float32 so the product runs in BLAS; numpy's
+    own boolean matmul scans every inner product whose answer is false,
+    which takes minutes near the size limit.  A count is at most
+    n <= MAX_ELEMENTS < 2^24, so float32 holds it exactly and never wraps.
+    """
+    f = a.astype(np.float32)
+    out = np.empty(a.shape, dtype=bool)
+    for start in range(0, len(a), _PRODUCT_ROWS):
+        np.greater(f[start : start + _PRODUCT_ROWS] @ f, 0, out=out[start : start + _PRODUCT_ROWS])
+    return out
+
+
+def _product_order(grades: Sequence[tuple]) -> np.ndarray:
+    """Coordinatewise order of equal-length grade vectors, one axis at a time."""
+    n = len(grades)
+    width = len(grades[0]) if grades else 0
+    try:
+        g = np.array(grades, dtype=np.int64).reshape(n, width)
+    except OverflowError:
+        g = np.array(grades, dtype=object).reshape(n, width)
+    leq = np.ones((n, n), dtype=bool)
+    for axis in range(width):
+        col = g[:, axis]
+        leq &= col[:, None] <= col[None, :]
+    return leq
+
+
 def principal_up_set(p: FinitePoset, x) -> UpSet:
     """Smallest up-set containing ``x``."""
     i = p.resolve(x)
@@ -259,11 +302,9 @@ def is_up_closed(p: FinitePoset, members: Iterable) -> bool:
 
 def min_elements(p: FinitePoset, u: UpSet) -> frozenset:
     """Elements of the open with nothing strictly below them in the open."""
-    out = set()
-    for i in u.members:
-        if not any(j != i and p.leq[j, i] for j in u.members):
-            out.add(i)
-    return frozenset(out)
+    idx = np.fromiter(u.members, dtype=np.intp, count=len(u.members))
+    below = p.leq[np.ix_(idx, idx)].sum(axis=0)
+    return frozenset(idx[below == 1].tolist())
 
 
 def _sort_opens(p: FinitePoset, opens: Iterable[UpSet]) -> list[UpSet]:
@@ -279,10 +320,7 @@ def blankets_of_open(p: FinitePoset, u: UpSet, mode: BlanketMode = BlanketMode.F
     if mode is BlanketMode.FULL:
         out = []
         for m in range(p.n):
-            if m in u.members:
-                continue
-            strict_up = {int(j) for j in np.nonzero(p.leq[m])[0]} - {m}
-            if strict_up <= u.members:
+            if m not in u.members and principal_up_set(p, m).members - {m} <= u.members:
                 out.append(UpSet(u.members | {m}))
     else:
         cands = [
@@ -373,7 +411,7 @@ def enumerate_diagram_pairs(p: FinitePoset) -> list[PairOpen]:
     for i in order:
         u = principal_up_set(p, i)
         for j in order:
-            if i != j and p.leq[i, j]:
+            if i != j and j in u.members:
                 out.append(PairOpen(u, principal_up_set(p, j)))
         out.append(PairOpen(u, EMPTY_OPEN))
     return out

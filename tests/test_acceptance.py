@@ -24,6 +24,7 @@ from persdiff import (
     check_cad2,
     check_monotone,
     chain_diagram_counter,
+    compute_diagram,
     contains,
     cycles_on_open,
     degree_shift_action,
@@ -154,6 +155,29 @@ def test_criterion_3_oracle_equivalence():
         if expected != got:
             mismatched += 1
     report(3, mismatched == 0, f"{count} chain filtrations, {mismatched} diagram mismatches")
+
+
+def test_pruned_assembly_equals_full_enumeration(corpus):
+    """Skipping zero-memory pairs changes no multiplicity, in either mode."""
+    rng = random.Random(2718)
+    chains = [random_chain_filtration(rng, grades=rng.randint(2, 6)) for _ in range(50)]
+    for mode in BlanketMode:
+        for k in corpus:
+            pairs = enumerate_diagram_pairs(k.poset)
+            degrees = range(max(k.max_dim, 0) + 1)
+            got = [e.multiplicity for e in compute_diagram(k, mode=mode, include_zero=True)]
+            want = [pair_group_rank(k, n, pair, mode) for n in degrees for pair in pairs]
+            assert got == want
+        for k in chains:
+            want = Counter()
+            for n in range(max(k.max_dim, 0) + 1):
+                for pair in enumerate_diagram_pairs(k.poset):
+                    mult = pair_group_rank(k, n, pair, mode)
+                    if mult:
+                        birth = min(pair.birth.members, key=k.poset.element_key)
+                        death = min(pair.death.members, key=k.poset.element_key, default=None)
+                        want[(n, birth, death)] += mult
+            assert chain_diagram_counter(k, mode=mode) == want
 
 
 def test_criterion_4_triangle_fixture():

@@ -1,5 +1,11 @@
+import contextlib
+import copy
+import io
 import json
+import tempfile
 from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
 
 from persdiff import entries_from_document
 from persdiff.cli import main
@@ -339,3 +345,121 @@ class TestUsage:
             {"degree": 0, "birth": ["lo"], "death": ["mid"], "multiplicity": 1},
             {"degree": 0, "birth": ["lo"], "death": "inf", "multiplicity": 1},
         ]
+
+
+def _triangle_with(**changes):
+    doc = json.loads((DATA / "triangle.json").read_text())
+    doc.update(changes)
+    return doc
+
+
+def _run_doc(capsys, tmp_path, doc, *argv):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return run(capsys, "diagram", path, *argv)
+
+
+def _generic_edge(*coefficients):
+    faces = [[v, c] for v, c in zip("ab", coefficients)]
+    return {"id": "g", "dim": 1, "births": [1], "faces": faces}
+
+
+class TestMalformedDocuments:
+    """Bad documents are parse errors (exit 3), never tracebacks."""
+
+    def test_non_pair_face_entry(self, capsys, tmp_path):
+        doc = _triangle_with()
+        doc["cells"].append({"id": "g", "dim": 1, "births": [1], "faces": [1]})
+        code, _, err = _run_doc(capsys, tmp_path, doc)
+        assert code == 3
+        assert "malformed cell record 'g'" in err
+
+    def test_string_grid_shape(self, capsys, tmp_path):
+        code, _, err = _run_doc(capsys, tmp_path, _triangle_with(poset={"kind": "grid", "shape": "ab"}))
+        assert code == 3
+        assert "bad grid shape" in err
+
+    def test_rational_zero_denominator(self, capsys, tmp_path):
+        doc = _triangle_with(field="rational")
+        doc["cells"].append(_generic_edge("1/0", 1))
+        code, _, err = _run_doc(capsys, tmp_path, doc)
+        assert code == 3
+        assert "'1/0'" in err
+
+    def test_float_coefficient_over_gf2(self, capsys, tmp_path):
+        doc = _triangle_with()
+        doc["cells"].append(_generic_edge(0.5, 1))
+        code, out, err = _run_doc(capsys, tmp_path, doc)
+        assert code == 3
+        assert out == ""
+        assert "floating point" in err
+
+    def test_bool_coefficient_over_gf5(self, capsys, tmp_path):
+        doc = _triangle_with(field="gf:5")
+        doc["cells"].append(_generic_edge(True, 1))
+        assert _run_doc(capsys, tmp_path, doc)[0] == 3
+
+    def test_grid_over_size_limit(self, capsys, tmp_path):
+        code, _, err = _run_doc(capsys, tmp_path, _triangle_with(poset={"kind": "grid", "shape": [64, 65]}))
+        assert code == 3
+        assert "4160 elements" in err
+
+    def test_explicit_over_size_limit(self, capsys, tmp_path):
+        poset = {"kind": "explicit", "elements": [str(i) for i in range(4097)]}
+        code, _, err = _run_doc(capsys, tmp_path, _triangle_with(poset=poset))
+        assert code == 3
+        assert "4097 elements" in err
+
+    def test_huge_characteristic_is_refused_quickly(self, capsys, tmp_path):
+        code, _, err = _run_doc(capsys, tmp_path, _triangle_with(field="gf:99999999999999999"))
+        assert code == 3
+        assert "too large" in err
+
+
+# Replacement values for the document fuzz: wrong types, bad numbers and
+# strings, empty containers.  All small, so no mutation makes a big input.
+_ODD_VALUES = [None, True, 0, -1, 2, 0.5, "", "ab", "1/0", "inf", [], [1], [[0, 0]], {}]
+_SEED_DOCS = {p.name: json.loads(p.read_text()) for p in sorted(DATA.glob("*.json"))}
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, prefix + (i,))
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = copy.deepcopy(_SEED_DOCS[draw(st.sampled_from(sorted(_SEED_DOCS)))])
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        delete = draw(st.booleans())
+        value = copy.deepcopy(draw(st.sampled_from(_ODD_VALUES)))
+        if not path:
+            doc = value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if delete:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=300)
+@given(mutated_documents())
+def test_mutated_documents_exit_cleanly(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["diagram", str(path)])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()

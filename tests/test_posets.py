@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from persdiff import (
     pair_blankets,
     principal_up_set,
 )
+from persdiff.posets import MAX_ELEMENTS
 
 from conftest import corner_grid_poset, offset_grid_poset
 from corpus import random_nested_pairs
@@ -78,6 +81,41 @@ class TestConstruction:
         p = FinitePoset.from_covers(["a", "b", "c"], [("a", "b"), ("b", "c")])
         assert p.leq[p.resolve("a"), p.resolve("c")]
 
+    def test_from_covers_closure_through_wide_middle(self):
+        # 200 paths from b to t: an int8 path count would wrap to negative.
+        middle = [f"m{i}" for i in range(200)]
+        covers = [("b", m) for m in middle] + [(m, "t") for m in middle]
+        p = FinitePoset.from_covers(["b", *middle, "t"], covers)
+        assert p.leq[p.resolve("b"), p.resolve("t")]
+
+    def test_rejects_non_transitive_wide_relation(self):
+        n = 202
+        leq = np.eye(n, dtype=bool)
+        leq[0, 1 : n - 1] = True
+        leq[1 : n - 1, n - 1] = True
+        with pytest.raises(InvalidPoset, match="transitive"):
+            FinitePoset([str(i) for i in range(n)], leq)
+
+    def test_grid_leq_is_the_product_order(self):
+        for shape in [(1,), (5,), (2, 3), (5, 4), (3, 1, 2), (2, 3, 4)]:
+            p = FinitePoset.grid(shape)
+            vectors = list(product(*(range(s) for s in shape)))
+            assert list(p.grades) == vectors
+            want = [[all(a <= b for a, b in zip(u, v)) for v in vectors] for u in vectors]
+            assert np.array_equal(p.leq, np.array(want, dtype=bool))
+
+    def test_grades_beyond_int64(self):
+        p = FinitePoset.from_covers(["lo", "hi"], [("lo", "hi")], grades=[(0,), (10**30,)])
+        assert p.grades[1] == (10**30,)
+        with pytest.raises(InvalidPoset):
+            FinitePoset.from_covers(["lo", "hi"], [("lo", "hi")], grades=[(10**30,), (0,)])
+
+    def test_grades_mismatch_names_first_offending_pair(self):
+        leq = np.eye(3, dtype=bool)
+        leq[0, 2] = True
+        with pytest.raises(InvalidPoset, match=r"\(a, b\)"):
+            FinitePoset(["a", "b", "c"], leq, grades=[(0, 0), (0, 1), (1, 1)])
+
     def test_resolve(self):
         p = FinitePoset.grid((2, 2))
         assert p.resolve("1,0") == p.resolve((1, 0))
@@ -85,6 +123,35 @@ class TestConstruction:
             p.resolve("nope")
         with pytest.raises(UnknownElement):
             p.resolve((5, 5))
+
+
+class TestSizeLimit:
+    def _assert_refused_without_allocating(self, build):
+        # An n x n order matrix just over the limit would take > 16 MB.
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidPoset, match=f"at most {MAX_ELEMENTS}"):
+                build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_grid_just_over_limit(self):
+        self._assert_refused_without_allocating(lambda: FinitePoset.grid((MAX_ELEMENTS + 1,)))
+        self._assert_refused_without_allocating(lambda: FinitePoset.grid((64, 65)))
+
+    def test_explicit_just_over_limit(self):
+        labels = [str(i) for i in range(MAX_ELEMENTS + 1)]
+        self._assert_refused_without_allocating(lambda: FinitePoset.from_covers(labels, []))
+
+    def test_huge_grid_shape(self):
+        self._assert_refused_without_allocating(lambda: FinitePoset.grid((10**9, 10**9)))
+
+    def test_bad_shapes(self):
+        for shape in ["ab", 5, None, [[1]], [], [0], [2, -1]]:
+            with pytest.raises(InvalidPoset):
+                FinitePoset.grid(shape)
 
 
 class TestPrincipalUpSet:
@@ -131,6 +198,19 @@ class TestMinElements:
         x, y = p.resolve((0, 1)), p.resolve((1, 0))
         u = p.closure([x, y])
         assert min_elements(p, u) == frozenset({x, y})
+
+    def test_matches_brute_force_on_random_up_sets(self):
+        rng = random.Random(17)
+        posets = [FinitePoset.grid(s) for s in [(5,), (3, 4), (5, 5), (2, 3, 2)]]
+        posets += [corner_grid_poset()] + [random_poset(rng, rng.randint(1, 9)) for _ in range(8)]
+        for p in posets:
+            for _ in range(25):
+                u = p.closure(rng.sample(range(p.n), rng.randint(0, min(p.n, 4))))
+                want = {
+                    i for i in u.members
+                    if not any(j != i and p.leq[j, i] for j in u.members)
+                }
+                assert min_elements(p, u) == frozenset(want)
 
 
 class TestBlanketsOfOpen:
