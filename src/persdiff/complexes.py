@@ -6,6 +6,10 @@ cells born at or below that point.  Structure maps are inclusions by
 construction, so the filtration is monic for free; validation checks that
 faces are never born after their cofaces and that the boundary squares to
 zero.
+
+Diagrams and verification walk every degree from 0 to the largest cell
+dimension, so cells of dimension above :data:`MAX_DIM` are refused when
+they are built.
 """
 from __future__ import annotations
 
@@ -17,6 +21,10 @@ import numpy as np
 from .fields import FieldSpec
 from .linalg import Matrix, Subspace, column_space, kernel, matmul
 from .posets import FinitePoset
+
+# Largest accepted cell dimension: diagrams and verification do work in
+# every degree up to it, even where no cell has that dimension.
+MAX_DIM = 64
 
 
 class InvalidComplex(ValueError):
@@ -40,6 +48,10 @@ class Cell:
     def __post_init__(self):
         if self.dim < 0:
             raise InvalidComplex(f"cell {self.id!r} has negative dimension")
+        if self.dim > MAX_DIM:
+            raise InvalidComplex(
+                f"cell {self.id!r} has dimension {self.dim}; at most {MAX_DIM} is supported"
+            )
         if not self.births:
             raise InvalidComplex(f"cell {self.id!r} has no birth grades")
         if (self.vertices is None) == (self.faces is None):

@@ -1,9 +1,21 @@
-"""Exact dense linear algebra: matrices, canonical subspaces, lattice ops.
+"""Exact linear algebra: matrices, canonical subspaces, lattice ops.
 
-A :class:`Subspace` keeps its basis in reduced row echelon form, so two
-subspaces are equal exactly when their stored representations are equal.
-Meets use the Zassenhaus block reduction, joins are stack-and-reduce, and
-quotient dimensions are plain differences guarded by a containment check.
+Matrices and subspace bases are numpy arrays: int64 residues over GF(p)
+and object arrays of ``Fraction`` over Q.  Row reduction copies the rows
+into one of two exact row representations and eliminates there:
+
+* GF(2): each row packed into a Python int, column 0 as the highest bit,
+  so adding one row to another is one XOR.
+* GF(p) for odd p, and Q: each row a sparse ``{column: value}`` dict of
+  ints mod p or ``Fraction`` objects; zeros are never stored or visited.
+
+Both return the reduced row echelon form, which depends only on the row
+space, so the representation cannot change a result.  A
+:class:`Subspace` keeps its basis in that form, so two subspaces are
+equal exactly when their stored representations are equal.  Meets use
+the Zassenhaus block reduction, joins are stack-and-reduce, containment
+is a rank test on the stacked bases, and quotient dimensions are plain
+differences guarded by a containment check.
 """
 from __future__ import annotations
 
@@ -98,33 +110,111 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def _row_reduce(field: FieldSpec, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form (copy) and the list of pivot columns."""
-    a = a.copy()
+    """Reduced row echelon form and the list of pivot columns.
+
+    ``a`` holds canonical field elements, as every :class:`Matrix` does.
+    The result is a new array of ``a``'s shape and dtype with its zero
+    rows at the bottom.  Both kernels run incremental Gauss-Jordan: each
+    incoming row is reduced against the pivot rows found so far, scaled
+    to a leading 1, and then cleared from the earlier pivot rows.
+    """
+    if field.characteristic == 2:
+        return _row_reduce_gf2(a)
+    return _row_reduce_sparse(field, a)
+
+
+def _row_reduce_gf2(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """GF(2) rows packed into Python ints, column 0 as the highest bit.
+
+    Rows go in and out as strings of binary digits, which ``int`` and
+    ``format`` convert at C speed.  Pivots are keyed by bit position, and
+    every pivot row has a zero in every other pivot's bit, so an incoming
+    row is reduced by one XOR per pivot bit it has set.
+    """
     nrows, ncols = a.shape
-    one = field.one()
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = None
-        for i in range(r, nrows):
-            if a[i, c] != 0:
-                pr = i
-                break
-        if pr is None:
+    if nrows == 0 or ncols == 0:
+        return a.copy(), []
+    digits = (a + ord("0")).astype(np.uint8).tobytes()
+    pivots: dict[int, int] = {}
+    mask = 0
+    for start in range(0, nrows * ncols, ncols):
+        row = int(digits[start : start + ncols], 2)
+        hits = row & mask
+        while hits:
+            bit = hits.bit_length() - 1
+            row ^= pivots[bit]
+            hits ^= 1 << bit
+        if not row:
             continue
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        if a[r, c] != one:
-            a[r] = field.normalize(a[r] * field.inv(a[r, c]))
-        col = a[:, c].copy()
-        col[r] = 0
-        if np.any(col != 0):
-            a = field.normalize(a - np.outer(col, a[r]))
-        pivots.append(c)
-        r += 1
-    return a, pivots
+        lead = row.bit_length() - 1
+        for bit, prow in pivots.items():
+            if prow >> lead & 1:
+                pivots[bit] = prow ^ row
+        pivots[lead] = row
+        mask |= 1 << lead
+    order = sorted(pivots, reverse=True)
+    fmt = f"0{ncols}b"
+    digits = "".join([format(pivots[bit], fmt) for bit in order]).ljust(nrows * ncols, "0")
+    out = np.frombuffer(digits.encode(), dtype=np.uint8) - ord("0")
+    return out.astype(a.dtype).reshape(nrows, ncols), [ncols - 1 - bit for bit in order]
+
+
+def _row_reduce_sparse(field: FieldSpec, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """GF(p) and Q rows as ``{column: value}`` dicts holding no zeros.
+
+    Values are ints reduced mod p over GF(p) and ``Fraction`` objects over
+    Q.  Every pivot row has a leading 1 and a zero in every other pivot
+    column, so an incoming row is reduced by one pass over its own
+    pivot-column entries.
+    """
+    nrows, ncols = a.shape
+    p = field.characteristic
+    rows: dict[int, dict] = {}
+    nz_rows, nz_cols = np.nonzero(a)
+    for i, c, v in zip(nz_rows.tolist(), nz_cols.tolist(), a[nz_rows, nz_cols].tolist()):
+        rows.setdefault(i, {})[c] = v
+    pivots: dict[int, dict] = {}
+    for row in rows.values():
+        for c in [c for c in row if c in pivots]:
+            _axpy(row, row[c], pivots[c], p)
+        if not row:
+            continue
+        lead = min(row)
+        scale = row[lead]
+        if scale != 1:
+            if p:
+                inv = pow(scale, -1, p)
+                row = {j: v * inv % p for j, v in row.items()}
+            else:
+                row = {j: v / scale for j, v in row.items()}
+        for prow in pivots.values():
+            factor = prow.get(lead)
+            if factor is not None:
+                _axpy(prow, factor, row, p)
+        pivots[lead] = row
+    order = sorted(pivots)
+    out = np.zeros_like(a) if p else field.zeros(nrows, ncols)
+    if order:
+        ri, ci, vi = [], [], []
+        for r, c in enumerate(order):
+            row = pivots[c]
+            ri.extend([r] * len(row))
+            ci.extend(row)
+            vi.extend(row.values())
+        out[ri, ci] = vi
+    return out, order
+
+
+def _axpy(row: dict, factor, pivot_row: dict, p: int) -> None:
+    """``row -= factor * pivot_row`` in place, dropping entries that vanish."""
+    for j, v in pivot_row.items():
+        x = row.get(j, 0) - factor * v
+        if p:
+            x %= p
+        if x:
+            row[j] = x
+        else:
+            del row[j]
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
@@ -254,19 +344,14 @@ def join(a: Subspace, b: Subspace) -> Subspace:
 
 
 def contains(a: Subspace, b: Subspace) -> bool:
-    """True iff ``b`` is contained in ``a``."""
+    """True iff ``b`` is contained in ``a``: stacking ``b`` under ``a`` keeps the rank."""
     _check_pair(a, b)
     if b.dim == 0:
         return True
     if a.dim == 0:
         return False
-    f = a.field
-    res = b.basis.data.copy()
-    for i, pc in enumerate(a.pivots):
-        col = res[:, pc].copy()
-        if np.any(col != 0):
-            res = f.normalize(res - np.outer(col, a.basis.data[i]))
-    return not np.any(res != 0)
+    _, pivots = _row_reduce(a.field, np.vstack([a.basis.data, b.basis.data]))
+    return len(pivots) == a.dim
 
 
 def quotient_dim(big: Subspace, small: Subspace) -> int:

@@ -24,7 +24,19 @@ def chain_positions(poset) -> dict[int, int]:
     return {el: pos for pos, el in enumerate(order)}
 
 
-def _column_entries(k: FilteredComplex, cell) -> list[tuple[int, int, object]]:
+def _face_index(k: FilteredComplex) -> dict:
+    """Per-dimension index of every cell, keyed by id and, for a simplex,
+    also by its vertex set; built here from the raw cell records."""
+    index: dict = {}
+    for n in range(k.max_dim + 1):
+        for j, cell in enumerate(k.cells_of_dim(n)):
+            index[(n, "id", cell.id)] = j
+            if cell.vertices is not None:
+                index[(n, "simplex", frozenset(cell.vertices))] = j
+    return index
+
+
+def _column_entries(k: FilteredComplex, index: dict, cell) -> list[tuple[int, int, object]]:
     """(face dim, per-dim face index, coefficient) triples of one boundary column."""
     f = k.field
     if cell.dim == 0:
@@ -33,12 +45,11 @@ def _column_entries(k: FilteredComplex, cell) -> list[tuple[int, int, object]]:
     if cell.vertices is not None:
         verts = sorted(cell.vertices)
         for i in range(len(verts)):
-            face_key = (cell.dim - 1, frozenset(verts[:i] + verts[i + 1 :]))
-            row = k._simplex_index[face_key]
+            row = index[(cell.dim - 1, "simplex", frozenset(verts[:i] + verts[i + 1 :]))]
             out.append((cell.dim - 1, row, f.coerce(1) if i % 2 == 0 else f.neg(f.coerce(1))))
     else:
         for fid, coeff in cell.faces:
-            out.append((cell.dim - 1, k._col_index[cell.dim - 1][fid], f.coerce(coeff)))
+            out.append((cell.dim - 1, index[(cell.dim - 1, "id", fid)], f.coerce(coeff)))
     return out
 
 
@@ -54,17 +65,18 @@ def oracle_barcode(k: FilteredComplex) -> Counter:
 
     # Filtration order: by birth position, then dimension, then input order.
     ordered = []
-    for n in sorted(k._by_dim):
+    for n in range(k.max_dim + 1):
         for j, cell in enumerate(k.cells_of_dim(n)):
             birth_el = min(cell.births, key=lambda b: pos[b])
             ordered.append((pos[birth_el], n, j, birth_el, cell))
     ordered.sort(key=lambda t: (t[0], t[1], t[2]))
     filt_of = {(n, j): fp for fp, (_, n, j, _, _) in enumerate(ordered)}
 
+    index = _face_index(k)
     columns = []
     for _, n, j, _, cell in ordered:
         col = {}
-        for fdim, fidx, coeff in _column_entries(k, cell):
+        for fdim, fidx, coeff in _column_entries(k, index, cell):
             row = filt_of[(fdim, fidx)]
             total = f.normalize(col.get(row, 0) + coeff)
             if total == 0:

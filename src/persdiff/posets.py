@@ -24,8 +24,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Largest accepted element count: the order matrix costs n^2 bytes, and a
-# transitivity check or closure pass one n x n boolean product.
+# Largest accepted element count: the order matrix costs n^2 bytes, and the
+# transitivity check one n x n boolean product.
 MAX_ELEMENTS = 4096
 # Rows per block of a boolean product; bounds its float32 scratch.
 _PRODUCT_ROWS = 512
@@ -155,24 +155,23 @@ class FinitePoset:
 
     @classmethod
     def from_covers(cls, labels: Sequence[str], covers: Iterable[tuple], grades=None) -> "FinitePoset":
-        """Build from covering relations; the order is the transitive closure."""
+        """Build from covering relations; the order is the transitive closure.
+
+        Covers that form a cycle raise :class:`InvalidPoset`.
+        """
         labels = tuple(str(l) for l in labels)
         n = len(labels)
         _check_size(n)
         index = {lab: i for i, lab in enumerate(labels)}
-        rel = np.eye(n, dtype=bool)
+        above: list[set] = [set() for _ in range(n)]
         for lo, hi in covers:
             try:
-                rel[index[str(lo)], index[str(hi)]] = True
+                i, j = index[str(lo)], index[str(hi)]
             except KeyError as exc:
                 raise UnknownElement(f"unknown element {exc.args[0]!r} in covers") from None
-        closed = rel.copy()
-        while True:
-            nxt = _boolean_product(closed)
-            if np.array_equal(nxt, closed):
-                break
-            closed = nxt
-        return cls(labels, closed, grades=grades)
+            if i != j:
+                above[i].add(j)
+        return cls(labels, _closure(above), grades=grades)
 
     @classmethod
     def grid(cls, shape: Sequence[int]) -> "FinitePoset":
@@ -247,6 +246,37 @@ class FinitePoset:
 def _check_size(n: int) -> None:
     if n > MAX_ELEMENTS:
         raise InvalidPoset(f"poset has {n} elements; at most {MAX_ELEMENTS} are supported")
+
+
+def _closure(above: list[set]) -> np.ndarray:
+    """Reflexive transitive closure of an acyclic relation, as a boolean matrix.
+
+    One pass in reverse topological order: each element's up-set is a
+    Python int bitset, itself plus the union of the up-sets above it.
+    """
+    n = len(above)
+    below_count = [0] * n
+    for js in above:
+        for j in js:
+            below_count[j] += 1
+    order = [i for i in range(n) if below_count[i] == 0]
+    for i in order:
+        for j in above[i]:
+            below_count[j] -= 1
+            if below_count[j] == 0:
+                order.append(j)
+    if len(order) < n:
+        raise InvalidPoset("covers contain a cycle")
+    up = [0] * n
+    for i in reversed(order):
+        bits = 1 << i
+        for j in above[i]:
+            bits |= up[j]
+        up[i] = bits
+    nbytes = (n + 7) // 8
+    packed = b"".join(bits.to_bytes(nbytes, "little") for bits in up)
+    rows = np.frombuffer(packed, dtype=np.uint8).reshape(n, nbytes)
+    return np.unpackbits(rows, axis=1, count=n, bitorder="little").astype(bool)
 
 
 def _boolean_product(a: np.ndarray) -> np.ndarray:

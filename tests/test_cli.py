@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from persdiff import entries_from_document
 from persdiff.cli import main
+from persdiff.complexes import MAX_DIM
 
 DATA = Path(__file__).parent / "data"
 
@@ -409,6 +410,14 @@ class TestMalformedDocuments:
         code, _, err = _run_doc(capsys, tmp_path, _triangle_with(poset=poset))
         assert code == 3
         assert "4097 elements" in err
+
+    def test_cell_dimension_over_limit(self, capsys, tmp_path):
+        doc = json.loads((DATA / "two_param.json").read_text())
+        doc["cells"].append({"id": "huge", "dim": 30000, "faces": [], "births": [[0, 0]]})
+        code, out, err = _run_doc(capsys, tmp_path, doc)
+        assert code == 3
+        assert out == ""
+        assert f"cell 'huge' has dimension 30000; at most {MAX_DIM} is supported" in err
 
     def test_huge_characteristic_is_refused_quickly(self, capsys, tmp_path):
         code, _, err = _run_doc(capsys, tmp_path, _triangle_with(field="gf:99999999999999999"))

@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from persdiff import (
     DimensionMismatch,
@@ -20,6 +22,9 @@ from persdiff import (
     rref,
 )
 
+from persdiff.linalg import _row_reduce
+
+from dense_reference import dense_row_reduce
 from exhaustive import kernel_set, span_rank, span_set
 
 GF2 = FieldSpec.gf(2)
@@ -266,3 +271,71 @@ def test_matmul_shapes_and_large_prime():
     assert got.data[0][0] == (2**30 * 5 + 7) % p
     with pytest.raises(DimensionMismatch):
         matmul(a, Matrix.zeros(big, 3, 2))
+
+
+# -- elimination kernels against the dense reference ---------------------
+
+KERNEL_FIELDS = [GF2, FieldSpec.gf(3), FieldSpec.gf(2**31 - 1), QQ]
+
+
+def _scalar(field):
+    if field.is_prime_field:
+        p = field.characteristic
+        return st.one_of(st.integers(0, 2), st.integers(0, p - 1)).map(field.coerce)
+    return st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+
+
+@st.composite
+def kernel_input(draw, field=None):
+    """A field and a matrix: any shape from 0x0 to 9x9, with optional
+    duplicate and all-zero rows, so wide and tall cases both occur."""
+    field = field or draw(st.sampled_from(KERNEL_FIELDS))
+    nrows = draw(st.integers(0, 9))
+    ncols = draw(st.integers(0, 9))
+    rows = draw(
+        st.lists(st.lists(_scalar(field), min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows)
+    )
+    if rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), list(draw(st.sampled_from(rows))))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [field.coerce(0)] * ncols)
+    a = field.zeros(len(rows), ncols)
+    for i, row in enumerate(rows):
+        a[i, :] = row
+    return field, a
+
+
+def _assert_same_reduction(got, want):
+    (red, pivots), (ref, ref_pivots) = got, want
+    assert red.shape == ref.shape
+    assert red.dtype == ref.dtype
+    assert pivots == ref_pivots
+    assert red.tolist() == ref.tolist()
+    assert [type(x) for x in red.flat] == [type(x) for x in ref.flat]
+
+
+@given(kernel_input())
+@example((GF2, GF2.zeros(0, 0)))
+@example((QQ, QQ.zeros(0, 4)))
+@example((FieldSpec.gf(3), FieldSpec.gf(3).zeros(3, 0)))
+@example((QQ, QQ.zeros(2, 3)))
+def test_kernel_matches_dense_reference(case):
+    field, a = case
+    before = a.copy()
+    got = _row_reduce(field, a)
+    _assert_same_reduction(got, dense_row_reduce(field, a))
+    assert np.array_equal(a, before)
+    if not field.is_prime_field:
+        assert all(type(x) is Fraction for x in got[0].flat)
+    _assert_same_reduction(_row_reduce(field, got[0]), got)
+
+
+@given(st.sampled_from(KERNEL_FIELDS).flatmap(lambda f: st.tuples(kernel_input(f), kernel_input(f))))
+def test_contains_is_a_rank_test(cases):
+    (field, a), (_, b) = cases
+    width = min(a.shape[1], b.shape[1])
+    sa = Subspace.from_array(field, a[:, :width].copy())
+    sb = Subspace.from_array(field, b[:, :width].copy())
+    stacked = np.vstack([sa.basis.data, sb.basis.data])
+    assert contains(sa, sb) == (len(dense_row_reduce(field, stacked)[1]) == sa.dim)
+    assert contains(join(sa, sb), sb) and contains(sa, meet(sa, sb))

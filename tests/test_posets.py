@@ -88,6 +88,17 @@ class TestConstruction:
         p = FinitePoset.from_covers(["b", *middle, "t"], covers)
         assert p.leq[p.resolve("b"), p.resolve("t")]
 
+    def test_from_covers_long_chain(self):
+        labels = [str(i) for i in range(1000)]
+        p = FinitePoset.from_covers(labels, [(labels[i], labels[i + 1]) for i in range(999)])
+        assert np.array_equal(p.leq, FinitePoset.chain(1000).leq)
+
+    def test_from_covers_refuses_a_cycle(self):
+        with pytest.raises(InvalidPoset, match="cycle"):
+            FinitePoset.from_covers(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
+        p = FinitePoset.from_covers(["a", "b"], [("a", "a"), ("a", "b"), ("a", "b")])
+        assert p.leq.tolist() == [[True, True], [False, True]]
+
     def test_rejects_non_transitive_wide_relation(self):
         n = 202
         leq = np.eye(n, dtype=bool)
