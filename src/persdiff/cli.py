@@ -54,6 +54,23 @@ def _dump(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _blanket_mode(token: str) -> BlanketMode:
+    try:
+        return BlanketMode.parse(token)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _non_negative_int(token: str) -> int:
+    try:
+        value = int(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {token!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _parse_open(k, spec: str):
     """An open from generator grades: 'g' or 'g1;g2', vectors as 'a,b'."""
     text = spec.strip()
@@ -108,13 +125,12 @@ def _require_valid(k) -> None:
 def _cmd_diagram(args) -> int:
     k = load_complex(args.input, field_override=args.field)
     _require_valid(k)
-    mode = BlanketMode.parse(args.mode)
     degrees = None if args.degree is None else [args.degree]
-    entries = compute_diagram(k, degrees=degrees, mode=mode, include_zero=args.all)
+    entries = compute_diagram(k, degrees=degrees, mode=args.mode, include_zero=args.all)
     if args.csv:
         sys.stdout.write(diagram_csv(entries))
     else:
-        sys.stdout.write(_dump(diagram_document(k, entries, mode)))
+        sys.stdout.write(_dump(diagram_document(k, entries, args.mode)))
     return EXIT_OK
 
 
@@ -122,7 +138,7 @@ def _cmd_barcode(args) -> int:
     k = load_complex(args.input, field_override=args.field)
     _require_valid(k)
     try:
-        bars = compute_barcode(k, mode=BlanketMode.parse(args.mode))
+        bars = compute_barcode(k, mode=args.mode)
     except NotAChain:
         raise NotAChain(
             "barcodes need a 1-parameter (chain) poset; use the diagram command instead"
@@ -139,11 +155,10 @@ def _cmd_barcode(args) -> int:
 def _cmd_blankets(args) -> int:
     k = load_complex(args.input, field_override=args.field)
     _require_valid(k)
-    mode = BlanketMode.parse(args.mode)
     birth = _parse_open(k, args.birth)
     death = _parse_open(k, args.death)
     pair = make_pair(k.poset, birth, death)
-    found = degree_blankets(k.poset, pair, args.steps, mode)
+    found = degree_blankets(k.poset, pair, args.steps, args.mode)
     listed = sorted(
         found,
         key=lambda y: (y.birth.sorted_members(), y.death.sorted_members()),
@@ -154,7 +169,7 @@ def _cmd_blankets(args) -> int:
             "format_version": 1,
             "kind": "blankets",
             "steps": args.steps,
-            "mode": mode.value,
+            "mode": args.mode.value,
             "pairs": [
                 {
                     "birth": list(open_repr(p, y.birth)) if not y.birth.is_empty else [],
@@ -205,15 +220,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("diagram", help="generalized persistence diagram")
     common(sp)
-    sp.add_argument("--degree", type=int, default=None, help="restrict to one homological degree")
-    sp.add_argument("--mode", default="full", help="blanket mode: full | principal")
+    sp.add_argument(
+        "--degree", type=_non_negative_int, default=None, help="restrict to one homological degree"
+    )
+    sp.add_argument(
+        "--mode", type=_blanket_mode, default=BlanketMode.FULL, help="blanket mode: full | principal"
+    )
     sp.add_argument("--csv", action="store_true", help="emit CSV instead of JSON")
     sp.add_argument("--all", action="store_true", help="include zero multiplicities")
     sp.set_defaults(func=_cmd_diagram)
 
     sp = sub.add_parser("barcode", help="1-parameter barcode")
     common(sp)
-    sp.add_argument("--mode", default="full")
+    sp.add_argument("--mode", type=_blanket_mode, default=BlanketMode.FULL)
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--svg", default=None, help="also write a static SVG to this path")
     sp.set_defaults(func=_cmd_barcode)
@@ -222,14 +241,16 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--birth", required=True, help="birth open generators, e.g. '1' or '1,1;0,2'")
     sp.add_argument("--death", required=True, help="death open generators, or 'inf'")
-    sp.add_argument("--steps", type=int, default=1, help="number of blanket steps (degree)")
-    sp.add_argument("--mode", default="full")
+    sp.add_argument(
+        "--steps", type=_non_negative_int, default=1, help="number of blanket steps (degree)"
+    )
+    sp.add_argument("--mode", type=_blanket_mode, default=BlanketMode.FULL)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=_cmd_blankets)
 
     sp = sub.add_parser("verify", help="sampled exact self-checks")
     common(sp)
-    sp.add_argument("--samples", type=int, default=50)
+    sp.add_argument("--samples", type=_non_negative_int, default=50)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--oracle", action="store_true", help="also compare against the reduction oracle")
     sp.add_argument("--json", action="store_true")

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .fields import FieldSpec
-from .linalg import Matrix, Subspace, column_space, kernel, matmul
+from .linalg import Matrix, Subspace, column_space, embed, kernel, matmul
 from .posets import FinitePoset
 
 # Largest accepted cell dimension: diagrams and verification do work in
@@ -282,7 +282,7 @@ class FilteredComplex:
         else:
             restricted = Matrix(self.field, self.boundary_matrix(n).data[:, list(cols)])
             ker = kernel(restricted)
-            sub = _embed(self.field, ker, cols, ambient)
+            sub = embed(ker, cols, ambient)
         self._point_cycles[key] = sub
         return sub
 
@@ -323,15 +323,3 @@ def _cell_from_spec(field: FieldSpec, poset: FinitePoset, spec: dict) -> Cell:
     faces = tuple((str(f), field.coerce(c)) for f, c in spec.get("faces", ()))
     return Cell(cid, int(spec["dim"]), births, faces=faces)
 
-
-def _embed(field: FieldSpec, sub: Subspace, positions: Sequence[int], ambient: int) -> Subspace:
-    """Scatter a subspace of a coordinate restriction back into the ambient.
-
-    Positions are increasing, so a reduced echelon basis stays reduced.
-    """
-    if sub.dim == 0:
-        return Subspace.zero(field, ambient)
-    rows = field.zeros(sub.dim, ambient)
-    rows[:, list(positions)] = sub.basis.data
-    pivots = tuple(positions[c] for c in sub.pivots)
-    return Subspace(field, ambient, Matrix(field, rows), pivots)

@@ -312,6 +312,33 @@ class TestUsage:
         assert code == 0
         assert json.loads(out)["field"] == "gf:5"
 
+    def test_bad_option_values_are_usage_errors(self, capsys):
+        tri = DATA / "triangle.json"
+        pair = ("--birth", 1, "--death", "inf")
+        for argv in (
+            ("diagram", tri, "--mode", "bogus"),
+            ("barcode", tri, "--mode", "bogus"),
+            ("blankets", tri, *pair, "--mode", "bogus"),
+            ("blankets", tri, *pair, "--steps", -1),
+            ("diagram", tri, "--degree", -1),
+            ("verify", tri, "--samples", -1),
+            ("diagram", tri, "--degree", "x"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (3, ""), argv
+            assert err.startswith("usage error: argument --"), argv
+
+    def test_mode_aliases(self, capsys):
+        tri = DATA / "two_param.json"
+        for alias, mode in (("full-lattice", "full"), ("principal-only", "principal")):
+            want = run(capsys, "diagram", tri, "--all", "--mode", mode)
+            assert want[0] == 0
+            assert run(capsys, "diagram", tri, "--all", "--mode", alias) == want
+            blankets = ("blankets", tri, "--birth", "0,0", "--death", "inf", "--json", "--mode")
+            got = run(capsys, *blankets, alias)
+            assert got == run(capsys, *blankets, mode)
+            assert json.loads(got[1])["mode"] == mode
+
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from persdiff import (
     DimensionMismatch,
@@ -22,7 +22,7 @@ from persdiff import (
     rref,
 )
 
-from persdiff.linalg import _row_reduce
+from persdiff.linalg import _row_reduce, embed
 
 from dense_reference import dense_row_reduce
 from exhaustive import kernel_set, span_rank, span_set
@@ -339,3 +339,163 @@ def test_contains_is_a_rank_test(cases):
     stacked = np.vstack([sa.basis.data, sb.basis.data])
     assert contains(sa, sb) == (len(dense_row_reduce(field, stacked)[1]) == sa.dim)
     assert contains(join(sa, sb), sb) and contains(sa, meet(sa, sb))
+
+
+# -- row-native lattice ops against the dense reference -------------------
+
+
+def _dense_span(field, a: np.ndarray) -> np.ndarray:
+    """RREF basis of the row space of ``a``, zero rows dropped."""
+    red, pivots = dense_row_reduce(field, a)
+    return red[: len(pivots)]
+
+
+def _dense_meet(field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Zassenhaus on dense arrays, each half reduced by the dense reference."""
+    n = a.shape[1]
+    block = np.vstack([np.hstack([a, a]), np.hstack([b, field.zeros(b.shape[0], n)])])
+    red, pivots = dense_row_reduce(field, block)
+    right = [red[i, n:] for i, c in enumerate(pivots) if c >= n]
+    return _dense_span(field, np.vstack(right)) if right else field.zeros(0, n)
+
+
+def _dense_rank(field, *blocks) -> int:
+    return len(dense_row_reduce(field, np.vstack(blocks))[1])
+
+
+def _assert_rows_match_basis(s: Subspace):
+    """``rows`` and ``pivots`` hold the same RREF as the read-only ``basis``."""
+    data = s.basis.data
+    n = s.ambient_dim
+    assert data.shape == (s.dim, n) == (len(s.rows), n)
+    assert not data.flags.writeable
+    assert len(s.pivots) == s.dim
+    assert _dense_span(s.field, data).tolist() == data.tolist()
+    for row, pivot, dense in zip(s.rows, s.pivots, data.tolist()):
+        if s.field.characteristic == 2:
+            assert row == int("".join(map(str, dense)), 2)
+            assert pivot == n - row.bit_length()
+        else:
+            assert row == {j: v for j, v in enumerate(dense) if v}
+            assert pivot == min(row) and row[pivot] == 1
+    if not s.field.is_prime_field:
+        assert all(type(x) is Fraction for x in data.flat)
+
+
+def _snapshot(s: Subspace):
+    return [r if isinstance(r, int) else dict(r) for r in s.rows]
+
+
+@st.composite
+def subspace_case(draw, field, ambient):
+    """A subspace and the dense rows it was built from: zero, full, or the
+    span of up to five rows (duplicates and zero rows included)."""
+    kind = draw(st.sampled_from(["zero", "full", "span", "span", "span"]))
+    if kind == "zero":
+        return Subspace.zero(field, ambient), field.zeros(0, ambient)
+    if kind == "full":
+        one = field.one()
+        eye = field.zeros(ambient, ambient)
+        for i in range(ambient):
+            eye[i, i] = one
+        return Subspace.full(field, ambient), eye
+    rows = draw(
+        st.lists(st.lists(_scalar(field), min_size=ambient, max_size=ambient), max_size=5)
+    )
+    if rows and draw(st.booleans()):
+        rows.append(list(rows[0]))
+    a = field.zeros(len(rows), ambient)
+    for i, row in enumerate(rows):
+        a[i, :] = row
+    return Subspace.from_array(field, a), a
+
+
+@st.composite
+def lattice_case(draw):
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    ambient = draw(st.integers(0, 6))
+    return field, draw(subspace_case(field, ambient)), draw(subspace_case(field, ambient))
+
+
+@settings(max_examples=300)
+@given(lattice_case())
+@example((GF2, (Subspace.zero(GF2, 0), GF2.zeros(0, 0)), (Subspace.full(GF2, 0), GF2.zeros(0, 0))))
+def test_lattice_ops_match_dense_reference(case):
+    field, (sa, a), (sb, b) = case
+    before = [_snapshot(sa), _snapshot(sb)]
+    for x, dx in ((sa, a), (sb, b)):
+        _assert_rows_match_basis(x)
+        assert x.basis.data.tolist() == _dense_span(field, dx).tolist()
+    for (x, dx), (y, dy) in (((sa, a), (sb, b)), ((sb, b), (sa, a))):
+        m, j = meet(x, y), join(x, y)
+        _assert_rows_match_basis(m)
+        _assert_rows_match_basis(j)
+        assert m.basis.data.tolist() == _dense_meet(field, dx, dy).tolist()
+        assert j.basis.data.tolist() == _dense_span(field, np.vstack([dx, dy])).tolist()
+        inside = _dense_rank(field, dx, dy) == _dense_rank(field, dx)
+        assert contains(x, y) == inside
+        if inside:
+            assert quotient_dim(x, y) == x.dim - y.dim
+        else:
+            with pytest.raises(NotASubspace):
+                quotient_dim(x, y)
+    assert [_snapshot(sa), _snapshot(sb)] == before
+
+
+@settings(max_examples=100)
+@given(lattice_case())
+def test_complement_basis_keeps_rows_that_raise_the_rank(case):
+    field, (sa, _), (sb, _) = case
+    big, small = join(sa, sb), sb
+    before = [_snapshot(big), _snapshot(small)]
+    kept = small.basis.data
+    want = []
+    for row in big.basis.data:
+        if _dense_rank(field, kept, row[None, :]) > _dense_rank(field, kept):
+            want.append(row.tolist())
+            kept = np.vstack([kept, row[None, :]])
+    got = complement_basis(big, small)
+    assert got.data.tolist() == want
+    assert got.data.dtype == big.basis.data.dtype and got.cols == big.ambient_dim
+    assert join(small, Subspace.from_array(field, got.data)) == big
+    assert [_snapshot(big), _snapshot(small)] == before
+
+
+@given(
+    st.sampled_from(KERNEL_FIELDS).flatmap(
+        lambda f: st.tuples(st.just(f), st.integers(0, 7)).flatmap(
+            lambda t: st.tuples(
+                subspace_case(t[0], t[1]),
+                st.lists(st.booleans(), min_size=t[1] + 2, max_size=t[1] + 2),
+            )
+        )
+    )
+)
+def test_embed_matches_dense_scatter(case):
+    (sub, _), keep = case
+    field, k = sub.field, sub.ambient_dim
+    # Spread k columns increasingly over an ambient space with gaps.
+    positions, ambient = [], 0
+    for c in range(k):
+        ambient += 1 + keep[c]
+        positions.append(ambient - 1)
+    ambient += keep[k] + keep[k + 1]
+    scattered = field.zeros(sub.dim, ambient)
+    scattered[:, positions] = sub.basis.data
+    got = embed(sub, positions, ambient)
+    _assert_rows_match_basis(got)
+    assert got == Subspace.from_array(field, scattered)
+    assert got.basis.data.tolist() == scattered.tolist()
+
+
+@given(kernel_input())
+def test_kernel_and_column_space_match_dense_reference(case):
+    field, a = case
+    m = Matrix(field, a)
+    ker, col = kernel(m), column_space(m)
+    _assert_rows_match_basis(ker)
+    _assert_rows_match_basis(col)
+    assert ker.dim + len(dense_row_reduce(field, a)[1]) == a.shape[1]
+    product = matmul(m, Matrix(field, ker.basis.data.T.copy()))
+    assert all(x == 0 for x in product.data.flat)
+    assert col.basis.data.tolist() == _dense_span(field, a.T.copy()).tolist()
