@@ -7,7 +7,7 @@ at (0, 1) recovers the pair-group multiplicities of a generalized
 persistence diagram.
 """
 
-from .fields import FieldSpec, InvalidField
+from .fields import FieldSpec
 from .linalg import (
     DimensionMismatch,
     Matrix,
@@ -43,9 +43,8 @@ from .posets import (
     pair_blankets,
     principal_up_set,
 )
-from .complexes import Cell, FilteredComplex, InvalidComplex, Violation
+from .complexes import FilteredComplex, InvalidComplex
 from .memory import (
-    MemoryQuery,
     blanket_union,
     boundaries_on_open,
     cycles_on_open,
@@ -55,10 +54,8 @@ from .memory import (
 )
 from .calculus import (
     ChangeAction,
-    GroupObj,
     GroupSquare,
     IntegerFunctor,
-    LawReport,
     arr_add,
     arr_inv,
     arr_sub,
@@ -84,16 +81,12 @@ from .calculus import (
     union_rank_functor,
 )
 from .oracle import NotAChain, oracle_barcode
-from .io import InputError, load_complex, parse_document
+from .io import load_complex
 from .diagrams import (
-    Bar,
-    DiagramEntry,
     chain_diagram_counter,
-    compute_barcode,
     compute_diagram,
-    diagram_document,
     entries_from_document,
 )
-from .verify import VerifyReport, run_verification
+from .verify import run_verification
 
 __version__ = "0.1.0"

@@ -13,6 +13,7 @@ they are built.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -72,7 +73,11 @@ class Violation:
 
 
 class FilteredComplex:
-    """Immutable multifiltered complex; queries are pure and memoized."""
+    """Immutable multifiltered complex; queries are pure and memoized.
+
+    ``memo`` holds every derived result, here and in :mod:`persdiff.memory`:
+    one dict per named layer, each keyed by a tuple of small ints.
+    """
 
     def __init__(self, field: FieldSpec, poset: FinitePoset, cells: Sequence[Cell]):
         self.field = field
@@ -94,13 +99,7 @@ class FilteredComplex:
                 if c.vertices is not None:
                     self._simplex_index[(n, frozenset(c.vertices))] = j
         self._violations: list[Violation] | None = None
-        self._boundaries: dict[int, Matrix] = {}
-        self._presence: dict[int, np.ndarray] = {}
-        self._point_cycles: dict = {}
-        self._point_boundaries: dict = {}
-        self._colimit_cycles: dict = {}
-        # Shared scratch for derived pure results (open/pair subspaces etc).
-        self.cache: dict = {}
+        self.memo: defaultdict[str, dict] = defaultdict(dict)
 
     @classmethod
     def build(cls, field: FieldSpec, poset: FinitePoset, cell_specs: Iterable[dict]) -> "FilteredComplex":
@@ -224,9 +223,9 @@ class FilteredComplex:
 
     def boundary_matrix(self, n: int) -> Matrix:
         """Boundary in degree n: rows are (n-1)-cells, columns are n-cells."""
-        cached = self._boundaries.get(n)
-        if cached is not None:
-            return cached
+        cache = self.memo["boundary"]
+        if n in cache:
+            return cache[n]
         cols = self.cells_of_dim(n)
         rows = self.ambient_dim(n - 1) if n >= 1 else 0
         a = self.field.zeros(rows, len(cols))
@@ -236,71 +235,52 @@ class FilteredComplex:
                 raise InvalidComplex(f"cell {cell.id!r} references a missing face")
             for row, coeff in entries:
                 a[row, j] = self.field.normalize(a[row, j] + coeff)
-        m = Matrix(self.field, a)
-        self._boundaries[n] = m
+        m = cache[n] = Matrix(self.field, a)
         return m
-
-    def presence_table(self, n: int) -> np.ndarray:
-        """Boolean (cells x poset points) presence table for degree n."""
-        cached = self._presence.get(n)
-        if cached is not None:
-            return cached
-        cells = self.cells_of_dim(n)
-        table = np.zeros((len(cells), self.poset.n), dtype=bool)
-        for j, cell in enumerate(cells):
-            table[j] = self.poset.leq[list(cell.births)].any(axis=0)
-        table.setflags(write=False)
-        self._presence[n] = table
-        return table
 
     def cells_present(self, n: int, x) -> tuple[int, ...]:
         """Indices of n-cells with some birth grade at or below ``x``."""
+        masks = self.memo["presence"].get(n)
+        if masks is None:
+            cells = self.cells_of_dim(n)
+            masks = self.memo["presence"][n] = [self.poset.closure(c.births).bits for c in cells]
         xi = self.poset.resolve(x)
-        return tuple(np.nonzero(self.presence_table(n)[:, xi])[0].tolist())
+        return tuple([j for j, mask in enumerate(masks) if mask >> xi & 1])
 
     # -- per-point subspaces --------------------------------------------------
 
     def colimit_cycles(self, n: int) -> Subspace:
         """Kernel of the colimit boundary; the ambient for degree-n subobjects."""
-        cached = self._colimit_cycles.get(n)
-        if cached is None:
-            cached = kernel(self.boundary_matrix(n))
-            self._colimit_cycles[n] = cached
-        return cached
+        cache = self.memo["colimit"]
+        sub = cache.get(n)
+        if sub is None:
+            sub = cache[n] = kernel(self.boundary_matrix(n))
+        return sub
 
     def cycles_at(self, n: int, x) -> Subspace:
         """Cycles present at a point, in colimit coordinates."""
-        xi = self.poset.resolve(x)
-        key = (n, xi)
-        cached = self._point_cycles.get(key)
-        if cached is not None:
-            return cached
-        cols = self.cells_present(n, xi)
-        ambient = self.ambient_dim(n)
-        if not cols:
-            sub = Subspace.zero(self.field, ambient)
-        else:
-            restricted = Matrix(self.field, self.boundary_matrix(n).data[:, list(cols)])
-            ker = kernel(restricted)
-            sub = embed(ker, cols, ambient)
-        self._point_cycles[key] = sub
-        return sub
+        return self.point_subspace(n, self.poset.resolve(x), False)
 
     def boundaries_at(self, n: int, x) -> Subspace:
         """Boundaries of (n+1)-cells present at a point, in colimit coordinates."""
-        xi = self.poset.resolve(x)
-        key = (n, xi)
-        cached = self._point_boundaries.get(key)
-        if cached is not None:
-            return cached
-        cols = self.cells_present(n + 1, xi)
-        ambient = self.ambient_dim(n)
-        if not cols:
-            sub = Subspace.zero(self.field, ambient)
-        else:
-            restricted = Matrix(self.field, self.boundary_matrix(n + 1).data[:, list(cols)])
-            sub = column_space(restricted)
-        self._point_boundaries[key] = sub
+        return self.point_subspace(n, self.poset.resolve(x), True)
+
+    def point_subspace(self, n: int, i: int, boundaries: bool) -> Subspace:
+        """Degree-n cycles, or boundaries, present at element index ``i``."""
+        cache = self.memo["point"]
+        key = (n, i, boundaries)
+        sub = cache.get(key)
+        if sub is None:
+            degree = n + 1 if boundaries else n
+            cols = list(self.cells_present(degree, i))
+            restricted = Matrix(self.field, self.boundary_matrix(degree).data[:, cols])
+            if not cols:
+                sub = Subspace.zero(self.field, self.ambient_dim(n))
+            elif boundaries:
+                sub = column_space(restricted)
+            else:
+                sub = embed(kernel(restricted), cols, self.ambient_dim(n))
+            cache[key] = sub
         return sub
 
 

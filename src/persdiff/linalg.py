@@ -438,7 +438,7 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
     f = a.field
     n = a.ambient_dim
     if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(f, n)
+        return a if a.dim == 0 else b
     if a.dim == n:
         return b
     if b.dim == n:

@@ -9,7 +9,7 @@ blankets of a pair feed the finite-difference calculus.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import reduce
 
 from .complexes import FilteredComplex
 from .linalg import Matrix, Subspace, complement_basis, join, meet, quotient_dim
@@ -20,55 +20,51 @@ from .posets import (
     degree_blankets,
     make_pair,
     min_elements,
+    mode_index,
+    pair_blankets,
 )
 
 
 def cycles_on_open(k: FilteredComplex, n: int, u: UpSet) -> Subspace:
     """Cycles that have appeared by every point of the open."""
-    key = ("zc", n, u.members)
-    cached = k.cache.get(key)
-    if cached is not None:
-        return cached
-    if u.is_empty:
-        sub = k.colimit_cycles(n)
-    else:
-        mins = sorted(min_elements(k.poset, u))
-        sub = k.cycles_at(n, mins[0])
-        for x in mins[1:]:
-            sub = meet(sub, k.cycles_at(n, x))
-    k.cache[key] = sub
-    return sub
+    return _on_open(k, n, u, False)
 
 
 def boundaries_on_open(k: FilteredComplex, n: int, v: UpSet) -> Subspace:
     """Boundaries that have appeared by every point of the open."""
-    key = ("bc", n, v.members)
-    cached = k.cache.get(key)
-    if cached is not None:
-        return cached
-    if v.is_empty:
-        sub = k.colimit_cycles(n)
-    else:
-        mins = sorted(min_elements(k.poset, v))
-        sub = k.boundaries_at(n, mins[0])
-        for x in mins[1:]:
-            sub = meet(sub, k.boundaries_at(n, x))
-    k.cache[key] = sub
+    return _on_open(k, n, v, True)
+
+
+def _on_open(k: FilteredComplex, n: int, u: UpSet, boundaries: bool) -> Subspace:
+    """Meet of the per-point cycles (or boundaries) over the open's minimal
+    elements; the colimit cycles on the empty open."""
+    cache = k.memo["open"]
+    key = (n, k.poset.open_id(u), boundaries)
+    sub = cache.get(key)
+    if sub is None:
+        if u.is_empty:
+            sub = k.colimit_cycles(n)
+        else:
+            mins = sorted(min_elements(k.poset, u))
+            sub = reduce(meet, [k.point_subspace(n, i, boundaries) for i in mins])
+        cache[key] = sub
     return sub
 
 
 def homological_memory(k: FilteredComplex, n: int, pair: PairOpen) -> Subspace:
     """Cycles appearing by the birth open that bound by the death open."""
-    key = ("mem", n, pair)
-    cached = k.cache.get(key)
-    if cached is not None:
-        return cached
-    make_pair(k.poset, pair.birth, pair.death)
-    if pair.death.is_empty:
-        sub = cycles_on_open(k, n, pair.birth)
-    else:
-        sub = meet(cycles_on_open(k, n, pair.birth), boundaries_on_open(k, n, pair.death))
-    k.cache[key] = sub
+    p = k.poset
+    birth, death = pair
+    cache = k.memo["memory"]
+    key = (n, p.open_id(birth), p.open_id(death))
+    sub = cache.get(key)
+    if sub is None:
+        if death.bits & ~birth.bits:
+            make_pair(p, birth, death)  # raises InvalidPair
+        sub = cycles_on_open(k, n, birth)
+        if not death.is_empty:
+            sub = meet(sub, boundaries_on_open(k, n, death))
+        cache[key] = sub
     return sub
 
 
@@ -82,20 +78,19 @@ def blanket_union(
     """Join of the memories of all degree-d blankets of the pair.
 
     d = 0 gives the pair's own memory; an empty blanket set gives zero.
+    Subspaces are canonical, so the join order does not matter.
     """
     if d == 0:
         return homological_memory(k, n, pair)
-    key = ("bu", n, pair, d, mode)
-    cached = k.cache.get(key)
-    if cached is not None:
-        return cached
-    sub = Subspace.zero(k.field, k.ambient_dim(n))
-    for w in sorted(
-        degree_blankets(k.poset, pair, d, mode),
-        key=lambda y: (y.birth.sorted_members(), y.death.sorted_members()),
-    ):
-        sub = join(sub, homological_memory(k, n, w))
-    k.cache[key] = sub
+    p = k.poset
+    cache = k.memo["union"]
+    key = (n, p.open_id(pair.birth), p.open_id(pair.death), d, mode_index(mode))
+    sub = cache.get(key)
+    if sub is None:
+        blankets = pair_blankets(p, pair, mode) if d == 1 else degree_blankets(p, pair, d, mode)
+        memories = [homological_memory(k, n, w) for w in blankets]
+        sub = reduce(join, memories, Subspace.zero(k.field, k.ambient_dim(n)))
+        cache[key] = sub
     return sub
 
 
@@ -127,19 +122,3 @@ def lifespan_representatives(
         homological_memory(k, n, pair),
         blanket_union(k, n, pair, 1, mode),
     )
-
-
-@dataclass(frozen=True)
-class MemoryQuery:
-    """One memory/lifespan query against a fixed complex."""
-
-    complex: FilteredComplex
-    degree: int
-    pair: PairOpen
-    mode: BlanketMode = BlanketMode.FULL
-
-    def memory(self) -> Subspace:
-        return homological_memory(self.complex, self.degree, self.pair)
-
-    def rank(self) -> int:
-        return lifespan_rank(self.complex, self.degree, self.pair, self.mode)

@@ -11,16 +11,25 @@ inclusion order.  Two cover notions are implemented, selected by
 * ``PRINCIPAL`` restricts attention to principal up-sets and takes the
   inclusion-minimal principal up-sets strictly containing the open.
 
-The order is a dense n x n boolean matrix, so posets larger than
-:data:`MAX_ELEMENTS` are refused before any such matrix is allocated.
+An open is an int bitmask over element indices (bit i is element i), and
+each element's principal up-set and down-set are kept as masks, so subset
+tests, closures, minimal elements and covers are bit operations.  A poset
+interns the opens it hands out with a small-int id
+(:meth:`FinitePoset.open_id`), and every memo is keyed by tuples of small
+ints.  Masks are never keys: Python hashes an int to its value mod
+2^61 - 1, so the up-sets 2^n - 2^i of an n-chain share about 61 hashes.
+
+The order is also a dense n x n boolean matrix (``leq``), so posets
+larger than :data:`MAX_ELEMENTS` are refused before it is allocated.
 """
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product as _iter_product
-from typing import Iterable, Sequence
+from itertools import count, product as _iter_product
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,6 +38,8 @@ import numpy as np
 MAX_ELEMENTS = 4096
 # Rows per block of a boolean product; bounds its float32 scratch.
 _PRODUCT_ROWS = 512
+# Never-reused poset tokens; an interned open records its poset's token.
+_TOKENS = count()
 
 
 class InvalidPoset(ValueError):
@@ -57,31 +68,67 @@ class BlanketMode(Enum):
         raise ValueError(f"unknown blanket mode {token!r}")
 
 
-@dataclass(frozen=True)
+def mode_index(mode: BlanketMode) -> int:
+    """The blanket mode as a memo key: 0 for FULL, 1 for PRINCIPAL."""
+    return 0 if mode is BlanketMode.FULL else 1
+
+
 class UpSet:
-    """An upward closed subset, stored as a frozenset of element indices."""
+    """An upward closed subset, stored as an int bitmask over element indices.
 
-    members: frozenset
+    Built from element indices, or from a mask as ``UpSet(bits=mask)``.
+    It hashes the mask's bytes, which spreads masks the int hash collides.
+    An open interned by a poset also holds that poset's token and its id.
+    """
 
-    def __len__(self):
-        return len(self.members)
+    __slots__ = ("bits", "_hash", "_owner", "_id")
 
-    def __contains__(self, i):
-        return i in self.members
+    def __init__(self, members: Iterable[int] = (), bits: int = 0):
+        for i in members:
+            bits |= 1 << i
+        self.bits = bits
+        self._hash = hash(bits.to_bytes((bits.bit_length() + 7) // 8, "little"))
+        self._owner = None
+
+    @property
+    def members(self) -> frozenset:
+        return frozenset(_indices(self.bits))
+
+    def __eq__(self, other):
+        return isinstance(other, UpSet) and self.bits == other.bits
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"UpSet(members={self.members!r})"
 
     @property
     def is_empty(self) -> bool:
-        return not self.members
+        return not self.bits
 
     def sorted_members(self) -> tuple:
-        return tuple(sorted(self.members))
+        return tuple(_indices(self.bits))
 
 
-EMPTY_OPEN = UpSet(frozenset())
+def _indices(bits: int) -> list[int]:
+    """Positions of the set bits of a mask, ascending."""
+    return [i for i, digit in enumerate(bin(bits)[:1:-1]) if digit == "1"]
 
 
-@dataclass(frozen=True)
-class PairOpen:
+# Sorted-member lists compare like these strings: position i is "1" for
+# a member and "2" for a non-member below the largest member.
+_LEX = str.maketrans("0", "2")
+
+
+def _lex_key(bits: int) -> str:
+    return bin(bits)[:1:-1].translate(_LEX) if bits else ""
+
+
+EMPTY_OPEN = UpSet()
+
+
+class PairOpen(NamedTuple):
     """Object of the restriction category of pairs: birth contains death."""
 
     birth: UpSet
@@ -147,9 +194,14 @@ class FinitePoset:
         self.leq = leq
         self._index = {lab: i for i, lab in enumerate(labels)}
         self._grade_index = {grades[i]: i for i in range(n)} if grades else {}
-        self._principal_cache: list[UpSet | None] = [None] * n
-        self._blanket_cache: dict = {}
-        self._pair_blanket_cache: dict = {}
+        # Principal up-set and down-set of each element, as masks.
+        self._up = _bit_rows(np.packbits(leq, axis=1, bitorder="little"))
+        self._down = _bit_rows(np.packbits(leq, axis=0, bitorder="little").T)
+        self._token = next(_TOKENS)
+        self._interned: dict[UpSet, UpSet] = {}
+        self._principal = [self._open(bits) for bits in self._up]
+        # Blankets and pair blankets: one dict per named layer.
+        self.memo: defaultdict[str, dict] = defaultdict(dict)
 
     # -- constructors ---------------------------------------------------
 
@@ -216,31 +268,32 @@ class FinitePoset:
         return self.grades[i] if self.grades else (i,)
 
     def is_chain(self) -> bool:
-        return bool(np.all(self.leq | self.leq.T))
-
-    def maximal_elements(self) -> tuple[int, ...]:
-        strict = self.leq & ~np.eye(self.n, dtype=bool)
-        return tuple(i for i in range(self.n) if not strict[i].any())
+        everything = (1 << self.n) - 1
+        return all(up | down == everything for up, down in zip(self._up, self._down))
 
     # -- opens -----------------------------------------------------------
 
-    def up_set(self, members: Iterable) -> UpSet:
-        """Validated up-set from an iterable of elements."""
-        idx = frozenset(self.resolve(x) for x in members)
-        u = UpSet(idx)
-        if not is_up_closed(self, idx):
-            raise InvalidPoset(f"{sorted(idx)} is not upward closed")
-        return u
-
     def closure(self, members: Iterable) -> UpSet:
         """Smallest up-set containing the given elements."""
-        out: set = set()
+        bits = 0
         for x in members:
-            out.update(np.nonzero(self.leq[self.resolve(x)])[0].tolist())
-        return UpSet(frozenset(out))
+            bits |= self._up[self.resolve(x)]
+        return self._open(bits)
 
     def top(self) -> UpSet:
-        return UpSet(frozenset(range(self.n)))
+        return self._open((1 << self.n) - 1)
+
+    def open_id(self, u: UpSet) -> int:
+        """Small-int id of an open in this poset, assigned on first use."""
+        return (u if u._owner == self._token else self._open(u.bits))._id
+
+    def _open(self, bits: int) -> UpSet:
+        """The interned open with this mask."""
+        u = UpSet(bits=bits)
+        found = self._interned.setdefault(u, u)
+        if found is u:
+            u._owner, u._id = self._token, len(self._interned) - 1
+        return found
 
 
 def _check_size(n: int) -> None:
@@ -279,6 +332,11 @@ def _closure(above: list[set]) -> np.ndarray:
     return np.unpackbits(rows, axis=1, count=n, bitorder="little").astype(bool)
 
 
+def _bit_rows(packed: np.ndarray) -> list[int]:
+    """Rows of a little-endian ``np.packbits`` array as int masks."""
+    return [int.from_bytes(row.tobytes(), "little") for row in np.ascontiguousarray(packed)]
+
+
 def _boolean_product(a: np.ndarray) -> np.ndarray:
     """``a @ a`` over the boolean semiring: is there a two-step path i -> j?
 
@@ -311,66 +369,63 @@ def _product_order(grades: Sequence[tuple]) -> np.ndarray:
 
 def principal_up_set(p: FinitePoset, x) -> UpSet:
     """Smallest up-set containing ``x``."""
-    i = p.resolve(x)
-    cached = p._principal_cache[i]
-    if cached is None:
-        cached = UpSet(frozenset(np.nonzero(p.leq[i])[0].tolist()))
-        p._principal_cache[i] = cached
-    return cached
+    return p._principal[p.resolve(x)]
 
 
 def is_up_closed(p: FinitePoset, members: Iterable) -> bool:
-    s = set(members)
-    for i in s:
-        if not 0 <= i < p.n:
-            raise UnknownElement(f"element index {i} out of range")
-        for j in np.nonzero(p.leq[i])[0]:
-            if int(j) not in s:
-                return False
-    return True
+    members = list(members)
+    return p.closure(members) == UpSet(members)
+
+
+def _extremes(bits: int, strict_side: list[int], lowest_first: bool) -> int:
+    """Minimal elements of a mask (``strict_side`` the up-sets, lowest index
+    first) or maximal ones (the down-sets, highest first), as a mask.
+
+    A processed element covers its strict side; covered ones are skipped,
+    so on grids and chains only the extremes themselves are processed.
+    """
+    covered, rest = 0, bits
+    while rest:
+        one = rest & -rest if lowest_first else 1 << (rest.bit_length() - 1)
+        covered |= strict_side[one.bit_length() - 1] ^ one
+        rest &= ~(covered | one)
+    return bits & ~covered
 
 
 def min_elements(p: FinitePoset, u: UpSet) -> frozenset:
     """Elements of the open with nothing strictly below them in the open."""
-    idx = np.fromiter(u.members, dtype=np.intp, count=len(u.members))
-    below = p.leq[np.ix_(idx, idx)].sum(axis=0)
-    return frozenset(idx[below == 1].tolist())
-
-
-def _sort_opens(p: FinitePoset, opens: Iterable[UpSet]) -> list[UpSet]:
-    return sorted(opens, key=lambda u: (len(u.members), u.sorted_members()))
+    return frozenset(_indices(_extremes(u.bits, p._up, True)))
 
 
 def blankets_of_open(p: FinitePoset, u: UpSet, mode: BlanketMode = BlanketMode.FULL) -> list[UpSet]:
-    """Blankets (covers) of an open; never contains the open itself."""
-    key = (u.members, mode)
-    cached = p._blanket_cache.get(key)
-    if cached is not None:
-        return list(cached)
-    if mode is BlanketMode.FULL:
-        out = []
-        for m in range(p.n):
-            if m not in u.members and principal_up_set(p, m).members - {m} <= u.members:
-                out.append(UpSet(u.members | {m}))
-    else:
-        cands = [
-            principal_up_set(p, i)
-            for i in range(p.n)
-            if u.members < principal_up_set(p, i).members
-        ]
-        out = [
-            c
-            for c in cands
-            if not any(o.members < c.members for o in cands)
-        ]
-    out = _sort_opens(p, out)
-    p._blanket_cache[key] = tuple(out)
-    return out
+    """Blankets (covers) of an open, by size and then sorted members; never
+    the open itself."""
+    key = (p.open_id(u), mode_index(mode))
+    cache = p.memo["blankets"]
+    out = cache.get(key)
+    if out is None:
+        outside = (1 << p.n) - 1 & ~u.bits
+        if mode is BlanketMode.FULL:
+            # Add one maximal element of the complement: same sizes, and
+            # ascending added elements are ascending sorted members.
+            added = _extremes(outside, p._down, False)
+            out = tuple(p._open(u.bits | 1 << m) for m in _indices(added))
+        else:
+            # up(i) contains u iff i lies below every minimal element of u,
+            # strictly iff also i is not in u; the smallest come from maximal i.
+            below = outside
+            for m in _indices(_extremes(u.bits, p._up, True)):
+                below &= p._down[m]
+            tops = _indices(_extremes(below, p._down, False))
+            out = [p._principal[i] for i in tops]
+            out = tuple(sorted(out, key=lambda w: (w.bits.bit_count(), _lex_key(w.bits))))
+        cache[key] = out
+    return list(out)
 
 
 def make_pair(p: FinitePoset, birth: UpSet, death: UpSet) -> PairOpen:
     """Validated pair of nested opens."""
-    if not birth.members >= death.members:
+    if death.bits & ~birth.bits:
         raise InvalidPair(
             f"birth open {describe_open(p, birth)} does not contain death open {describe_open(p, death)}"
         )
@@ -378,8 +433,6 @@ def make_pair(p: FinitePoset, birth: UpSet, death: UpSet) -> PairOpen:
 
 
 def describe_open(p: FinitePoset, u: UpSet) -> str:
-    if u.is_empty:
-        return "{}"
     mins = sorted(min_elements(p, u), key=p.element_key)
     if p.grades:
         inner = ",".join("(" + ",".join(str(c) for c in p.grades[i]) + ")" for i in mins)
@@ -388,8 +441,8 @@ def describe_open(p: FinitePoset, u: UpSet) -> str:
     return "{" + inner + "}"
 
 
-def _pair_sort_key(p: FinitePoset, x: PairOpen):
-    return (x.birth.sorted_members(), len(x.death.members), x.death.sorted_members())
+def _pair_sort_key(x: PairOpen):
+    return (_lex_key(x.birth.bits), x.death.bits.bit_count(), _lex_key(x.death.bits))
 
 
 def pair_blankets(p: FinitePoset, x: PairOpen, mode: BlanketMode = BlanketMode.FULL) -> list[PairOpen]:
@@ -397,36 +450,34 @@ def pair_blankets(p: FinitePoset, x: PairOpen, mode: BlanketMode = BlanketMode.F
 
     Death-side covers must stay inside the birth open.  In PRINCIPAL mode
     a death-side cover equal to the birth open is dropped, so the blanket
-    set of a principal pair consists of strict pairs only.
+    set of a principal pair consists of strict pairs only.  Sorted by
+    birth members, then death size and death members.
     """
-    key = (x, mode)
-    cached = p._pair_blanket_cache.get(key)
-    if cached is not None:
-        return list(cached)
-    out = [PairOpen(w, x.death) for w in blankets_of_open(p, x.birth, mode)]
-    for z in blankets_of_open(p, x.death, mode):
-        if not z.members <= x.birth.members:
-            continue
-        if mode is BlanketMode.PRINCIPAL and z == x.birth:
-            continue
-        out.append(PairOpen(x.birth, z))
-    out = sorted(set(out), key=lambda y: _pair_sort_key(p, y))
-    p._pair_blanket_cache[key] = tuple(out)
-    return out
+    birth, death = x
+    key = (p.open_id(birth), p.open_id(death), mode_index(mode))
+    cache = p.memo["pair_blankets"]
+    out = cache.get(key)
+    if out is None:
+        # The two sides never share a pair: birth-side ones grow the birth.
+        found = [PairOpen(w, death) for w in blankets_of_open(p, birth, mode)]
+        for z in blankets_of_open(p, death, mode):
+            if z.bits & ~birth.bits or (mode is BlanketMode.PRINCIPAL and z.bits == birth.bits):
+                continue
+            found.append(PairOpen(birth, z))
+        out = tuple(sorted(found, key=_pair_sort_key))
+        cache[key] = out
+    return list(out)
 
 
 def degree_blankets(p: FinitePoset, x: PairOpen, n: int, mode: BlanketMode = BlanketMode.FULL) -> frozenset:
     """Pairs reachable by exactly ``n`` blanket steps (degree-n blankets)."""
     if n < 0:
         raise ValueError("degree must be non-negative")
-    frontier: frozenset = frozenset([x])
+    frontier = frozenset([x])
     for _ in range(n):
         if not frontier:
             break
-        nxt: set = set()
-        for w in frontier:
-            nxt.update(pair_blankets(p, w, mode))
-        frontier = frozenset(nxt)
+        frontier = frozenset([y for w in frontier for y in pair_blankets(p, w, mode)])
     return frontier
 
 
@@ -437,11 +488,13 @@ def enumerate_diagram_pairs(p: FinitePoset) -> list[PairOpen]:
     with the empty death open last for each birth.
     """
     order = sorted(range(p.n), key=p.element_key)
+    position = {i: rank for rank, i in enumerate(order)}
+    principal = p._principal
+    empty = p._open(0)
     out = []
     for i in order:
-        u = principal_up_set(p, i)
-        for j in order:
-            if i != j and j in u.members:
-                out.append(PairOpen(u, principal_up_set(p, j)))
-        out.append(PairOpen(u, EMPTY_OPEN))
+        u = principal[i]
+        deaths = sorted(_indices(u.bits ^ 1 << i), key=position.__getitem__)
+        out.extend([PairOpen(u, principal[j]) for j in deaths])
+        out.append(PairOpen(u, empty))
     return out

@@ -197,12 +197,10 @@ def run_verification(
         extra = rng.sample(range(p.n), rng.randint(0, min(2, p.n)))
         outer = p.closure(sorted(inner.members) + extra)
         n = rng.choice(degrees)
-        presheaf.checked += 1
-        if not contains(cycles_on_open(k, n, inner), cycles_on_open(k, n, outer)):
-            presheaf.counterexamples.append(("cycles", n, sorted(outer.members), sorted(inner.members)))
-        presheaf.checked += 1
-        if not contains(boundaries_on_open(k, n, inner), boundaries_on_open(k, n, outer)):
-            presheaf.counterexamples.append(("boundaries", n, sorted(outer.members), sorted(inner.members)))
+        for kind, on_open in (("cycles", cycles_on_open), ("boundaries", boundaries_on_open)):
+            presheaf.checked += 1
+            if not contains(on_open(k, n, inner), on_open(k, n, outer)):
+                presheaf.counterexamples.append((kind, n, sorted(outer.members), sorted(inner.members)))
     report.results.append(presheaf)
 
     # Extended functor monotonicity: union ranks grow along restriction.
@@ -222,22 +220,17 @@ def run_verification(
     report.results.append(extended)
 
     # Blanket mode comparison is informational: the two cover notions may
-    # disagree away from chains; report where.
-    diffs = 0
-    example = None
-    for pair in pairs:
-        full = set(pair_blankets(p, pair, BlanketMode.FULL))
-        principal = set(pair_blankets(p, pair, BlanketMode.PRINCIPAL))
-        if full != principal:
-            diffs += 1
-            if example is None:
-                example = pair
-    if diffs:
-        msg = (
-            f"blanket modes disagree on {diffs}/{len(pairs)} enumerated pairs; "
-            f"first at ({describe_open(p, example.birth)}, {describe_open(p, example.death)})"
+    # disagree away from chains; report where.  Both lists share one order.
+    differ = [
+        x for x in pairs
+        if pair_blankets(p, x, BlanketMode.FULL) != pair_blankets(p, x, BlanketMode.PRINCIPAL)
+    ]
+    if differ:
+        first = differ[0]
+        report.notes.append(
+            f"blanket modes disagree on {len(differ)}/{len(pairs)} enumerated pairs; "
+            f"first at ({describe_open(p, first.birth)}, {describe_open(p, first.death)})"
         )
-        report.notes.append(msg)
     else:
         report.notes.append("blanket modes agree on all enumerated pairs")
 

@@ -5,6 +5,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from persdiff import entries_from_document
@@ -499,3 +500,34 @@ def test_mutated_documents_exit_cleanly(doc):
             code = main(["diagram", str(path)])
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+GOLDEN = DATA / "golden"
+# Each command's stdout, recorded before opens became bitmasks, on one
+# pair for ``blankets``.  Byte comparison catches a changed value or
+# diagram-pair order, which two runs of the same build cannot.  No output
+# shows the order of blanket lists while every check passes, so
+# test_open_bitmasks.py pins that order.
+GOLDEN_COMMANDS = {
+    "diagram_all": ("diagram", "--all"),
+    "diagram_principal_all": ("diagram", "--mode", "principal", "--all"),
+    "blankets_steps2": ("blankets", "--steps", 2),
+    "verify_oracle_s30_seed3": ("verify", "--json", "--oracle", "--samples", 30, "--seed", 3),
+}
+GOLDEN_PAIRS = {
+    "two_param": ("--birth", "1,1", "--death", "2,2"),
+    "triangle": ("--birth", "2", "--death", "inf"),
+    "corner_grid": ("--birth", "3,3", "--death", "inf"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_COMMANDS))
+@pytest.mark.parametrize("document", sorted(GOLDEN_PAIRS))
+def test_golden_output(capsys, document, command):
+    name, *options = GOLDEN_COMMANDS[command]
+    if name == "blankets":
+        options += GOLDEN_PAIRS[document]
+    code, out, _ = run(capsys, name, DATA / f"{document}.json", *options)
+    assert code == 0
+    suffix = "json" if command.startswith("verify") else "txt"
+    assert out.encode() == (GOLDEN / f"{document}.{command}.{suffix}").read_bytes()

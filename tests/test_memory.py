@@ -8,7 +8,6 @@ from persdiff import (
     FieldSpec,
     FinitePoset,
     InvalidPair,
-    MemoryQuery,
     PairOpen,
     Subspace,
     blanket_union,
@@ -144,11 +143,6 @@ class TestLifespanRank:
             Subspace.from_array(GF2, reps.data),
         )
         assert rebuilt == mem
-
-    def test_memory_query(self, triangle):
-        q = MemoryQuery(triangle, 1, principal_pair(triangle, 1, 2))
-        assert q.rank() == 1
-        assert q.memory().dim == 1
 
 
 class TestFunctoriality:
