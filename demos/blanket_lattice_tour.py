@@ -7,8 +7,6 @@ open.  The second poset shows where the two cover notions diverge: the
 full-lattice covers can be non-principal opens, while principal-only mode
 sticks to principal up-sets.
 """
-import numpy as np
-
 from persdiff import (
     BlanketMode,
     FinitePoset,
@@ -27,7 +25,7 @@ def plane_poset(coords):
         [all(a <= b for a, b in zip(coords[x], coords[y])) for y in labels]
         for x in labels
     ]
-    return FinitePoset(labels, np.array(leq, dtype=bool), grades=list(coords.values()))
+    return FinitePoset(labels, leq, grades=list(coords.values()))
 
 
 def show_pair_blankets(p, pair, mode):

@@ -49,7 +49,7 @@ print("  at up(1,0) | up(0,1):  ", cycles_on_open(complex_, 1, union_open).dim)
 pair = make_pair(poset, principal_up_set(poset, (1, 1)), principal_up_set(poset, (2, 2)))
 memory = homological_memory(complex_, 1, pair)
 print("\nmemory of the loop pair has dimension", memory.dim)
-print("its canonical basis row (edge coordinates ab, ac, bc):", memory.basis.data.tolist())
+print("its canonical basis row (edge coordinates ab, ac, bc):", memory.basis.tolist())
 
 # Both blanket modes give the same diagram here.
 full = compute_diagram(complex_, mode=BlanketMode.FULL)

@@ -82,7 +82,8 @@ def _parse_open(k, spec: str):
         if not chunk:
             continue
         parts = [c.strip() for c in chunk.split(",")]
-        if all(p.lstrip("-").isdigit() for p in parts):
+        # isdecimal, not isdigit: int() refuses digits such as "²".
+        if all(p.lstrip("-").isdecimal() for p in parts):
             gen = int(parts[0]) if len(parts) == 1 else tuple(int(c) for c in parts)
             if len(parts) == 1 and k.poset.grades and len(k.poset.grades[0]) == 1:
                 gen = (int(parts[0]),)
@@ -144,7 +145,10 @@ def _cmd_barcode(args) -> int:
             "barcodes need a 1-parameter (chain) poset; use the diagram command instead"
         ) from None
     if args.svg:
-        Path(args.svg).write_text(barcode_svg(bars))
+        try:
+            Path(args.svg).write_text(barcode_svg(bars))
+        except OSError as exc:
+            raise _UsageError(f"cannot write {args.svg}: {exc}") from None
     if args.json:
         sys.stdout.write(_dump(barcode_document(k, bars)))
     else:

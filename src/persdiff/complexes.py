@@ -17,11 +17,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .fields import FieldSpec
-from .linalg import Matrix, Subspace, column_space, embed, kernel, matmul
-from .posets import FinitePoset
+from .linalg import Matrix, Subspace, column_space, embed, kernel, matmul, select_columns
+from .posets import FinitePoset, as_int
 
 # Largest accepted cell dimension: diagrams and verification do work in
 # every degree up to it, even where no cell has that dimension.
@@ -190,7 +188,7 @@ class FilteredComplex:
             for row, _ in entries:
                 face = self._by_dim[cell.dim - 1][row]
                 for b in cell.births:
-                    if not any(self.poset.leq[fb, b] for fb in face.births):
+                    if not any(self.poset.leq(fb, b) for fb in face.births):
                         out.append(
                             Violation(
                                 "birth-order",
@@ -204,7 +202,7 @@ class FilteredComplex:
             for n in sorted(self._by_dim):
                 if n >= 1 and (n + 1) in self._by_dim:
                     prod = matmul(self.boundary_matrix(n), self.boundary_matrix(n + 1))
-                    if np.any(prod.data != 0):
+                    if any(prod.rows):
                         out.append(
                             Violation(
                                 "boundary-squared",
@@ -228,14 +226,13 @@ class FilteredComplex:
             return cache[n]
         cols = self.cells_of_dim(n)
         rows = self.ambient_dim(n - 1) if n >= 1 else 0
-        a = self.field.zeros(rows, len(cols))
+        entries = []
         for j, cell in enumerate(cols):
-            entries = self._face_entries(cell)
-            if entries is None:
+            faces = self._face_entries(cell)
+            if faces is None:
                 raise InvalidComplex(f"cell {cell.id!r} references a missing face")
-            for row, coeff in entries:
-                a[row, j] = self.field.normalize(a[row, j] + coeff)
-        m = cache[n] = Matrix(self.field, a)
+            entries.extend([(row, j, coeff) for row, coeff in faces])
+        m = cache[n] = Matrix.from_entries(self.field, rows, len(cols), entries)
         return m
 
     def cells_present(self, n: int, x) -> tuple[int, ...]:
@@ -272,14 +269,13 @@ class FilteredComplex:
         sub = cache.get(key)
         if sub is None:
             degree = n + 1 if boundaries else n
-            cols = list(self.cells_present(degree, i))
-            restricted = Matrix(self.field, self.boundary_matrix(degree).data[:, cols])
+            cols = self.cells_present(degree, i)
             if not cols:
                 sub = Subspace.zero(self.field, self.ambient_dim(n))
             elif boundaries:
-                sub = column_space(restricted)
+                sub = column_space(select_columns(self.boundary_matrix(degree), cols))
             else:
-                sub = embed(kernel(restricted), cols, self.ambient_dim(n))
+                sub = embed(kernel(select_columns(self.boundary_matrix(degree), cols)), cols, self.ambient_dim(n))
             cache[key] = sub
         return sub
 
@@ -295,11 +291,11 @@ def _cell_from_spec(field: FieldSpec, poset: FinitePoset, spec: dict) -> Cell:
     births = tuple(sorted({poset.resolve(b) for b in births_raw}))
     if "vertices" in spec:
         verts = tuple(str(v) for v in spec["vertices"])
-        dim = int(spec.get("dim", len(verts) - 1))
+        dim = as_int(spec.get("dim", len(verts) - 1))
         return Cell(cid, dim, births, vertices=verts)
     if "dim" not in spec:
         raise InvalidComplex(f"generic cell {cid!r} needs an explicit dim")
     # Coefficients are checked here so a bad one is a parse error.
     faces = tuple((str(f), field.coerce(c)) for f, c in spec.get("faces", ()))
-    return Cell(cid, int(spec["dim"]), births, faces=faces)
+    return Cell(cid, as_int(spec["dim"]), births, faces=faces)
 

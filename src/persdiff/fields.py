@@ -1,9 +1,9 @@
 """Field specifications and exact scalar arithmetic.
 
-Two coefficient kinds are supported: prime fields GF(p), stored as int64
-residues, and the rationals, stored as ``fractions.Fraction`` objects in
-object-dtype arrays.  Everything is exact; nothing here touches floating
-point.
+Two coefficient kinds are supported: prime fields GF(p), whose scalars
+are Python ints in ``range(p)``, and the rationals, whose scalars are
+``fractions.Fraction`` objects.  Everything is exact; nothing here
+touches floating point.
 """
 from __future__ import annotations
 
@@ -11,9 +11,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-# Residue products must stay inside int64.
+# Characteristics must lie below this, so that trial division stays quick.
 _MAX_CHARACTERISTIC = 2**31
 
 
@@ -88,13 +86,6 @@ class FieldSpec:
     def is_prime_field(self) -> bool:
         return self.kind == "prime-field"
 
-    def zeros(self, rows: int, cols: int) -> np.ndarray:
-        if self.is_prime_field:
-            return np.zeros((rows, cols), dtype=np.int64)
-        a = np.empty((rows, cols), dtype=object)
-        a[...] = Fraction(0)
-        return a
-
     def one(self):
         return 1 if self.is_prime_field else Fraction(1)
 
@@ -116,20 +107,17 @@ class FieldSpec:
         except (TypeError, ValueError, ZeroDivisionError):
             raise InvalidField(f"bad coefficient {x!r} for {self.token()}") from None
 
-    def normalize(self, a: np.ndarray) -> np.ndarray:
-        """Reduce an array back into canonical residues (no-op over Q)."""
+    def normalize(self, x):
+        """Reduce a scalar back into its canonical residue (no-op over Q)."""
         if self.is_prime_field:
-            return a % self.characteristic
-        return a
+            return x % self.characteristic
+        return x
 
     def inv(self, x):
-        if self.is_prime_field:
-            xi = int(x) % self.characteristic
-            if xi == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return pow(xi, self.characteristic - 2, self.characteristic)
-        if x == 0:
+        if self.normalize(x) == 0:
             raise ZeroDivisionError("inverse of zero")
+        if self.is_prime_field:
+            return pow(int(x), -1, self.characteristic)
         return Fraction(1) / x
 
     def neg(self, x):

@@ -3,9 +3,10 @@
 One document describes a multifiltered complex (``format_version`` 1).
 Grid posets are declared by shape; explicit posets by labels and covering
 relations, transitively closed at load.  Births name poset elements by
-grade scalar/vector or by label.  Posets with more than
-``posets.MAX_ELEMENTS`` elements are refused before their order matrix is
-built.  Every malformed document raises :class:`InputError`.
+grade scalar/vector or by label.  Shapes, grades and cell dimensions must
+be JSON integers.  Posets with more than ``posets.MAX_ELEMENTS`` elements
+are refused before their order is built.  Every malformed document raises
+:class:`InputError`.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ def poset_from_spec(spec) -> FinitePoset:
                     if str(lab) not in by_label:
                         raise InputError(f"missing grade for element {lab!r}")
                     g = by_label[str(lab)]
-                    grades.append(tuple(g) if isinstance(g, (list, tuple)) else (int(g),))
+                    grades.append(tuple(g) if isinstance(g, (list, tuple)) else (g,))
             return FinitePoset.from_covers(labels, covers, grades=grades)
     except (InvalidPoset, UnknownElement) as exc:
         raise InputError(f"bad poset: {exc}") from None
@@ -80,11 +81,11 @@ def parse_document(doc, field_override: str | None = None) -> FilteredComplex:
 def load_complex(path, field_override: str | None = None) -> FilteredComplex:
     """Read and parse an input document from a file path."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from None
     return parse_document(doc, field_override=field_override)

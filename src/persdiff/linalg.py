@@ -1,8 +1,7 @@
 """Exact linear algebra: matrices, canonical subspaces, lattice ops.
 
-Matrices are numpy arrays: int64 residues over GF(p) and object arrays
-of ``Fraction`` over Q.  Elimination runs on exact row lists instead, in
-one of two row forms:
+Matrices and subspaces are tuples of exact rows, in one of two row
+forms:
 
 * GF(2): each row a Python int, column 0 as the highest bit, so adding
   one row to another is one XOR.
@@ -12,19 +11,17 @@ one of two row forms:
 A :class:`Subspace` keeps its canonical basis, the reduced row echelon
 form, in that row form together with its pivot columns.  The RREF depends
 only on the row space, so two subspaces are equal exactly when their rows
-are.  The lattice ops work on those rows with no array in between: a
+are.  The lattice ops work on those rows: a
 meet is one Gauss-Jordan pass over the Zassenhaus block ``[A A; B 0]``,
 a join inserts the smaller operand's rows into the larger one's pivot
 table, containment reduces one operand's rows against the other's pivots,
 and quotient dimensions are plain differences guarded by a containment
-check.  ``Subspace.basis`` builds a read-only :class:`Matrix` on first
-use.
+check.  Boundary matrices are built, multiplied, transposed and cut to
+a set of columns in the same row form.
 """
 from __future__ import annotations
 
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .fields import FieldSpec
 
@@ -38,80 +35,136 @@ class NotASubspace(ValueError):
 
 
 class Matrix:
-    """Dense exact matrix over a :class:`FieldSpec`."""
+    """Exact matrix over a :class:`FieldSpec`, held as a tuple of rows in
+    row form (see the module docstring); a zero row is ``0`` or ``{}``."""
 
-    __slots__ = ("field", "data")
+    __slots__ = ("field", "rows", "cols")
 
-    def __init__(self, field: FieldSpec, data: np.ndarray):
-        if data.ndim != 2:
-            raise ValueError("matrix data must be 2-dimensional")
+    def __init__(self, field: FieldSpec, rows: Sequence, cols: int):
+        # Trusts its arguments; use the classmethods to coerce scalars.
         self.field = field
-        self.data = data
+        self.rows = tuple(rows)
+        self.cols = cols
 
     @classmethod
-    def from_rows(cls, field: FieldSpec, rows: Sequence[Iterable], cols: int | None = None) -> "Matrix":
-        rows = [list(r) for r in rows]
-        if not rows:
-            if cols is None:
+    def from_array(cls, field: FieldSpec, array: Sequence[Iterable], cols: int | None = None) -> "Matrix":
+        """A matrix from a 2-D sequence of scalars, each coerced to the field."""
+        dense = [[field.coerce(x) for x in row] for row in array]
+        if cols is None:
+            if not dense:
                 raise ValueError("an empty row list needs an explicit column count")
-            return cls(field, field.zeros(0, cols))
-        ncols = len(rows[0]) if cols is None else cols
-        a = field.zeros(len(rows), ncols)
-        for i, row in enumerate(rows):
-            if len(row) != ncols:
-                raise ValueError("rows have differing lengths")
-            for j, x in enumerate(row):
-                a[i, j] = field.coerce(x)
-        return cls(field, a)
+            cols = len(dense[0])
+        if any(len(row) != cols for row in dense):
+            raise ValueError("rows have differing lengths")
+        entries = [(i, j, x) for i, row in enumerate(dense) for j, x in enumerate(row)]
+        return cls.from_entries(field, len(dense), cols, entries)
+
+    @classmethod
+    def from_entries(cls, field: FieldSpec, nrows: int, ncols: int, entries: Iterable[tuple]) -> "Matrix":
+        """A matrix from ``(row, column, scalar)`` triples; repeated entries add up."""
+        sums: list[dict] = [{} for _ in range(nrows)]
+        for r, c, x in entries:
+            sums[r][c] = field.normalize(sums[r].get(c, 0) + x)
+        if field.characteristic == 2:
+            rows = [sum([1 << (ncols - 1 - c) for c, x in row.items() if x]) for row in sums]
+        else:
+            rows = [{c: x for c, x in row.items() if x} for row in sums]
+        return cls(field, rows, ncols)
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "Matrix":
-        return cls(field, field.zeros(rows, cols))
+        return cls(field, [0 if field.characteristic == 2 else {} for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
-        a = field.zeros(n, n)
-        one = field.one()
-        for i in range(n):
-            a[i, i] = one
-        return cls(field, a)
+        return cls(field, Subspace.full(field, n).rows, n)
 
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
+    def _items(self, row) -> list[tuple[int, object]]:
+        """(column, scalar) pairs of the non-zero entries of one of the rows."""
+        if self.field.characteristic == 2:
+            return [(j, 1) for j, digit in enumerate(format(row, f"0{self.cols}b")) if digit == "1"]
+        return list(row.items())
 
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
+    def tolist(self) -> list[list]:
+        """The entries as a list of dense rows of field scalars."""
+        out = [[self.field.coerce(0)] * self.cols for _ in self.rows]
+        for dense, row in zip(out, self.rows):
+            for j, x in self._items(row):
+                dense[j] = x
+        return out
 
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
             and self.field == other.field
-            and self.data.shape == other.data.shape
-            and bool(np.equal(self.data, other.data).all())
+            and self.cols == other.cols
+            and self.rows == other.rows
         )
 
     __hash__ = None
 
     def __repr__(self):
-        return f"Matrix({self.field.token()}, {self.data.tolist()!r})"
+        return f"Matrix({self.field.token()}, {self.tolist()!r})"
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     if a.field != b.field:
         raise DimensionMismatch("matrix product over different fields")
-    if a.cols != b.rows:
-        raise DimensionMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    f = a.field
-    x, y = a.data, b.data
-    # Large residues could overflow int64 when inner products accumulate.
-    if f.is_prime_field and f.characteristic > 2**15:
-        x = x.astype(object)
-        y = y.astype(object)
-    return Matrix(f, f.normalize(x.dot(y)))
+    if a.cols != len(b.rows):
+        raise DimensionMismatch(
+            f"cannot multiply {len(a.rows)}x{a.cols} by {len(b.rows)}x{b.cols}"
+        )
+    b_items = [b._items(row) for row in b.rows]
+    products = [(i, j, x * y) for i, row in enumerate(a.rows) for k, x in a._items(row) for j, y in b_items[k]]
+    return Matrix.from_entries(a.field, len(a.rows), b.cols, products)
 
 
+def transpose(m: Matrix) -> Matrix:
+    nrows = len(m.rows)
+    if m.field.characteristic == 2:
+        out = bit_transpose(m.rows, m.cols)
+    else:
+        out = [{} for _ in range(m.cols)]
+        for r, row in enumerate(m.rows):
+            for j, x in row.items():
+                out[j][r] = x
+    return Matrix(m.field, out, nrows)
+
+
+def bit_transpose(rows: Sequence[int], width: int) -> list[int]:
+    """Columns of a 0/1 matrix whose rows are ints of ``width`` bits, the
+    first column as the highest bit; the first row becomes the highest bit.
+
+    Rows are written out as binary strings, so a column is a strided slice.
+    """
+    if not rows or not width:
+        return [0] * width
+    flat = "".join([format(row, f"0{width}b") for row in rows])
+    return [int(flat[c::width], 2) for c in range(width)]
+
+
+def select_columns(m: Matrix, cols: Sequence[int]) -> Matrix:
+    """The submatrix of the given increasing columns."""
+    moves = {c: i for i, c in enumerate(cols)}
+    return Matrix(m.field, _move_columns(m.field, m.rows, m.cols, moves, len(cols)), len(cols))
+
+
+def _move_columns(field: FieldSpec, rows: Iterable, ncols: int, moves: dict, width: int) -> list:
+    """Rows of ``ncols`` columns as rows of ``width`` columns: column c goes
+    to ``moves[c]``, and columns not in ``moves`` are dropped."""
+    if field.characteristic == 2:
+        # Bit b of a row holds column ncols - 1 - b.
+        bits = {ncols - 1 - c: 1 << (width - 1 - t) for c, t in moves.items()}
+        out = []
+        for row in rows:
+            v = 0
+            while row:
+                top = row.bit_length() - 1
+                v |= bits.get(top, 0)
+                row ^= 1 << top
+            out.append(v)
+        return out
+    return [{moves[c]: x for c, x in row.items() if c in moves} for row in rows]
 
 
 # -- row kernels ------------------------------------------------------------
@@ -218,64 +271,12 @@ def _sorted_rows(field: FieldSpec, ncols: int, table: dict) -> tuple[tuple, tupl
     return tuple([table[c] for c in pivots]), pivots
 
 
-def _array_rows(field: FieldSpec, a: np.ndarray) -> list:
-    """The non-zero rows of ``a`` in row form.
-
-    ``a`` holds canonical field elements, as every :class:`Matrix` does.
-    """
-    nrows, ncols = a.shape
-    if field.characteristic == 2:
-        if ncols == 0:
-            return []
-        # Binary-digit strings convert to and from ints at C speed.
-        digits = (a + ord("0")).astype(np.uint8).tobytes()
-        rows = [int(digits[s : s + ncols], 2) for s in range(0, nrows * ncols, ncols)]
-        return [r for r in rows if r]
-    rows: dict[int, dict] = {}
-    nz_rows, nz_cols = np.nonzero(a)
-    for i, c, v in zip(nz_rows.tolist(), nz_cols.tolist(), a[nz_rows, nz_cols].tolist()):
-        rows.setdefault(i, {})[c] = v
-    return list(rows.values())
-
-
-def _rows_array(field: FieldSpec, rows: Sequence, nrows: int, ncols: int) -> np.ndarray:
-    """A ``field.zeros(nrows, ncols)`` array holding ``rows`` from the top."""
-    if field.characteristic == 2:
-        if ncols == 0:
-            return field.zeros(nrows, ncols)
-        fmt = f"0{ncols}b"
-        digits = "".join([format(r, fmt) for r in rows]).ljust(nrows * ncols, "0")
-        out = np.frombuffer(digits.encode(), dtype=np.uint8) - ord("0")
-        return out.astype(np.int64).reshape(nrows, ncols)
-    out = field.zeros(nrows, ncols)
-    if rows:
-        ri, ci, vi = [], [], []
-        for r, row in enumerate(rows):
-            ri.extend([r] * len(row))
-            ci.extend(row)
-            vi.extend(row.values())
-        out[ri, ci] = vi
-    return out
-
-
-def _row_reduce(field: FieldSpec, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and the list of pivot columns.
-
-    The result is a new array of ``a``'s shape and dtype with its zero
-    rows at the bottom, computed by the same row kernels as the lattice
-    ops.
-    """
-    nrows, ncols = a.shape
-    table = _eliminate(field, {}, _array_rows(field, a))
-    rows, pivots = _sorted_rows(field, ncols, table)
-    out = _rows_array(field, rows, nrows, ncols)
-    return (out if out.dtype == a.dtype else out.astype(a.dtype)), list(pivots)
-
-
 def rref(m: Matrix) -> tuple[Matrix, int]:
-    """Reduced row echelon form and rank.  Idempotent."""
-    red, pivots = _row_reduce(m.field, m.data)
-    return Matrix(m.field, red), len(pivots)
+    """Reduced row echelon form, zero rows last, and rank.  Idempotent."""
+    f = m.field
+    rows, pivots = _sorted_rows(f, m.cols, _eliminate(f, {}, m.rows))
+    zeros = Matrix.zeros(f, len(m.rows) - len(rows), m.cols).rows
+    return Matrix(f, rows + zeros, m.cols), len(pivots)
 
 
 class Subspace:
@@ -284,10 +285,11 @@ class Subspace:
     ``rows`` is the reduced row echelon basis in row form (see the module
     docstring), in pivot-column order, and ``pivots`` holds those columns,
     so span equality is representation equality.  ``basis`` is the same
-    basis as a read-only :class:`Matrix`, built on first use.
+    basis as a new :class:`Matrix`, which may be edited without touching
+    the subspace.
     """
 
-    __slots__ = ("field", "ambient_dim", "rows", "pivots", "dim", "_basis")
+    __slots__ = ("field", "ambient_dim", "rows", "pivots", "dim")
 
     def __init__(self, field: FieldSpec, ambient_dim: int, rows: tuple, pivots: tuple[int, ...]):
         # Trusts its arguments; use the classmethods to canonicalize.
@@ -296,16 +298,12 @@ class Subspace:
         self.rows = rows
         self.pivots = pivots
         self.dim = len(pivots)
-        self._basis = None
 
     @classmethod
-    def from_array(cls, field: FieldSpec, arr: np.ndarray) -> "Subspace":
-        return cls._spanned(field, arr.shape[1], _array_rows(field, arr))
-
-    @classmethod
-    def from_rows(cls, field: FieldSpec, rows: Sequence[Iterable], ambient_dim: int | None = None) -> "Subspace":
-        m = Matrix.from_rows(field, rows, cols=ambient_dim)
-        return cls.from_array(field, m.data)
+    def from_array(cls, field: FieldSpec, array: Sequence[Iterable], ambient_dim: int | None = None) -> "Subspace":
+        """The span of the rows of a 2-D sequence of scalars."""
+        m = Matrix.from_array(field, array, ambient_dim)
+        return cls._spanned(field, m.cols, m.rows)
 
     @classmethod
     def _spanned(cls, field: FieldSpec, ambient_dim: int, rows: Iterable) -> "Subspace":
@@ -336,11 +334,7 @@ class Subspace:
 
     @property
     def basis(self) -> Matrix:
-        if self._basis is None:
-            data = _rows_array(self.field, self.rows, self.dim, self.ambient_dim)
-            data.setflags(write=False)
-            self._basis = Matrix(self.field, data)
-        return self._basis
+        return Matrix(self.field, _copied(self.rows), self.ambient_dim)
 
     def __eq__(self, other):
         return (
@@ -354,7 +348,7 @@ class Subspace:
     __hash__ = None
 
     def __repr__(self):
-        return f"Subspace(dim={self.dim}, ambient={self.ambient_dim}, basis={self.basis.data.tolist()!r})"
+        return f"Subspace(dim={self.dim}, ambient={self.ambient_dim}, basis={self.basis.tolist()!r})"
 
 
 def _check_pair(a: Subspace, b: Subspace) -> None:
@@ -373,7 +367,7 @@ def kernel(m: Matrix) -> Subspace:
     each RREF row at the row's pivot.
     """
     f, n = m.field, m.cols
-    table = _eliminate(f, {}, _array_rows(f, m.data))
+    table = _eliminate(f, {}, m.rows)
     if len(table) == n:
         return Subspace.zero(f, n)
     rows = []
@@ -400,7 +394,7 @@ def kernel(m: Matrix) -> Subspace:
 
 def column_space(m: Matrix) -> Subspace:
     """Subspace of the codomain spanned by the columns of ``m``."""
-    return Subspace.from_array(m.field, m.data.T)
+    return Subspace._spanned(m.field, len(m.rows), transpose(m).rows)
 
 
 def embed(sub: Subspace, positions: Sequence[int], ambient_dim: int) -> Subspace:
@@ -409,21 +403,8 @@ def embed(sub: Subspace, positions: Sequence[int], ambient_dim: int) -> Subspace
     Positions are increasing, so relabelling the columns of the RREF rows
     keeps them reduced.
     """
-    f = sub.field
-    if f.characteristic == 2:
-        k = len(positions)
-        target = [ambient_dim - 1 - positions[k - 1 - bit] for bit in range(k)]
-        rows = []
-        for r in sub.rows:
-            v = 0
-            while r:
-                bit = r.bit_length() - 1
-                v |= 1 << target[bit]
-                r ^= 1 << bit
-            rows.append(v)
-    else:
-        rows = [{positions[c]: x for c, x in r.items()} for r in sub.rows]
-    return Subspace(f, ambient_dim, tuple(rows), tuple([positions[c] for c in sub.pivots]))
+    rows = _move_columns(sub.field, sub.rows, len(positions), dict(enumerate(positions)), ambient_dim)
+    return Subspace(sub.field, ambient_dim, tuple(rows), tuple([positions[c] for c in sub.pivots]))
 
 
 def meet(a: Subspace, b: Subspace) -> Subspace:
@@ -508,11 +489,16 @@ def complement_basis(big: Subspace, small: Subspace) -> Matrix:
         raise NotASubspace("the second operand is not contained in the first")
     table = small._table()
     kept = []
-    for i, row in enumerate(big.rows):
+    for row in big.rows:
         if len(table) == big.dim:
             break
         rank = len(table)
         _eliminate(big.field, table, [row])
         if len(table) > rank:
-            kept.append(i)
-    return Matrix(big.field, big.basis.data[kept])
+            kept.append(row)
+    return Matrix(big.field, _copied(kept), big.ambient_dim)
+
+
+def _copied(rows: Iterable) -> list:
+    """Rows a caller may edit: dict rows copied, int rows shared."""
+    return [r if isinstance(r, int) else dict(r) for r in rows]

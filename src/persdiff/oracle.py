@@ -20,7 +20,7 @@ def chain_positions(poset) -> dict[int, int]:
     """Linear position of every element of a totally ordered poset."""
     if not poset.is_chain():
         raise NotAChain("barcodes need a totally ordered (1-parameter) poset")
-    order = sorted(range(poset.n), key=lambda i: int(poset.leq[:, i].sum()))
+    order = sorted(range(poset.n), key=lambda i: poset._down[i].bit_count())
     return {el: pos for pos, el in enumerate(order)}
 
 

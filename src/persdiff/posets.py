@@ -19,25 +19,29 @@ interns the opens it hands out with a small-int id
 ints.  Masks are never keys: Python hashes an int to its value mod
 2^61 - 1, so the up-sets 2^n - 2^i of an n-chain share about 61 hashes.
 
-The order is also a dense n x n boolean matrix (``leq``), so posets
-larger than :data:`MAX_ELEMENTS` are refused before it is allocated.
+The order itself is those masks and nothing else.  Grids and cover lists
+build them directly; an explicit order matrix is read row by row into
+masks and checked to be a partial order.  Posets larger than
+:data:`MAX_ELEMENTS` are refused before any mask is built.
 """
 from __future__ import annotations
 
 import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from itertools import count, product as _iter_product
 from typing import Iterable, NamedTuple, Sequence
 
-import numpy as np
+from .linalg import bit_transpose
 
-# Largest accepted element count: the order matrix costs n^2 bytes, and the
-# transitivity check one n x n boolean product.
+# Largest accepted element count: an explicit order matrix has n^2 entries
+# to read and check, and a diagram has about n^2 / 2 principal pairs.
 MAX_ELEMENTS = 4096
-# Rows per block of a boolean product; bounds its float32 scratch.
-_PRODUCT_ROWS = 512
+# Flag bytes 0 and 1 to the binary digits "0" and "1".
+_BINARY = bytes.maketrans(b"\0\1", b"01")
 # Never-reused poset tokens; an interned open records its poset's token.
 _TOKENS = count()
 
@@ -150,56 +154,58 @@ class GradedPair:
         return GradedPair(self.pair, self.degree + m)
 
 
+def as_int(x) -> int:
+    """``x`` as an int; bools, floats and strings raise ``TypeError``."""
+    if isinstance(x, bool) or not hasattr(type(x), "__index__"):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return operator.index(x)
+
+
 class FinitePoset:
     """Labelled finite poset with optional integer grade vectors.
 
-    ``leq`` is a reflexive, antisymmetric, transitive boolean matrix over
-    element indices.  When grade vectors are present, ``leq`` must agree
-    with the coordinatewise product order.  Immutable after construction.
+    The order is kept as two masks per element index: bit j of ``_up[i]``
+    is set when i <= j, and bit j of ``_down[i]`` when j <= i.  ``leq`` is
+    an n x n boolean matrix, as nested sequences or a 2-D array, and must
+    be reflexive, antisymmetric and transitive.  When grade vectors are
+    present, the order must agree with the coordinatewise product order.
+    Immutable after construction.
     """
 
     def __init__(self, labels: Sequence[str], leq, grades=None):
         labels = tuple(str(l) for l in labels)
+        _check_size(len(labels))
+        self._setup(labels, _order_masks(leq, len(labels)), grades, check_order=True)
+
+    def _setup(self, labels: tuple, up: list[int], grades, check_order: bool = False) -> None:
+        """Finish construction from the up-set masks.  ``check_order`` asks for
+        the partial-order checks, which grids and cover closures pass by
+        construction."""
         n = len(labels)
-        _check_size(n)
-        leq = np.array(leq, dtype=bool)
-        if leq.shape != (n, n):
-            raise InvalidPoset(f"leq must be {n}x{n}")
         if len(set(labels)) != n:
             raise InvalidPoset("duplicate element labels")
-        if not leq.diagonal().all():
-            raise InvalidPoset("leq is not reflexive")
-        sym = leq & leq.T
-        if np.any(sym & ~np.eye(n, dtype=bool)):
-            raise InvalidPoset("leq is not antisymmetric")
-        if np.any(_boolean_product(leq) & ~leq):
-            raise InvalidPoset("leq is not transitive")
-        if grades is not None:
-            grades = tuple(tuple(int(g) for g in vec) for vec in grades)
-            if len(grades) != n:
-                raise InvalidPoset("one grade vector per element required")
-            width = {len(v) for v in grades}
-            if len(width) > 1:
-                raise InvalidPoset("grade vectors have differing lengths")
-            bad = np.argwhere(_product_order(grades) != leq)
-            if len(bad):
-                i, j = bad[0]
-                raise InvalidPoset(
-                    f"leq disagrees with the product order at ({labels[i]}, {labels[j]})"
-                )
+        # Reversing the rows, and then the columns, turns the low-bit-first
+        # up-set masks into the highest-bit-first rows that bit_transpose reads.
+        down = bit_transpose(up[::-1], n)[::-1]
+        if check_order:
+            if not all(up[i] >> i & 1 for i in range(n)):
+                raise InvalidPoset("leq is not reflexive")
+            if any(up[i] & down[i] != 1 << i for i in range(n)):
+                raise InvalidPoset("leq is not antisymmetric")
+            # With reflexivity, transitive means each up-set is the union of
+            # the up-sets of its members.
+            if any(reduce(operator.or_, map(up.__getitem__, _indices(bits))) != bits for bits in up):
+                raise InvalidPoset("leq is not transitive")
         self.labels = labels
-        self.grades = grades
+        self.grades = _checked_grades(labels, up, grades)
         self.n = n
-        leq.setflags(write=False)
-        self.leq = leq
+        self._up = up
+        self._down = down
         self._index = {lab: i for i, lab in enumerate(labels)}
-        self._grade_index = {grades[i]: i for i in range(n)} if grades else {}
-        # Principal up-set and down-set of each element, as masks.
-        self._up = _bit_rows(np.packbits(leq, axis=1, bitorder="little"))
-        self._down = _bit_rows(np.packbits(leq, axis=0, bitorder="little").T)
+        self._grade_index = {g: i for i, g in enumerate(self.grades)} if self.grades else {}
         self._token = next(_TOKENS)
         self._interned: dict[UpSet, UpSet] = {}
-        self._principal = [self._open(bits) for bits in self._up]
+        self._principal = [self._open(bits) for bits in up]
         # Blankets and pair blankets: one dict per named layer.
         self.memo: defaultdict[str, dict] = defaultdict(dict)
 
@@ -223,21 +229,25 @@ class FinitePoset:
                 raise UnknownElement(f"unknown element {exc.args[0]!r} in covers") from None
             if i != j:
                 above[i].add(j)
-        return cls(labels, _closure(above), grades=grades)
+        p = cls.__new__(cls)
+        p._setup(labels, _closure(above), grades)
+        return p
 
     @classmethod
     def grid(cls, shape: Sequence[int]) -> "FinitePoset":
         """Product order on a box of integer grade vectors, lex-ordered."""
         try:
-            shape = tuple(int(s) for s in shape)
-        except (TypeError, ValueError):
+            shape = tuple(as_int(s) for s in shape)
+        except TypeError:
             raise InvalidPoset(f"bad grid shape {shape!r}") from None
         if not shape or any(s < 1 for s in shape):
             raise InvalidPoset(f"bad grid shape {shape!r}")
         _check_size(math.prod(shape))
-        vectors = list(_iter_product(*(range(s) for s in shape)))
-        labels = [",".join(str(c) for c in v) for v in vectors]
-        return cls(labels, _product_order(vectors), grades=vectors)
+        vectors = tuple(_iter_product(*(range(s) for s in shape)))
+        labels = tuple(",".join(str(c) for c in v) for v in vectors)
+        p = cls.__new__(cls)
+        p._setup(labels, _product_up(vectors), vectors)
+        return p
 
     @classmethod
     def chain(cls, length: int) -> "FinitePoset":
@@ -247,21 +257,26 @@ class FinitePoset:
 
     def resolve(self, x) -> int:
         """Element index from an index, a label, or a grade vector."""
-        if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
-            i = int(x)
-            if 0 <= i < self.n:
-                return i
-            raise UnknownElement(f"element index {i} out of range")
         if isinstance(x, str):
             if x in self._index:
                 return self._index[x]
             raise UnknownElement(f"unknown element label {x!r}")
         if isinstance(x, (tuple, list)):
-            key = tuple(int(c) for c in x)
+            key = tuple(as_int(c) for c in x)
             if key in self._grade_index:
                 return self._grade_index[key]
             raise UnknownElement(f"no element with grade {key!r}")
-        raise UnknownElement(f"cannot interpret element {x!r}")
+        try:
+            i = as_int(x)
+        except TypeError:
+            raise UnknownElement(f"cannot interpret element {x!r}") from None
+        if 0 <= i < self.n:
+            return i
+        raise UnknownElement(f"element index {i} out of range")
+
+    def leq(self, i: int, j: int) -> bool:
+        """Whether element index ``i`` lies at or below element index ``j``."""
+        return bool(self._up[i] >> j & 1)
 
     def element_key(self, i: int):
         """Deterministic sort key: the grade vector when present."""
@@ -301,11 +316,11 @@ def _check_size(n: int) -> None:
         raise InvalidPoset(f"poset has {n} elements; at most {MAX_ELEMENTS} are supported")
 
 
-def _closure(above: list[set]) -> np.ndarray:
-    """Reflexive transitive closure of an acyclic relation, as a boolean matrix.
+def _closure(above: list[set]) -> list[int]:
+    """Up-set masks of the reflexive transitive closure of an acyclic relation.
 
-    One pass in reverse topological order: each element's up-set is a
-    Python int bitset, itself plus the union of the up-sets above it.
+    One pass in reverse topological order: each element's up-set is
+    itself plus the union of the up-sets above it.
     """
     n = len(above)
     below_count = [0] * n
@@ -326,45 +341,52 @@ def _closure(above: list[set]) -> np.ndarray:
         for j in above[i]:
             bits |= up[j]
         up[i] = bits
-    nbytes = (n + 7) // 8
-    packed = b"".join(bits.to_bytes(nbytes, "little") for bits in up)
-    rows = np.frombuffer(packed, dtype=np.uint8).reshape(n, nbytes)
-    return np.unpackbits(rows, axis=1, count=n, bitorder="little").astype(bool)
+    return up
 
 
-def _bit_rows(packed: np.ndarray) -> list[int]:
-    """Rows of a little-endian ``np.packbits`` array as int masks."""
-    return [int.from_bytes(row.tobytes(), "little") for row in np.ascontiguousarray(packed)]
-
-
-def _boolean_product(a: np.ndarray) -> np.ndarray:
-    """``a @ a`` over the boolean semiring: is there a two-step path i -> j?
-
-    Path counts are summed in float32 so the product runs in BLAS; numpy's
-    own boolean matmul scans every inner product whose answer is false,
-    which takes minutes near the size limit.  A count is at most
-    n <= MAX_ELEMENTS < 2^24, so float32 holds it exactly and never wraps.
-    """
-    f = a.astype(np.float32)
-    out = np.empty(a.shape, dtype=bool)
-    for start in range(0, len(a), _PRODUCT_ROWS):
-        np.greater(f[start : start + _PRODUCT_ROWS] @ f, 0, out=out[start : start + _PRODUCT_ROWS])
-    return out
-
-
-def _product_order(grades: Sequence[tuple]) -> np.ndarray:
-    """Coordinatewise order of equal-length grade vectors, one axis at a time."""
-    n = len(grades)
-    width = len(grades[0]) if grades else 0
+def _order_masks(leq, n: int) -> list[int]:
+    """Rows of an n x n boolean matrix as masks: bit j of row i is ``leq[i][j]``."""
     try:
-        g = np.array(grades, dtype=np.int64).reshape(n, width)
-    except OverflowError:
-        g = np.array(grades, dtype=object).reshape(n, width)
-    leq = np.ones((n, n), dtype=bool)
-    for axis in range(width):
-        col = g[:, axis]
-        leq &= col[:, None] <= col[None, :]
-    return leq
+        rows = [bytes(map(bool, row)) for row in leq]
+    except TypeError:
+        rows = None
+    if rows is None or len(rows) != n or any(len(r) != n for r in rows):
+        raise InvalidPoset(f"leq must be {n}x{n}")
+    return [int(r[::-1].translate(_BINARY), 2) for r in rows]
+
+
+def _product_up(grades: Sequence[tuple]) -> list[int]:
+    """Up-set masks of the coordinatewise order on equal-length grade vectors:
+    per axis, the elements at or above each value are a suffix union over
+    the sorted values, and an up-set is the AND over the axes."""
+    n = len(grades)
+    up = [(1 << n) - 1] * n
+    for axis in range(len(grades[0]) if grades else 0):
+        at_least: dict[int, int] = {}
+        for i, g in enumerate(grades):
+            at_least[g[axis]] = at_least.get(g[axis], 0) | 1 << i
+        bits = 0
+        for value in sorted(at_least, reverse=True):
+            at_least[value] = bits = bits | at_least[value]
+        for i, g in enumerate(grades):
+            up[i] &= at_least[g[axis]]
+    return up
+
+
+def _checked_grades(labels: tuple, up: list[int], grades) -> tuple | None:
+    """Grade vectors as int tuples, required to give the order ``up``."""
+    if grades is None:
+        return None
+    grades = tuple(tuple(as_int(g) for g in vec) for vec in grades)
+    if len(grades) != len(up):
+        raise InvalidPoset("one grade vector per element required")
+    if len({len(v) for v in grades}) > 1:
+        raise InvalidPoset("grade vectors have differing lengths")
+    for i, (have, want) in enumerate(zip(up, _product_up(grades))):
+        if have != want:
+            j = ((have ^ want) & -(have ^ want)).bit_length() - 1
+            raise InvalidPoset(f"leq disagrees with the product order at ({labels[i]}, {labels[j]})")
+    return grades
 
 
 def principal_up_set(p: FinitePoset, x) -> UpSet:

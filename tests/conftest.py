@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -52,7 +51,7 @@ def plane_poset(coords: dict) -> FinitePoset:
         [all(a <= b for a, b in zip(coords[x], coords[y])) for y in labels]
         for x in labels
     ]
-    return FinitePoset(labels, np.array(leq, dtype=bool), grades=[coords[l] for l in labels])
+    return FinitePoset(labels, leq, grades=[coords[l] for l in labels])
 
 
 def corner_grid_poset() -> FinitePoset:

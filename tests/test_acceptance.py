@@ -298,7 +298,7 @@ def test_criterion_6_structural_suites(corpus):
             if join(a, b).dim + meet(a, b).dim != a.dim + b.dim:
                 failures.append(("modular-law", n))
         x, y = sorted(rng.sample(range(p.n), min(2, p.n)))
-        if p.leq[x, y]:
+        if p.leq(x, y):
             n = rng.choice(list(degrees))
             a, b, c = k.cycles_at(n, x), k.cycles_at(n, y), k.colimit_cycles(n)
             if rank_square(a, c).bottom != rank_square(a, b).bottom + rank_square(b, c).bottom:

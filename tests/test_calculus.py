@@ -107,7 +107,7 @@ class TestSquares:
 
 class TestRankSquare:
     def test_equal_subspaces(self):
-        x = Subspace.from_rows(GF2, [[1, 0, 1]], ambient_dim=3)
+        x = Subspace.from_array(GF2, [[1, 0, 1]], ambient_dim=3)
         sq = rank_square(x, x)
         assert sq.bottom == 0 and sq.src == sq.dst == 1
 
@@ -119,17 +119,17 @@ class TestRankSquare:
         for _ in range(10):
             ambient = rng.randint(2, 5)
             rows = [[rng.randrange(2) for _ in range(ambient)] for _ in range(3)]
-            a = Subspace.from_rows(GF2, rows[:1], ambient_dim=ambient)
-            b = Subspace.from_rows(GF2, rows[:2], ambient_dim=ambient)
-            c = Subspace.from_rows(GF2, rows, ambient_dim=ambient)
+            a = Subspace.from_array(GF2, rows[:1], ambient_dim=ambient)
+            b = Subspace.from_array(GF2, rows[:2], ambient_dim=ambient)
+            c = Subspace.from_array(GF2, rows, ambient_dim=ambient)
             assert rank_square(a, c).bottom == rank_square(a, b).bottom + rank_square(b, c).bottom
             assert compose_squares(rank_square(a, b), rank_square(b, c)) == rank_square(a, c)
 
     def test_requires_containment(self):
         with pytest.raises(NotASubspace):
             rank_square(
-                Subspace.from_rows(GF2, [[1, 0]], ambient_dim=2),
-                Subspace.from_rows(GF2, [[0, 1]], ambient_dim=2),
+                Subspace.from_array(GF2, [[1, 0]], ambient_dim=2),
+                Subspace.from_array(GF2, [[0, 1]], ambient_dim=2),
             )
 
 

@@ -2,12 +2,16 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import persdiff
 from persdiff import entries_from_document
 from persdiff.cli import main
 from persdiff.complexes import MAX_DIM
@@ -452,6 +456,75 @@ class TestMalformedDocuments:
         assert code == 3
         assert "too large" in err
 
+    @pytest.mark.parametrize("value", [2.7, 3.0, True])
+    def test_non_integer_grid_shape(self, capsys, tmp_path, value):
+        doc = _triangle_with(poset={"kind": "grid", "shape": [value]})
+        code, out, err = _run_doc(capsys, tmp_path, doc)
+        assert (code, out) == (3, "")
+        assert "bad grid shape" in err
+
+    @pytest.mark.parametrize(
+        "grades", [{"a": 0.9, "b": 1.2}, {"a": [0], "b": [1.0]}, {"a": False, "b": True}]
+    )
+    def test_non_integer_grades(self, capsys, tmp_path, grades):
+        poset = {"kind": "explicit", "elements": ["a", "b"], "covers": [["a", "b"]], "grades": grades}
+        cells = [{"id": "v", "vertices": ["v"], "births": ["a"]}]
+        code, out, err = _run_doc(capsys, tmp_path, _triangle_with(poset=poset, cells=cells))
+        assert (code, out) == (3, "")
+        assert "expected an integer" in err
+
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            {"id": "g", "dim": 1.9, "births": [1], "faces": [["a", 1], ["b", 1]]},
+            {"id": "g", "dim": 1.0, "births": [1], "faces": [["a", 1], ["b", 1]]},
+            {"id": "g", "dim": True, "births": [1], "faces": [["a", 1], ["b", 1]]},
+            {"id": "g", "dim": 0.0, "births": [1], "vertices": ["g"]},
+        ],
+    )
+    def test_non_integer_cell_dimension(self, capsys, tmp_path, cell):
+        doc = _triangle_with()
+        doc["cells"].append(cell)
+        code, out, err = _run_doc(capsys, tmp_path, doc)
+        assert (code, out) == (3, "")
+        assert "malformed cell record 'g': expected an integer" in err
+
+    def test_non_integer_birth_grade(self, capsys, tmp_path):
+        doc = json.loads((DATA / "two_param.json").read_text())
+        doc["cells"][0]["births"] = [[0, 0.5]]
+        code, out, err = _run_doc(capsys, tmp_path, doc)
+        assert (code, out) == (3, "")
+        assert "expected an integer" in err
+
+
+class TestNoTraceback:
+    """Inputs that once ended in a traceback exit 3 with one error line."""
+
+    def test_non_utf8_file(self, capsys, tmp_path):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run(capsys, "diagram", path)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: cannot read")
+
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, "diagram", path)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: malformed JSON") and "recursion" in err
+
+    def test_non_decimal_digit_in_open(self, capsys):
+        code, out, err = run(capsys, "blankets", DATA / "triangle.json", "--birth", "²", "--death", "inf")
+        assert (code, out) == (3, "")
+        assert err.startswith("error:") and "unknown element label '²'" in err
+
+    def test_unwritable_svg_path(self, capsys, tmp_path):
+        target = tmp_path / "no-such-dir" / "x.svg"
+        code, out, err = run(capsys, "barcode", DATA / "triangle.json", "--svg", target)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"usage error: cannot write {target}")
+
 
 # Replacement values for the document fuzz: wrong types, bad numbers and
 # strings, empty containers.  All small, so no mutation makes a big input.
@@ -531,3 +604,40 @@ def test_golden_output(capsys, document, command):
     assert code == 0
     suffix = "json" if command.startswith("verify") else "txt"
     assert out.encode() == (GOLDEN / f"{document}.{command}.{suffix}").read_bytes()
+
+
+def test_golden_output_without_numpy():
+    """The package imports no numpy: with numpy unimportable, a fresh
+    interpreter gives every golden output byte for byte."""
+    script = """
+import contextlib, io, json, sys
+import persdiff
+clean = "numpy" not in sys.modules
+sys.modules["numpy"] = None
+from persdiff.cli import main
+out = {}
+for key, argv in json.loads(sys.argv[1]).items():
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        out[key] = [main(argv), buf.getvalue()]
+print(json.dumps({"clean": clean, "out": out}))
+"""
+    cases = {}
+    for document in GOLDEN_PAIRS:
+        for command, (name, *options) in GOLDEN_COMMANDS.items():
+            if name == "blankets":
+                options += GOLDEN_PAIRS[document]
+            cases[document, command] = [name, str(DATA / f"{document}.json"), *map(str, options)]
+    src = Path(persdiff.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = json.dumps({".".join(key): value for key, value in cases.items()})
+    done = subprocess.run(
+        [sys.executable, "-c", script, argv], env=env, capture_output=True, text=True, check=True
+    )
+    result = json.loads(done.stdout)
+    assert result["clean"]
+    for (document, command), _ in cases.items():
+        code, out = result["out"][f"{document}.{command}"]
+        suffix = "json" if command.startswith("verify") else "txt"
+        assert code == 0
+        assert out.encode() == (GOLDEN / f"{document}.{command}.{suffix}").read_bytes()

@@ -99,7 +99,7 @@ class TestValidate:
 class TestBoundaryMatrix:
     def test_degree_zero_has_no_rows(self, triangle):
         m = triangle.boundary_matrix(0)
-        assert m.rows == 0 and m.cols == 3
+        assert len(m.rows) == 0 and m.cols == 3
 
     def test_single_edge_gf2(self):
         k = FilteredComplex.build(
@@ -111,17 +111,17 @@ class TestBoundaryMatrix:
                 {"id": "uv", "vertices": ["u", "v"], "births": [0]},
             ],
         )
-        assert k.boundary_matrix(1).data.tolist() == [[1], [1]]
+        assert k.boundary_matrix(1).tolist() == [[1], [1]]
 
     def test_triangle_two_cell_rational_signs(self):
         k = build_triangle(QQ)
-        col = k.boundary_matrix(2).data[:, 0].tolist()
+        col = [row[0] for row in k.boundary_matrix(2).tolist()]
         # edges listed in lexicographic order ab, ac, bc
         assert col == [Fraction(1), Fraction(-1), Fraction(1)]
 
     def test_missing_degree_is_empty(self, triangle):
         m = triangle.boundary_matrix(5)
-        assert m.rows == 0 and m.cols == 0
+        assert len(m.rows) == 0 and m.cols == 0
 
 
 class TestPresence:
@@ -144,7 +144,7 @@ class TestPointSubspaces:
     def test_triangle_loop_at_one(self, triangle):
         z = triangle.cycles_at(1, 1)
         assert z.dim == 1
-        assert z.basis.data.tolist() == [[1, 1, 1]]
+        assert z.basis.tolist() == [[1, 1, 1]]
 
     def test_degree_zero_everything_cycles(self, triangle):
         assert triangle.cycles_at(0, 0).dim == 3
@@ -171,7 +171,7 @@ class TestStructuralProperties:
             for n in range(k.max_dim + 1):
                 for x in range(p.n):
                     for y in range(p.n):
-                        if p.leq[x, y]:
+                        if p.leq(x, y):
                             assert set(k.cells_present(n, x)) <= set(k.cells_present(n, y))
                             assert contains(k.cycles_at(n, y), k.cycles_at(n, x))
                             assert contains(k.boundaries_at(n, y), k.boundaries_at(n, x))
@@ -182,7 +182,7 @@ class TestStructuralProperties:
             k = random_filtration(rng, shape=(2, 2), field=field)
             for n in range(1, k.max_dim):
                 prod = matmul(k.boundary_matrix(n), k.boundary_matrix(n + 1))
-                assert not np.any(prod.data != 0)
+                assert all(x == 0 for row in prod.tolist() for x in row)
 
     def test_boundaries_are_cycles(self):
         rng = random.Random(41)

@@ -22,9 +22,9 @@ from persdiff import (
     rref,
 )
 
-from persdiff.linalg import _row_reduce, embed
+from persdiff.linalg import embed, select_columns, transpose
 
-from dense_reference import dense_row_reduce
+from dense_reference import dense, dense_row_reduce, dense_zeros
 from exhaustive import kernel_set, span_rank, span_set
 
 GF2 = FieldSpec.gf(2)
@@ -33,7 +33,7 @@ QQ = FieldSpec.rationals()
 
 
 def gf2_subspace(rows, ambient=None):
-    return Subspace.from_rows(GF2, rows, ambient_dim=ambient)
+    return Subspace.from_array(GF2, rows, ambient_dim=ambient)
 
 
 class TestRref:
@@ -50,23 +50,21 @@ class TestRref:
     def test_gf2_rank_two(self):
         rows = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
         assert span_rank(2, rows, 3) == 2  # brute-force span enumeration
-        _, rank = rref(Matrix.from_rows(GF2, rows))
+        _, rank = rref(Matrix.from_array(GF2, rows))
         assert rank == 2
 
     def test_idempotent(self):
-        m = Matrix.from_rows(GF5, [[2, 3, 1], [4, 1, 0], [1, 4, 1]])
+        m = Matrix.from_array(GF5, [[2, 3, 1], [4, 1, 0], [1, 4, 1]])
         red, rank = rref(m)
         again, rank2 = rref(red)
         assert again == red and rank2 == rank
 
     def test_rational_entries_stay_exact(self):
-        m = Matrix.from_rows(QQ, [["1/3", "1/6"], ["2/3", "1/3"]])
+        m = Matrix.from_array(QQ, [["1/3", "1/6"], ["2/3", "1/3"]])
         red, rank = rref(m)
         assert rank == 1
-        from fractions import Fraction
-
-        assert red.data[0, 0] == Fraction(1)
-        assert red.data[0, 1] == Fraction(1, 2)
+        assert red.tolist()[0] == [Fraction(1), Fraction(1, 2)]
+        assert all(type(x) is Fraction for row in red.tolist() for x in row)
 
 
 class TestKernel:
@@ -80,7 +78,7 @@ class TestKernel:
         rows = [[1, 1, 0], [0, 1, 1]]
         expected_vectors = kernel_set(2, rows, 3)
         assert expected_vectors == frozenset({(0, 0, 0), (1, 1, 1)})
-        assert kernel(Matrix.from_rows(GF2, rows)) == gf2_subspace([[1, 1, 1]])
+        assert kernel(Matrix.from_array(GF2, rows)) == gf2_subspace([[1, 1, 1]])
 
 
 class TestColumnSpace:
@@ -91,10 +89,10 @@ class TestColumnSpace:
         assert column_space(Matrix.identity(GF2, 3)) == Subspace.full(GF2, 3)
 
     def test_gf2_example(self):
-        m = Matrix.from_rows(GF2, [[1, 0], [1, 1], [0, 1]])
+        m = Matrix.from_array(GF2, [[1, 0], [1, 1], [0, 1]])
         got = column_space(m)
         assert got.dim == 2
-        assert span_set(2, got.basis.data.tolist(), 3) == span_set(
+        assert span_set(2, got.basis.tolist(), 3) == span_set(
             2, [[1, 1, 0], [0, 1, 1]], 3
         )
 
@@ -113,12 +111,12 @@ class TestLattice:
     def test_meet_derived(self):
         a = gf2_subspace([[1, 1, 0], [0, 1, 1]])
         b = gf2_subspace([[1, 0, 0], [0, 0, 1]])
-        expected = span_set(2, a.basis.data.tolist(), 3) & span_set(
-            2, b.basis.data.tolist(), 3
+        expected = span_set(2, a.basis.tolist(), 3) & span_set(
+            2, b.basis.tolist(), 3
         )
         got = meet(a, b)
         assert got == gf2_subspace([[1, 0, 1]])
-        assert span_set(2, got.basis.data.tolist(), 3) == expected
+        assert span_set(2, got.basis.tolist(), 3) == expected
 
     def test_join_unit_and_idempotent(self):
         x = gf2_subspace([[1, 0, 1]])
@@ -163,9 +161,9 @@ class TestLattice:
         big = gf2_subspace([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         small = gf2_subspace([[1, 1, 0]])
         comp = complement_basis(big, small)
-        rebuilt = join(small, Subspace.from_array(GF2, comp.data))
+        rebuilt = join(small, Subspace.from_array(GF2, comp.tolist(), comp.cols))
         assert rebuilt == big
-        assert comp.rows == 2
+        assert len(comp.rows) == 2
 
 
 def _random_gf2_rows(rng, ambient, count):
@@ -178,7 +176,7 @@ class TestCanonicalForm:
         for _ in range(60):
             ambient = rng.randint(1, 5)
             rows = _random_gf2_rows(rng, ambient, rng.randint(1, 4))
-            sub = Subspace.from_rows(GF2, rows, ambient_dim=ambient)
+            sub = Subspace.from_array(GF2, rows, ambient_dim=ambient)
             scrambled = [list(r) for r in rows]
             rng.shuffle(scrambled)
             for _ in range(4):
@@ -187,7 +185,7 @@ class TestCanonicalForm:
                     scrambled[i] = [
                         (x + y) % 2 for x, y in zip(scrambled[i], scrambled[j])
                     ]
-            assert Subspace.from_rows(GF2, scrambled, ambient_dim=ambient) == sub
+            assert Subspace.from_array(GF2, scrambled, ambient_dim=ambient) == sub
 
     def test_equal_representation_iff_equal_span(self):
         rng = random.Random(11)
@@ -195,8 +193,8 @@ class TestCanonicalForm:
             ambient = rng.randint(1, 5)
             rows_a = _random_gf2_rows(rng, ambient, rng.randint(0, 3))
             rows_b = _random_gf2_rows(rng, ambient, rng.randint(0, 3))
-            a = Subspace.from_rows(GF2, rows_a, ambient_dim=ambient)
-            b = Subspace.from_rows(GF2, rows_b, ambient_dim=ambient)
+            a = Subspace.from_array(GF2, rows_a, ambient_dim=ambient)
+            b = Subspace.from_array(GF2, rows_b, ambient_dim=ambient)
             same_span = span_set(2, rows_a, ambient) == span_set(2, rows_b, ambient)
             assert (a == b) == same_span
 
@@ -212,7 +210,7 @@ def gf2_matrix(draw, max_rows=4, max_cols=5):
             max_size=rows,
         )
     )
-    return Matrix.from_rows(GF2, data)
+    return Matrix.from_array(GF2, data)
 
 
 @st.composite
@@ -225,8 +223,8 @@ def gf2_subspace_pair(draw, ambient=4):
         ]
 
     return (
-        Subspace.from_rows(GF2, rows(), ambient_dim=ambient),
-        Subspace.from_rows(GF2, rows(), ambient_dim=ambient),
+        Subspace.from_array(GF2, rows(), ambient_dim=ambient),
+        Subspace.from_array(GF2, rows(), ambient_dim=ambient),
     )
 
 
@@ -250,6 +248,19 @@ def test_meet_join_bounds(pair):
     assert contains(j, a) and contains(j, b)
 
 
+def test_field_inverse():
+    for p in (2, 5, 7, 2**31 - 1):
+        f = FieldSpec.gf(p)
+        for x in [*range(1, min(p, 8)), p - 1]:
+            assert f.inv(x) * x % p == 1 and 0 < f.inv(x) < p
+        for zero in (0, p):
+            with pytest.raises(ZeroDivisionError):
+                f.inv(zero)
+    assert QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(Fraction(0))
+
+
 def test_rational_rank_matches_large_prime_field():
     rng = random.Random(3)
     big = FieldSpec.gf(2**31 - 1)
@@ -257,18 +268,18 @@ def test_rational_rank_matches_large_prime_field():
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
         data = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        _, rank_q = rref(Matrix.from_rows(QQ, data))
-        _, rank_p = rref(Matrix.from_rows(big, data))
+        _, rank_q = rref(Matrix.from_array(QQ, data))
+        _, rank_p = rref(Matrix.from_array(big, data))
         assert rank_q == rank_p
 
 
 def test_matmul_shapes_and_large_prime():
     big = FieldSpec.gf(2**31 - 1)
-    a = Matrix.from_rows(big, [[2**30, 1], [3, 4]])
-    b = Matrix.from_rows(big, [[5, 6], [7, 8]])
+    a = Matrix.from_array(big, [[2**30, 1], [3, 4]])
+    b = Matrix.from_array(big, [[5, 6], [7, 8]])
     got = matmul(a, b)
     p = 2**31 - 1
-    assert got.data[0][0] == (2**30 * 5 + 7) % p
+    assert got.tolist()[0][0] == (2**30 * 5 + 7) % p
     with pytest.raises(DimensionMismatch):
         matmul(a, Matrix.zeros(big, 3, 2))
 
@@ -299,44 +310,54 @@ def kernel_input(draw, field=None):
         rows.insert(draw(st.integers(0, len(rows))), list(draw(st.sampled_from(rows))))
     if draw(st.booleans()):
         rows.insert(draw(st.integers(0, len(rows))), [field.coerce(0)] * ncols)
-    a = field.zeros(len(rows), ncols)
+    a = dense_zeros(field, len(rows), ncols)
     for i, row in enumerate(rows):
         a[i, :] = row
     return field, a
 
 
-def _assert_same_reduction(got, want):
-    (red, pivots), (ref, ref_pivots) = got, want
-    assert red.shape == ref.shape
-    assert red.dtype == ref.dtype
-    assert pivots == ref_pivots
-    assert red.tolist() == ref.tolist()
-    assert [type(x) for x in red.flat] == [type(x) for x in ref.flat]
+def _matrix(field, a: np.ndarray) -> Matrix:
+    return Matrix.from_array(field, a, a.shape[1])
+
+
+def _scalar_type(field):
+    return int if field.is_prime_field else Fraction
+
+
+def _assert_same_reduction(red: Matrix, rank: int, want):
+    """``rref``'s result holds the reference's entries, entry types and pivots."""
+    ref, ref_pivots = want
+    got = red.tolist()
+    assert (len(got), red.cols) == ref.shape
+    assert got == ref.tolist()
+    assert [type(x) for row in got for x in row] == [type(x) for row in ref.tolist() for x in row]
+    leading = [next(j for j, x in enumerate(row) if x) for row in got if any(row)]
+    assert leading == ref_pivots and rank == len(ref_pivots)
 
 
 @given(kernel_input())
-@example((GF2, GF2.zeros(0, 0)))
-@example((QQ, QQ.zeros(0, 4)))
-@example((FieldSpec.gf(3), FieldSpec.gf(3).zeros(3, 0)))
-@example((QQ, QQ.zeros(2, 3)))
+@example((GF2, dense_zeros(GF2, 0, 0)))
+@example((QQ, dense_zeros(QQ, 0, 4)))
+@example((FieldSpec.gf(3), dense_zeros(FieldSpec.gf(3), 3, 0)))
+@example((QQ, dense_zeros(QQ, 2, 3)))
 def test_kernel_matches_dense_reference(case):
     field, a = case
-    before = a.copy()
-    got = _row_reduce(field, a)
-    _assert_same_reduction(got, dense_row_reduce(field, a))
-    assert np.array_equal(a, before)
-    if not field.is_prime_field:
-        assert all(type(x) is Fraction for x in got[0].flat)
-    _assert_same_reduction(_row_reduce(field, got[0]), got)
+    m = _matrix(field, a)
+    before = _snapshot(m)
+    red, rank = rref(m)
+    _assert_same_reduction(red, rank, dense_row_reduce(field, a))
+    assert _snapshot(m) == before
+    assert all(type(x) is _scalar_type(field) for row in red.tolist() for x in row)
+    assert rref(red) == (red, rank)
 
 
 @given(st.sampled_from(KERNEL_FIELDS).flatmap(lambda f: st.tuples(kernel_input(f), kernel_input(f))))
 def test_contains_is_a_rank_test(cases):
     (field, a), (_, b) = cases
     width = min(a.shape[1], b.shape[1])
-    sa = Subspace.from_array(field, a[:, :width].copy())
-    sb = Subspace.from_array(field, b[:, :width].copy())
-    stacked = np.vstack([sa.basis.data, sb.basis.data])
+    sa = Subspace.from_array(field, a[:, :width], width)
+    sb = Subspace.from_array(field, b[:, :width], width)
+    stacked = np.vstack([dense(sa.basis), dense(sb.basis)])
     assert contains(sa, sb) == (len(dense_row_reduce(field, stacked)[1]) == sa.dim)
     assert contains(join(sa, sb), sb) and contains(sa, meet(sa, sb))
 
@@ -353,10 +374,10 @@ def _dense_span(field, a: np.ndarray) -> np.ndarray:
 def _dense_meet(field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Zassenhaus on dense arrays, each half reduced by the dense reference."""
     n = a.shape[1]
-    block = np.vstack([np.hstack([a, a]), np.hstack([b, field.zeros(b.shape[0], n)])])
+    block = np.vstack([np.hstack([a, a]), np.hstack([b, dense_zeros(field, b.shape[0], n)])])
     red, pivots = dense_row_reduce(field, block)
     right = [red[i, n:] for i, c in enumerate(pivots) if c >= n]
-    return _dense_span(field, np.vstack(right)) if right else field.zeros(0, n)
+    return _dense_span(field, np.vstack(right)) if right else dense_zeros(field, 0, n)
 
 
 def _dense_rank(field, *blocks) -> int:
@@ -364,26 +385,37 @@ def _dense_rank(field, *blocks) -> int:
 
 
 def _assert_rows_match_basis(s: Subspace):
-    """``rows`` and ``pivots`` hold the same RREF as the read-only ``basis``."""
-    data = s.basis.data
+    """``rows`` and ``pivots`` hold the same RREF as ``basis``, and editing
+    the matrix ``basis`` returns leaves the subspace as it was."""
+    data = dense(s.basis)
     n = s.ambient_dim
     assert data.shape == (s.dim, n) == (len(s.rows), n)
-    assert not data.flags.writeable
+    assert type(s.rows) is tuple
+    before = _snapshot(s)
+    _scribble(s.basis)
+    assert _snapshot(s) == before
     assert len(s.pivots) == s.dim
     assert _dense_span(s.field, data).tolist() == data.tolist()
-    for row, pivot, dense in zip(s.rows, s.pivots, data.tolist()):
+    for row, pivot, entries in zip(s.rows, s.pivots, s.basis.tolist()):
         if s.field.characteristic == 2:
-            assert row == int("".join(map(str, dense)), 2)
+            assert row == int("".join(map(str, entries)), 2)
             assert pivot == n - row.bit_length()
         else:
-            assert row == {j: v for j, v in enumerate(dense) if v}
+            assert row == {j: v for j, v in enumerate(entries) if v}
             assert pivot == min(row) and row[pivot] == 1
-    if not s.field.is_prime_field:
-        assert all(type(x) is Fraction for x in data.flat)
+    assert all(type(x) is _scalar_type(s.field) for row in s.basis.tolist() for x in row)
 
 
 def _snapshot(s: Subspace):
     return [r if isinstance(r, int) else dict(r) for r in s.rows]
+
+
+def _scribble(m: Matrix):
+    """Overwrite every dict row of ``m`` in place."""
+    for row in m.rows:
+        if isinstance(row, dict):
+            row.clear()
+            row[0] = 7
 
 
 @st.composite
@@ -392,10 +424,10 @@ def subspace_case(draw, field, ambient):
     span of up to five rows (duplicates and zero rows included)."""
     kind = draw(st.sampled_from(["zero", "full", "span", "span", "span"]))
     if kind == "zero":
-        return Subspace.zero(field, ambient), field.zeros(0, ambient)
+        return Subspace.zero(field, ambient), dense_zeros(field, 0, ambient)
     if kind == "full":
         one = field.one()
-        eye = field.zeros(ambient, ambient)
+        eye = dense_zeros(field, ambient, ambient)
         for i in range(ambient):
             eye[i, i] = one
         return Subspace.full(field, ambient), eye
@@ -404,10 +436,10 @@ def subspace_case(draw, field, ambient):
     )
     if rows and draw(st.booleans()):
         rows.append(list(rows[0]))
-    a = field.zeros(len(rows), ambient)
+    a = dense_zeros(field, len(rows), ambient)
     for i, row in enumerate(rows):
         a[i, :] = row
-    return Subspace.from_array(field, a), a
+    return Subspace.from_array(field, a, ambient), a
 
 
 @st.composite
@@ -419,19 +451,21 @@ def lattice_case(draw):
 
 @settings(max_examples=300)
 @given(lattice_case())
-@example((GF2, (Subspace.zero(GF2, 0), GF2.zeros(0, 0)), (Subspace.full(GF2, 0), GF2.zeros(0, 0))))
+@example(
+    (GF2, (Subspace.zero(GF2, 0), dense_zeros(GF2, 0, 0)), (Subspace.full(GF2, 0), dense_zeros(GF2, 0, 0)))
+)
 def test_lattice_ops_match_dense_reference(case):
     field, (sa, a), (sb, b) = case
     before = [_snapshot(sa), _snapshot(sb)]
     for x, dx in ((sa, a), (sb, b)):
         _assert_rows_match_basis(x)
-        assert x.basis.data.tolist() == _dense_span(field, dx).tolist()
+        assert x.basis.tolist() == _dense_span(field, dx).tolist()
     for (x, dx), (y, dy) in (((sa, a), (sb, b)), ((sb, b), (sa, a))):
         m, j = meet(x, y), join(x, y)
         _assert_rows_match_basis(m)
         _assert_rows_match_basis(j)
-        assert m.basis.data.tolist() == _dense_meet(field, dx, dy).tolist()
-        assert j.basis.data.tolist() == _dense_span(field, np.vstack([dx, dy])).tolist()
+        assert m.basis.tolist() == _dense_meet(field, dx, dy).tolist()
+        assert j.basis.tolist() == _dense_span(field, np.vstack([dx, dy])).tolist()
         inside = _dense_rank(field, dx, dy) == _dense_rank(field, dx)
         assert contains(x, y) == inside
         if inside:
@@ -448,16 +482,18 @@ def test_complement_basis_keeps_rows_that_raise_the_rank(case):
     field, (sa, _), (sb, _) = case
     big, small = join(sa, sb), sb
     before = [_snapshot(big), _snapshot(small)]
-    kept = small.basis.data
+    kept = dense(small.basis)
     want = []
-    for row in big.basis.data:
+    for row in dense(big.basis):
         if _dense_rank(field, kept, row[None, :]) > _dense_rank(field, kept):
             want.append(row.tolist())
             kept = np.vstack([kept, row[None, :]])
     got = complement_basis(big, small)
-    assert got.data.tolist() == want
-    assert got.data.dtype == big.basis.data.dtype and got.cols == big.ambient_dim
-    assert join(small, Subspace.from_array(field, got.data)) == big
+    assert got.tolist() == want
+    _scribble(complement_basis(big, small))
+    assert all(type(x) is _scalar_type(field) for row in got.tolist() for x in row)
+    assert got.cols == big.ambient_dim
+    assert join(small, Subspace.from_array(field, got.tolist(), got.cols)) == big
     assert [_snapshot(big), _snapshot(small)] == before
 
 
@@ -480,22 +516,40 @@ def test_embed_matches_dense_scatter(case):
         ambient += 1 + keep[c]
         positions.append(ambient - 1)
     ambient += keep[k] + keep[k + 1]
-    scattered = field.zeros(sub.dim, ambient)
-    scattered[:, positions] = sub.basis.data
+    scattered = dense_zeros(field, sub.dim, ambient)
+    scattered[:, positions] = dense(sub.basis)
     got = embed(sub, positions, ambient)
     _assert_rows_match_basis(got)
-    assert got == Subspace.from_array(field, scattered)
-    assert got.basis.data.tolist() == scattered.tolist()
+    assert got == Subspace.from_array(field, scattered, ambient)
+    assert got.basis.tolist() == scattered.tolist()
 
 
 @given(kernel_input())
 def test_kernel_and_column_space_match_dense_reference(case):
     field, a = case
-    m = Matrix(field, a)
+    m = _matrix(field, a)
     ker, col = kernel(m), column_space(m)
     _assert_rows_match_basis(ker)
     _assert_rows_match_basis(col)
     assert ker.dim + len(dense_row_reduce(field, a)[1]) == a.shape[1]
-    product = matmul(m, Matrix(field, ker.basis.data.T.copy()))
-    assert all(x == 0 for x in product.data.flat)
-    assert col.basis.data.tolist() == _dense_span(field, a.T.copy()).tolist()
+    product = matmul(m, Matrix.from_array(field, dense(ker.basis).T, ker.dim))
+    assert all(x == 0 for row in product.tolist() for x in row)
+    assert col.basis.tolist() == _dense_span(field, a.T.copy()).tolist()
+
+
+@given(st.sampled_from(KERNEL_FIELDS).flatmap(lambda f: st.tuples(kernel_input(f), st.lists(st.booleans(), max_size=9))))
+def test_row_form_ops_match_dense_arrays(case):
+    """``from_entries``, ``transpose``, ``select_columns`` and ``matmul`` on
+    rows agree with the same operation on dense arrays."""
+    (field, a), keep = case
+    m = _matrix(field, a)
+    nrows, ncols = a.shape
+    entries = [(i, j, a[i, j]) for i in range(nrows) for j in range(ncols)]
+    assert Matrix.from_entries(field, nrows, ncols, entries + entries) == _matrix(field, field.normalize(a + a))
+    assert transpose(m) == _matrix(field, a.T)
+    cols = [j for j in range(ncols) if j < len(keep) and keep[j]]
+    assert select_columns(m, cols) == _matrix(field, a[:, cols])
+    want = field.normalize(a.astype(object).dot(a.T.astype(object)))
+    got = matmul(m, _matrix(field, a.T))
+    assert got == _matrix(field, want)
+    assert got.tolist() == want.tolist()

@@ -25,7 +25,7 @@ from persdiff import (
     principal_up_set,
 )
 
-from conftest import GF2
+from conftest import GF2, GF5, QQ
 from corpus import random_filtration
 from exhaustive import meet_over_all_points
 
@@ -73,7 +73,7 @@ class TestBoundariesOnOpen:
         p = triangle.poset
         got = boundaries_on_open(triangle, 1, principal_up_set(p, 2))
         assert got.dim == 1
-        assert got.basis.data.tolist() == [[1, 1, 1]]
+        assert got.basis.tolist() == [[1, 1, 1]]
 
 
 class TestHomologicalMemory:
@@ -136,11 +136,11 @@ class TestLifespanRank:
     def test_representatives_span_complement(self, triangle):
         pair = principal_pair(triangle, 1, 2)
         reps = lifespan_representatives(triangle, 1, pair)
-        assert reps.rows == 1
+        assert len(reps.rows) == 1
         mem = homological_memory(triangle, 1, pair)
         rebuilt = join(
             blanket_union(triangle, 1, pair, 1),
-            Subspace.from_array(GF2, reps.data),
+            Subspace.from_array(GF2, reps.tolist(), reps.cols),
         )
         assert rebuilt == mem
 
@@ -217,7 +217,29 @@ class TestFunctoriality:
         for pair in enumerate_diagram_pairs(k.poset)[:12]:
             for n in range(k.max_dim + 1):
                 reps = lifespan_representatives(k, n, pair)
-                assert reps.rows == lifespan_rank(k, n, pair)
+                assert len(reps.rows) == lifespan_rank(k, n, pair)
+
+    def test_returned_matrices_leave_the_memo_unchanged(self):
+        """Editing a matrix from ``basis`` or ``lifespan_representatives``
+        leaves the memoized subspaces as a fresh complex computes them."""
+        for field in (GF5, QQ):
+            edited = random_filtration(random.Random(71), shape=(2, 3), field=field)
+            fresh = random_filtration(random.Random(71), shape=(2, 3), field=field)
+            pairs = enumerate_diagram_pairs(edited.poset)
+            for n in range(edited.max_dim + 1):
+                for pair in pairs:
+                    for m in (
+                        lifespan_representatives(edited, n, pair),
+                        homological_memory(edited, n, pair).basis,
+                        edited.cycles_at(n, pair.birth.sorted_members()[0]).basis,
+                    ):
+                        for row in m.rows:
+                            row.clear()
+                for pair in pairs:
+                    assert homological_memory(edited, n, pair) == homological_memory(fresh, n, pair)
+                    assert lifespan_representatives(edited, n, pair) == lifespan_representatives(fresh, n, pair)
+                for x in range(edited.poset.n):
+                    assert edited.cycles_at(n, x) == fresh.cycles_at(n, x)
 
     def test_union_contained_in_memory_both_modes(self):
         rng = random.Random(67)

@@ -23,17 +23,18 @@ from persdiff import (
 )
 
 from conftest import corner_grid_poset, offset_grid_poset
+from dense_reference import dense_leq
 from exhaustive import all_up_sets
 
 MODES = (BlanketMode.FULL, BlanketMode.PRINCIPAL)
 
 
 def up_of(p, i):
-    return frozenset(j for j in range(p.n) if p.leq[i, j])
+    return frozenset(j for j in range(p.n) if p.leq(i, j))
 
 
 def ref_min_elements(p, u):
-    return frozenset(i for i in u if not any(j != i and p.leq[j, i] for j in u))
+    return frozenset(i for i in u if not any(j != i and p.leq(j, i) for j in u))
 
 
 def ref_closure(p, members):
@@ -85,7 +86,7 @@ def small_posets():
 @pytest.fixture(scope="module", params=range(30))
 def poset_and_up_sets(request):
     p = small_posets()[request.param]
-    return p, all_up_sets(p.leq)
+    return p, all_up_sets(dense_leq(p))
 
 
 def as_sets(opens):
