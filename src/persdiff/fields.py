@@ -3,7 +3,9 @@
 Two coefficient kinds are supported: prime fields GF(p), whose scalars
 are Python ints in ``range(p)``, and the rationals, whose scalars are
 ``fractions.Fraction`` objects.  Everything is exact; nothing here
-touches floating point.
+touches floating point.  A rational whose numerator or denominator has
+more than :data:`MAX_DIGITS` digits is refused, as the interpreter already
+refuses longer integer strings over GF(p) and in JSON.
 """
 from __future__ import annotations
 
@@ -13,6 +15,11 @@ from fractions import Fraction
 
 # Characteristics must lie below this, so that trial division stays quick.
 _MAX_CHARACTERISTIC = 2**31
+
+# The interpreter's default limit on the digits of an int read from a
+# string (``sys.int_info.default_max_str_digits``), applied to rationals.
+MAX_DIGITS = 4300
+_TOO_LARGE = 10**MAX_DIGITS
 
 
 def _is_prime(n: int) -> bool:
@@ -26,6 +33,21 @@ def _is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def _exponent_in_range(x) -> bool:
+    """False for a decimal string such as ``"1e1000000000"`` whose exponent
+    alone puts the value over the size limit, read before ``Fraction``
+    computes the power.
+
+    ``Fraction`` reads at most ``MAX_DIGITS`` digits before and after the
+    point, so an exponent over twice that leaves a numerator or a
+    denominator over the limit; a zero mantissa is refused as well.
+    """
+    if not isinstance(x, str):
+        return True
+    _, e, exponent = x.lower().partition("e")
+    return not e or abs(int(exponent)) <= 2 * MAX_DIGITS
 
 
 class InvalidField(ValueError):
@@ -93,8 +115,9 @@ class FieldSpec:
         """Coerce an integer, a rational or a numeric string to a field scalar.
 
         Over GF(p) only integers and integer strings are accepted; over Q
-        also ``Fraction`` objects and ``a/b`` strings.  Bools, floats and
-        anything unparsable raise :class:`InvalidField`.
+        also ``Fraction`` objects, ``a/b`` strings and decimal strings.
+        Bools, floats, anything unparsable and rationals over the size
+        limit raise :class:`InvalidField`.
         """
         if isinstance(x, bool):
             raise InvalidField(f"bad coefficient {x!r}")
@@ -103,9 +126,14 @@ class FieldSpec:
         try:
             if self.is_prime_field:
                 return (int(x) if isinstance(x, str) else operator.index(x)) % self.characteristic
-            return Fraction(x)
+            q = Fraction(x) if _exponent_in_range(x) else None
         except (TypeError, ValueError, ZeroDivisionError):
             raise InvalidField(f"bad coefficient {x!r} for {self.token()}") from None
+        if q is None or abs(q.numerator) >= _TOO_LARGE or q.denominator >= _TOO_LARGE:
+            raise InvalidField(
+                f"rational coefficient too large: numerator and denominator have at most {MAX_DIGITS} digits"
+            )
+        return q
 
     def normalize(self, x):
         """Reduce a scalar back into its canonical residue (no-op over Q)."""

@@ -5,8 +5,9 @@ Grid posets are declared by shape; explicit posets by labels and covering
 relations, transitively closed at load.  Births name poset elements by
 grade scalar/vector or by label.  Shapes, grades and cell dimensions must
 be JSON integers.  Posets with more than ``posets.MAX_ELEMENTS`` elements
-are refused before their order is built.  Every malformed document raises
-:class:`InputError`.
+are refused before their order is built, and so are integer literals and
+rational coefficients with more than ``fields.MAX_DIGITS`` digits.  Every
+malformed document raises :class:`InputError`.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import json
 from pathlib import Path
 
 from .complexes import FilteredComplex
-from .fields import FieldSpec, InvalidField
+from .fields import MAX_DIGITS, FieldSpec, InvalidField
 from .posets import FinitePoset, InvalidPoset, UnknownElement
 
 
@@ -88,4 +89,7 @@ def load_complex(path, field_override: str | None = None) -> FilteredComplex:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from None
+    except ValueError:
+        # The decoder refuses integer literals over the interpreter's limit.
+        raise InputError(f"integer literal in {path} has more than {MAX_DIGITS} digits") from None
     return parse_document(doc, field_override=field_override)

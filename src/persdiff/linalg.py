@@ -1,17 +1,24 @@
 """Exact linear algebra: matrices, canonical subspaces, lattice ops.
 
-Matrices and subspaces are tuples of exact rows, in one of two row
+Matrices and subspaces are tuples of exact rows, in one of three row
 forms:
 
 * GF(2): each row a Python int, column 0 as the highest bit, so adding
   one row to another is one XOR.
-* GF(p) for odd p, and Q: each row a sparse ``{column: value}`` dict of
-  ints mod p or ``Fraction`` objects; zeros are never stored or visited.
+* GF(p) for odd p: each row a sparse ``{column: value}`` dict of ints
+  mod p; zeros are never stored or visited.
+* Q: a matrix row is a sparse dict of ``Fraction`` objects, but a
+  subspace row is a sparse dict of ints with no common factor, so no
+  elimination step normalises a fraction.  Denominators are cleared once,
+  when a matrix row enters a pivot table.
 
 A :class:`Subspace` keeps its canonical basis, the reduced row echelon
-form, in that row form together with its pivot columns.  The RREF depends
-only on the row space, so two subspaces are equal exactly when their rows
-are.  The lattice ops work on those rows: a
+form, in that row form together with its pivot columns; over Q each RREF
+row is scaled to its primitive integer multiple with a positive leading
+entry, which is as canonical.  The RREF depends only on the row space, so
+two subspaces are equal exactly when their rows are.  ``basis``, ``rref``
+and ``complement_basis`` hand out RREF rows, divided back to ``Fraction``
+entries over Q.  The lattice ops work on the subspace rows: a
 meet is one Gauss-Jordan pass over the Zassenhaus block ``[A A; B 0]``,
 a join inserts the smaller operand's rows into the larger one's pivot
 table, containment reduces one operand's rows against the other's pivots,
@@ -21,6 +28,8 @@ a set of columns in the same row form.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .fields import FieldSpec
@@ -77,7 +86,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
-        return cls(field, Subspace.full(field, n).rows, n)
+        return Subspace.full(field, n).basis
 
     def _items(self, row) -> list[tuple[int, object]]:
         """(column, scalar) pairs of the non-zero entries of one of the rows."""
@@ -170,23 +179,40 @@ def _move_columns(field: FieldSpec, rows: Iterable, ncols: int, moves: dict, wid
 # -- row kernels ------------------------------------------------------------
 #
 # A pivot table maps each pivot to its row: the leading bit over GF(2), the
-# leading column over GF(p) and Q.  Every row in a table has a leading 1 and
-# a zero in every other pivot, so a row is reduced against the table by one
-# pass over its own pivot entries.  Rows are shared between subspaces, so no
+# leading column over GF(p) and Q.  Every row in a table has a zero in every
+# other pivot, and a leading 1 over GF(p) or a positive leading entry and no
+# common factor over Q, so a row is reduced against the table by one pass
+# over its own pivot entries.  Rows are shared between subspaces, so no
 # kernel mutates a row it was given; a table row that changes is replaced.
 
 
 def _eliminate(field: FieldSpec, table: dict, rows: Iterable) -> dict:
     """Incremental Gauss-Jordan: insert ``rows`` into ``table`` and return it.
 
-    Each incoming row is reduced against the pivot rows, scaled to a
-    leading 1, and then cleared from the other pivot rows.
+    Each incoming row is reduced against the pivot rows, normalised (a
+    leading 1, or over Q a primitive integer row with a positive lead),
+    and then cleared from the other pivot rows.  Over Q the rows must hold
+    ints; see :func:`_table_rows`.
     """
-    if field.characteristic == 2:
+    p = field.characteristic
+    if p == 2:
         _eliminate_gf2(table, rows)
+    elif p:
+        _eliminate_sparse(table, rows, p)
     else:
-        _eliminate_sparse(table, rows, field.characteristic)
+        _eliminate_int(table, rows)
     return table
+
+
+def _table_rows(field: FieldSpec, rows: Iterable) -> Iterable:
+    """Matrix rows as rows a pivot table takes: integer rows over Q."""
+    return rows if field.characteristic else map(_integer_row, rows)
+
+
+def _integer_row(row: dict) -> dict:
+    """A row of ``Fraction`` objects times the lcm of their denominators."""
+    m = lcm(*[x.denominator for x in row.values()])
+    return {j: x.numerator * (m // x.denominator) for j, x in row.items()}
 
 
 def _eliminate_gf2(table: dict[int, int], rows: Iterable[int]) -> None:
@@ -223,11 +249,8 @@ def _eliminate_sparse(table: dict[int, dict], rows: Iterable[dict], p: int) -> N
         lead = min(row)
         scale = row[lead]
         if scale != 1:
-            if p:
-                inv = pow(scale, -1, p)
-                row = {j: v * inv % p for j, v in row.items()}
-            else:
-                row = {j: v / scale for j, v in row.items()}
+            inv = pow(scale, -1, p)
+            row = {j: v * inv % p for j, v in row.items()}
         for c, prow in table.items():
             factor = prow.get(lead)
             if factor is not None:
@@ -248,17 +271,76 @@ def _residual_sparse(table: dict[int, dict], row: dict, p: int) -> dict:
     return out
 
 
-def _axpy(row: dict, factor, pivot_row: dict, p: int) -> dict:
-    """``row -= factor * pivot_row`` in place, dropping entries that vanish."""
+def _axpy(row: dict, factor: int, pivot_row: dict, p: int) -> dict:
+    """``row -= factor * pivot_row`` mod p in place, dropping entries that vanish."""
     for j, v in pivot_row.items():
-        x = row.get(j, 0) - factor * v
-        if p:
-            x %= p
+        x = (row.get(j, 0) - factor * v) % p
         if x:
             row[j] = x
         else:
             del row[j]
     return row
+
+
+def _eliminate_int(table: dict[int, dict], rows: Iterable[dict]) -> None:
+    # Fraction-free, in the spirit of Bareiss's integer-preserving
+    # elimination: every step is an integer combination of two rows, and
+    # dividing by the row's content keeps the entries small.
+    for row in rows:
+        row = _residual_int(table, row)
+        if not row:
+            continue
+        lead = min(row)
+        row = _primitive(row, lead)
+        top = row[lead]
+        for c, prow in table.items():
+            factor = prow.get(lead)
+            if factor is not None:
+                table[c] = _primitive(_combine(dict(prow), top, factor, row), c)
+        table[lead] = row
+
+
+def _residual_int(table: dict[int, dict], row: dict) -> dict:
+    """A positive multiple of ``row`` minus multiples of the pivot rows,
+    with a zero in every pivot column, as a new dict when anything is
+    subtracted.  Each step scales the row, so the other pivot entries are
+    read from the current one."""
+    hits = [c for c in row if c in table]
+    if not hits:
+        return row
+    out = dict(row)
+    for c in hits:
+        prow = table[c]
+        _combine(out, prow[c], out[c], prow)
+    return out
+
+
+def _combine(row: dict, a: int, b: int, pivot_row: dict) -> dict:
+    """``row = a * row - b * pivot_row`` in place, with ``a > 0`` and ``b``
+    first divided by their gcd, dropping entries that vanish."""
+    g = gcd(a, b)
+    if g != 1:
+        a //= g
+        b //= g
+    if a != 1:
+        for j in row:
+            row[j] *= a
+    for j, v in pivot_row.items():
+        x = row.get(j, 0) - b * v
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+    return row
+
+
+def _primitive(row: dict, lead: int) -> dict:
+    """``row``, which is not zero, divided by the gcd of its entries and
+    by the sign of its entry in column ``lead``."""
+    g = gcd(*row.values())
+    if row[lead] < 0:
+        g = -g
+    return row if g == 1 else {j: v // g for j, v in row.items()}
 
 
 def _sorted_rows(field: FieldSpec, ncols: int, table: dict) -> tuple[tuple, tuple[int, ...]]:
@@ -274,19 +356,19 @@ def _sorted_rows(field: FieldSpec, ncols: int, table: dict) -> tuple[tuple, tupl
 def rref(m: Matrix) -> tuple[Matrix, int]:
     """Reduced row echelon form, zero rows last, and rank.  Idempotent."""
     f = m.field
-    rows, pivots = _sorted_rows(f, m.cols, _eliminate(f, {}, m.rows))
+    rows, pivots = _sorted_rows(f, m.cols, _eliminate(f, {}, _table_rows(f, m.rows)))
     zeros = Matrix.zeros(f, len(m.rows) - len(rows), m.cols).rows
-    return Matrix(f, rows + zeros, m.cols), len(pivots)
+    return Matrix(f, _handed_out(f, rows) + zeros, m.cols), len(pivots)
 
 
 class Subspace:
     """Subspace of a fixed ambient coordinate space, in canonical form.
 
     ``rows`` is the reduced row echelon basis in row form (see the module
-    docstring), in pivot-column order, and ``pivots`` holds those columns,
-    so span equality is representation equality.  ``basis`` is the same
-    basis as a new :class:`Matrix`, which may be edited without touching
-    the subspace.
+    docstring; primitive integer rows over Q), in pivot-column order, and
+    ``pivots`` holds those columns, so span equality is representation
+    equality.  ``basis`` is the RREF as a new :class:`Matrix` of field
+    scalars, which may be edited without touching the subspace.
     """
 
     __slots__ = ("field", "ambient_dim", "rows", "pivots", "dim")
@@ -303,11 +385,11 @@ class Subspace:
     def from_array(cls, field: FieldSpec, array: Sequence[Iterable], ambient_dim: int | None = None) -> "Subspace":
         """The span of the rows of a 2-D sequence of scalars."""
         m = Matrix.from_array(field, array, ambient_dim)
-        return cls._spanned(field, m.cols, m.rows)
+        return cls._spanned(field, m.cols, _table_rows(field, m.rows))
 
     @classmethod
     def _spanned(cls, field: FieldSpec, ambient_dim: int, rows: Iterable) -> "Subspace":
-        """The span of rows already in row form."""
+        """The span of rows in the form a pivot table takes."""
         return cls._from_table(field, ambient_dim, _eliminate(field, {}, rows))
 
     @classmethod
@@ -329,12 +411,12 @@ class Subspace:
         if field.characteristic == 2:
             rows = tuple([1 << (ambient_dim - 1 - c) for c in range(ambient_dim)])
         else:
-            rows = tuple([{c: field.one()} for c in range(ambient_dim)])
+            rows = tuple([{c: 1} for c in range(ambient_dim)])
         return cls(field, ambient_dim, rows, tuple(range(ambient_dim)))
 
     @property
     def basis(self) -> Matrix:
-        return Matrix(self.field, _copied(self.rows), self.ambient_dim)
+        return Matrix(self.field, _handed_out(self.field, self.rows), self.ambient_dim)
 
     def __eq__(self, other):
         return (
@@ -364,10 +446,11 @@ def kernel(m: Matrix) -> Subspace:
     """Subspace of the domain annihilated by ``m``.
 
     One vector per free column: 1 there, and minus that column's entry of
-    each RREF row at the row's pivot.
+    each RREF row at the row's pivot.  Over Q the vector is scaled by the
+    lcm of the leading entries of the rows it reads.
     """
     f, n = m.field, m.cols
-    table = _eliminate(f, {}, m.rows)
+    table = _eliminate(f, {}, _table_rows(f, m.rows))
     if len(table) == n:
         return Subspace.zero(f, n)
     rows = []
@@ -380,21 +463,22 @@ def kernel(m: Matrix) -> Subspace:
                         v |= 1 << pbit
                 rows.append(v)
     else:
-        one = f.one()
+        p = f.characteristic
         for fc in range(n):
             if fc not in table:
-                v = {fc: one}
-                for pc, prow in table.items():
-                    x = prow.get(fc)
-                    if x is not None:
-                        v[pc] = f.neg(x)
+                hits = [(pc, prow[pc], x) for pc, prow in table.items() if (x := prow.get(fc)) is not None]
+                if p:
+                    v = {fc: 1, **{pc: -x % p for pc, _, x in hits}}
+                else:
+                    scale = lcm(*[lead for _, lead, _ in hits])
+                    v = {fc: scale, **{pc: -x * (scale // lead) for pc, lead, x in hits}}
                 rows.append(v)
     return Subspace._spanned(f, n, rows)
 
 
 def column_space(m: Matrix) -> Subspace:
     """Subspace of the codomain spanned by the columns of ``m``."""
-    return Subspace._spanned(m.field, len(m.rows), transpose(m).rows)
+    return Subspace._spanned(m.field, len(m.rows), _table_rows(m.field, transpose(m).rows))
 
 
 def embed(sub: Subspace, positions: Sequence[int], ambient_dim: int) -> Subspace:
@@ -433,7 +517,7 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
         table = {
             c: {**r, **{j + n: x for j, x in r.items()}} for c, r in zip(big.pivots, big.rows)
         }
-        _eliminate_sparse(table, small.rows, f.characteristic)
+        _eliminate(f, table, small.rows)
         table = {c - n: {j - n: x for j, x in r.items()} for c, r in table.items() if c >= n}
     if len(table) == small.dim:
         return small
@@ -468,7 +552,9 @@ def contains(a: Subspace, b: Subspace) -> bool:
             mask |= 1 << bit
         return not any(_residual_gf2(table, mask, row) for row in b.rows)
     p = a.field.characteristic
-    return not any(_residual_sparse(table, row, p) for row in b.rows)
+    if p:
+        return not any(_residual_sparse(table, row, p) for row in b.rows)
+    return not any(_residual_int(table, row) for row in b.rows)
 
 
 def quotient_dim(big: Subspace, small: Subspace) -> int:
@@ -496,9 +582,18 @@ def complement_basis(big: Subspace, small: Subspace) -> Matrix:
         _eliminate(big.field, table, [row])
         if len(table) > rank:
             kept.append(row)
-    return Matrix(big.field, _copied(kept), big.ambient_dim)
+    return Matrix(big.field, _handed_out(big.field, kept), big.ambient_dim)
 
 
-def _copied(rows: Iterable) -> list:
-    """Rows a caller may edit: dict rows copied, int rows shared."""
-    return [r if isinstance(r, int) else dict(r) for r in rows]
+def _handed_out(field: FieldSpec, rows: Iterable) -> tuple:
+    """Pivot-table rows as RREF matrix rows a caller may edit: int rows
+    shared, GF(p) rows copied, and each Q row divided by its leading entry."""
+    if field.characteristic == 2:
+        return tuple(rows)
+    if field.characteristic:
+        return tuple([dict(r) for r in rows])
+    out = []
+    for r in rows:
+        lead = r[min(r)]
+        out.append({j: Fraction(x, lead) for j, x in r.items()})
+    return tuple(out)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -451,6 +452,16 @@ class TestMalformedDocuments:
         assert out == ""
         assert f"cell 'huge' has dimension 30000; at most {MAX_DIM} is supported" in err
 
+    @pytest.mark.parametrize("coefficient", ["1e1000000000", "1e20000", "-3e-20000"])
+    def test_huge_rational_is_refused_quickly(self, capsys, tmp_path, coefficient):
+        doc = _triangle_with(field="rational")
+        doc["cells"].append(_generic_edge(coefficient, 1))
+        start = time.perf_counter()
+        code, out, err = _run_doc(capsys, tmp_path, doc)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert "malformed cell record 'g': rational coefficient too large" in err
+
     def test_huge_characteristic_is_refused_quickly(self, capsys, tmp_path):
         code, _, err = _run_doc(capsys, tmp_path, _triangle_with(field="gf:99999999999999999"))
         assert code == 3
@@ -514,6 +525,15 @@ class TestNoTraceback:
         assert (code, out) == (3, "")
         assert err.startswith("error: malformed JSON") and "recursion" in err
 
+    def test_huge_json_integer(self, capsys, tmp_path):
+        doc = _triangle_with()
+        doc["cells"].append(_generic_edge(1, 1))
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc).replace('["a", 1]', '["a", ' + "7" * 5000 + "]"))
+        code, out, err = run(capsys, "diagram", path)
+        assert (code, out) == (3, "")
+        assert err == f"error: integer literal in {path} has more than 4300 digits\n"
+
     def test_non_decimal_digit_in_open(self, capsys):
         code, out, err = run(capsys, "blankets", DATA / "triangle.json", "--birth", "²", "--death", "inf")
         assert (code, out) == (3, "")
@@ -576,22 +596,47 @@ def test_mutated_documents_exit_cleanly(doc):
 
 
 GOLDEN = DATA / "golden"
-# Each command's stdout, recorded before opens became bitmasks, on one
-# pair for ``blankets``.  Byte comparison catches a changed value or
-# diagram-pair order, which two runs of the same build cannot.  No output
-# shows the order of blanket lists while every check passes, so
-# test_open_bitmasks.py pins that order.
+# Each command's stdout, on one pair for ``blankets``: the GF(2) outputs
+# recorded before opens became bitmasks, the ``--field rational`` ones and
+# every ``torsion_chain`` one before Q subspaces held integer rows.  Byte
+# comparison catches a changed value or diagram-pair order, which two runs
+# of the same build cannot.  No output shows the order of blanket lists
+# while every check passes, so test_open_bitmasks.py pins that order.
+# ``torsion_chain`` attaches two 2-cells to a loop by degrees 2 and 3, so
+# its GF(2) and Q diagrams differ.
 GOLDEN_COMMANDS = {
     "diagram_all": ("diagram", "--all"),
     "diagram_principal_all": ("diagram", "--mode", "principal", "--all"),
     "blankets_steps2": ("blankets", "--steps", 2),
     "verify_oracle_s30_seed3": ("verify", "--json", "--oracle", "--samples", 30, "--seed", 3),
+    "diagram_all_rational": ("diagram", "--all", "--field", "rational"),
+    "verify_oracle_s30_seed3_rational": (
+        "verify", "--json", "--oracle", "--samples", 30, "--seed", 3, "--field", "rational",
+    ),
 }
 GOLDEN_PAIRS = {
     "two_param": ("--birth", "1,1", "--death", "2,2"),
     "triangle": ("--birth", "2", "--death", "inf"),
     "corner_grid": ("--birth", "3,3", "--death", "inf"),
+    "torsion_chain": ("--birth", "1", "--death", "4"),
 }
+
+
+@pytest.mark.parametrize(
+    "field, points",
+    [
+        ("gf2", [(0, [0], "inf"), (1, [1], [4]), (2, [2], "inf")]),
+        ("rational", [(0, [0], "inf"), (1, [1], [2]), (2, [4], "inf")]),
+    ],
+)
+def test_torsion_chain_diagram_depends_on_the_field(capsys, field, points):
+    """Over GF(2) the degree-2 attachment is a cycle and the degree-3 one
+    kills the loop; over Q it is the other way round."""
+    code, out, _ = run(capsys, "diagram", DATA / "torsion_chain.json", "--field", field)
+    assert code == 0
+    entries = json.loads(out)["entries"]
+    assert [(e["degree"], e["birth"], e["death"]) for e in entries] == points
+    assert all(e["multiplicity"] == 1 for e in entries)
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_COMMANDS))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from persdiff import (
     rref,
 )
 
+from persdiff.fields import InvalidField
 from persdiff.linalg import embed, select_columns, transpose
 
 from dense_reference import dense, dense_row_reduce, dense_zeros
@@ -261,6 +263,21 @@ def test_field_inverse():
         QQ.inv(Fraction(0))
 
 
+def test_rational_coefficient_size_limit():
+    """Q scalars keep numerators and denominators to 4,300 digits, the
+    interpreter's own limit on int strings; exponents are read first."""
+    assert QQ.coerce("1e4299") == 10**4299
+    assert QQ.coerce("-2.5e-4298") == Fraction(-1, 4 * 10**4297)
+    assert QQ.coerce("0.5e3") == 500 and QQ.coerce(" 7/3 ") == Fraction(7, 3)
+    assert QQ.coerce(10**4300 - 1) == 10**4300 - 1
+    for x in ["1e4300", "1e-4300", "1e20000", "1e1000000000", "0e1000000000", 10**4300, Fraction(1, 10**4300)]:
+        with pytest.raises(InvalidField, match="too large"):
+            QQ.coerce(x)
+    for x in ["1" * 4301, "1/" + "3" * 4301, "1e" + "9" * 4301, "1e", "e5", "1e5/2"]:
+        with pytest.raises(InvalidField, match="bad coefficient"):
+            QQ.coerce(x)
+
+
 def test_rational_rank_matches_large_prime_field():
     rng = random.Random(3)
     big = FieldSpec.gf(2**31 - 1)
@@ -385,8 +402,9 @@ def _dense_rank(field, *blocks) -> int:
 
 
 def _assert_rows_match_basis(s: Subspace):
-    """``rows`` and ``pivots`` hold the same RREF as ``basis``, and editing
-    the matrix ``basis`` returns leaves the subspace as it was."""
+    """``rows`` and ``pivots`` hold the same RREF as ``basis`` (over Q each
+    row scaled to a primitive integer row with a positive lead), and
+    editing the matrix ``basis`` returns leaves the subspace as it was."""
     data = dense(s.basis)
     n = s.ambient_dim
     assert data.shape == (s.dim, n) == (len(s.rows), n)
@@ -400,10 +418,24 @@ def _assert_rows_match_basis(s: Subspace):
         if s.field.characteristic == 2:
             assert row == int("".join(map(str, entries)), 2)
             assert pivot == n - row.bit_length()
-        else:
+        elif s.field.is_prime_field:
             assert row == {j: v for j, v in enumerate(entries) if v}
             assert pivot == min(row) and row[pivot] == 1
+        else:
+            _assert_primitive_integer_row(row, pivot, s.pivots)
+            assert {j: Fraction(v, row[pivot]) for j, v in row.items()} == {
+                j: v for j, v in enumerate(entries) if v
+            }
     assert all(type(x) is _scalar_type(s.field) for row in s.basis.tolist() for x in row)
+
+
+def _assert_primitive_integer_row(row: dict, pivot: int, pivots) -> None:
+    """A Q subspace row: ints with no common factor, a positive lead at
+    ``pivot``, and a zero in every other pivot column."""
+    assert all(type(v) is int and v for v in row.values())
+    assert pivot == min(row) and row[pivot] > 0
+    assert gcd(*row.values()) == 1
+    assert not set(row) & (set(pivots) - {pivot})
 
 
 def _snapshot(s: Subspace):
@@ -535,6 +567,98 @@ def test_kernel_and_column_space_match_dense_reference(case):
     product = matmul(m, Matrix.from_array(field, dense(ker.basis).T, ker.dim))
     assert all(x == 0 for row in product.tolist() for x in row)
     assert col.basis.tolist() == _dense_span(field, a.T.copy()).tolist()
+
+
+# -- Q subspaces as primitive integer rows ---------------------------------
+
+# Scalars whose numerators and denominators share no factor with the small
+# ones, and whose products are far beyond a machine word.
+AWKWARD_RATIONALS = [Fraction(10**30, 7), Fraction(-(10**30), 7), Fraction(1, 997), Fraction(-3, 10**20 + 39)]
+
+
+def _awkward_rational():
+    return st.one_of(
+        st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)),
+        st.sampled_from(AWKWARD_RATIONALS),
+        st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**25)),
+    )
+
+
+@st.composite
+def rational_pair(draw):
+    """Two Q matrices of the same width, from 0x0 up to 6x6."""
+    ncols = draw(st.integers(0, 6))
+    arrays = []
+    for _ in range(2):
+        rows = draw(
+            st.lists(st.lists(_awkward_rational(), min_size=ncols, max_size=ncols), max_size=6)
+        )
+        if rows and draw(st.booleans()):
+            rows.append([3 * x for x in draw(st.sampled_from(rows))])
+        a = dense_zeros(QQ, len(rows), ncols)
+        for i, row in enumerate(rows):
+            a[i, :] = row
+        arrays.append(a)
+    return arrays
+
+
+def _dense_kernel(a: np.ndarray) -> np.ndarray:
+    """RREF basis of the null space of ``a``, from its dense RREF."""
+    red, pivots = dense_row_reduce(QQ, a)
+    free = [c for c in range(a.shape[1]) if c not in pivots]
+    vectors = dense_zeros(QQ, len(free), a.shape[1])
+    for i, fc in enumerate(free):
+        vectors[i, fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vectors[i, pc] = -red[r, fc]
+    return _dense_span(QQ, vectors)
+
+
+def _assert_integer_rref(s: Subspace, want: np.ndarray):
+    """Every row of a Q subspace is a primitive integer row with a positive
+    lead and a zero in each other pivot column, and ``basis`` is the dense
+    ``Fraction`` RREF ``want``."""
+    assert type(s.rows) is tuple and len(s.rows) == len(s.pivots) == s.dim
+    for row, pivot in zip(s.rows, s.pivots):
+        _assert_primitive_integer_row(row, pivot, s.pivots)
+    assert s.basis.tolist() == want.tolist()
+    assert all(type(x) is Fraction for row in s.basis.tolist() for x in row)
+
+
+@settings(max_examples=150)
+@given(rational_pair(), st.lists(st.booleans(), min_size=8, max_size=8))
+@example([np.array([[Fraction(10**30, 7), Fraction(1, 997)]], dtype=object), dense_zeros(QQ, 0, 2)], [True] * 8)
+def test_rational_subspaces_hold_primitive_integer_rows(arrays, gaps):
+    a, b = arrays
+    n = a.shape[1]
+    sa, sb = Subspace.from_array(QQ, a, n), Subspace.from_array(QQ, b, n)
+    m = _matrix(QQ, a)
+    positions = [c + sum(gaps[: c + 1]) for c in range(n)]
+    ambient = n + sum(gaps)
+    scattered = dense_zeros(QQ, sa.dim, ambient)
+    scattered[:, positions] = _dense_span(QQ, a)
+    cases = [
+        (sa, _dense_span(QQ, a)),
+        (sb, _dense_span(QQ, b)),
+        (meet(sa, sb), _dense_meet(QQ, a, b)),
+        (meet(sb, sa), _dense_meet(QQ, a, b)),
+        (join(sa, sb), _dense_span(QQ, np.vstack([a, b]))),
+        (kernel(m), _dense_kernel(a)),
+        (column_space(m), _dense_span(QQ, a.T.copy())),
+        (embed(sa, positions, ambient), scattered),
+    ]
+    for s, want in cases:
+        _assert_integer_rref(s, want)
+    # What a caller is handed holds Fractions, and editing it leaves the
+    # subspaces alone.
+    big = join(sa, sb)
+    before = [_snapshot(s) for s, _ in cases]
+    handed = [rref(m)[0], sa.basis, big.basis, complement_basis(big, sa)]
+    for out in handed:
+        assert all(type(x) is Fraction for row in out.tolist() for x in row)
+        _scribble(out)
+    assert [_snapshot(s) for s, _ in cases] == before
+    assert rref(m)[0].tolist()[: sa.dim] == _dense_span(QQ, a).tolist()
 
 
 @given(st.sampled_from(KERNEL_FIELDS).flatmap(lambda f: st.tuples(kernel_input(f), st.lists(st.booleans(), max_size=9))))
