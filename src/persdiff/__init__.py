@@ -82,11 +82,7 @@ from .calculus import (
 )
 from .oracle import NotAChain, oracle_barcode
 from .io import load_complex
-from .diagrams import (
-    chain_diagram_counter,
-    compute_diagram,
-    entries_from_document,
-)
+from .diagrams import chain_diagram_counter, compute_diagram
 from .verify import run_verification
 
 __version__ = "0.1.0"

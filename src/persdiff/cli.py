@@ -7,6 +7,7 @@ Subcommands: ``validate``, ``diagram``, ``barcode``, ``blankets``,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -95,8 +96,7 @@ def _parse_open(k, spec: str):
     return k.poset.closure(generators)
 
 
-def _cmd_validate(args) -> int:
-    k = load_complex(args.input, field_override=args.field)
+def _cmd_validate(args, k) -> int:
     violations = k.validate()
     if args.json:
         doc = {
@@ -123,8 +123,7 @@ def _require_valid(k) -> None:
         raise SystemExit(EXIT_INVALID)
 
 
-def _cmd_diagram(args) -> int:
-    k = load_complex(args.input, field_override=args.field)
+def _cmd_diagram(args, k) -> int:
     _require_valid(k)
     degrees = None if args.degree is None else [args.degree]
     entries = compute_diagram(k, degrees=degrees, mode=args.mode, include_zero=args.all)
@@ -135,8 +134,7 @@ def _cmd_diagram(args) -> int:
     return EXIT_OK
 
 
-def _cmd_barcode(args) -> int:
-    k = load_complex(args.input, field_override=args.field)
+def _cmd_barcode(args, k) -> int:
     _require_valid(k)
     try:
         bars = compute_barcode(k, mode=args.mode)
@@ -156,45 +154,40 @@ def _cmd_barcode(args) -> int:
     return EXIT_OK
 
 
-def _cmd_blankets(args) -> int:
-    k = load_complex(args.input, field_override=args.field)
+def _cmd_blankets(args, k) -> int:
     _require_valid(k)
-    birth = _parse_open(k, args.birth)
-    death = _parse_open(k, args.death)
-    pair = make_pair(k.poset, birth, death)
-    found = degree_blankets(k.poset, pair, args.steps, args.mode)
+    p = k.poset
+    pair = make_pair(p, _parse_open(k, args.birth), _parse_open(k, args.death))
     listed = sorted(
-        found,
+        degree_blankets(p, pair, args.steps, args.mode),
         key=lambda y: (y.birth.sorted_members(), y.death.sorted_members()),
     )
-    p = k.poset
+    # Generator lists; an empty birth open is [] and an empty death open "inf".
+    pairs = [
+        {
+            "birth": list(open_repr(p, y.birth)) if not y.birth.is_empty else [],
+            "death": "inf" if y.death.is_empty else list(open_repr(p, y.death)),
+        }
+        for y in listed
+    ]
     if args.json:
         doc = {
             "format_version": 1,
             "kind": "blankets",
             "steps": args.steps,
             "mode": args.mode.value,
-            "pairs": [
-                {
-                    "birth": list(open_repr(p, y.birth)) if not y.birth.is_empty else [],
-                    "death": "inf" if y.death.is_empty else list(open_repr(p, y.death)),
-                }
-                for y in listed
-            ],
+            "pairs": pairs,
         }
         sys.stdout.write(_dump(doc))
     else:
-        for y in listed:
-            b = open_repr(p, y.birth)
-            d = "inf" if y.death.is_empty else open_repr(p, y.death)
-            sys.stdout.write(f"{list(b)} {d if d == 'inf' else list(d)}\n")
-        if not listed:
+        for y in pairs:
+            sys.stdout.write(f"{y['birth']} {y['death']}\n")
+        if not pairs:
             sys.stdout.write("(no blankets)\n")
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    k = load_complex(args.input, field_override=args.field)
+def _cmd_verify(args, k) -> int:
     _require_valid(k)
     report = run_verification(
         k, samples=args.samples, seed=args.seed, include_oracle=args.oracle
@@ -206,7 +199,9 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLES
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after."""
     parser = _Parser(
         prog="persdiff",
         description="Generalized persistence diagrams via blanket-shift finite differences.",
@@ -263,10 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        return args.func(args, load_complex(args.input, field_override=args.field))
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE

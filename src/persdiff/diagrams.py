@@ -2,7 +2,10 @@
 
 A diagram entry reports the minimal generators of the birth and death
 opens (the grade for principal opens) with the pair-group multiplicity.
-Barcodes are the 1-parameter specialization.
+Barcodes are the 1-parameter specialization.  Diagrams, barcodes and the
+oracle-keyed chain diagram all read one walk, ``_multiplicities``, over
+the degrees and the enumerated pairs.  Diagrams are written as JSON or
+CSV; nothing here reads one back.
 
 Assembly skips pairs whose multiplicity must be zero.  The multiplicity
 is ``dim mem(pair) - dim of the join of mem(b)`` over the degree-1
@@ -54,22 +57,21 @@ def open_repr(p, u: UpSet):
     return tuple(element_repr(p, i) for i in mins)
 
 
-def _multiplicities(k: FilteredComplex, n: int, pairs, mode: BlanketMode):
-    """(pair, multiplicity) in pair order, computing only possible non-zeros.
-
-    ``pairs`` must be grouped by birth open, as ``enumerate_diagram_pairs``
-    returns them.
-    """
-    for birth, group in groupby(pairs, key=lambda pair: pair.birth):
-        if cycles_on_open(k, n, birth).dim == 0:
+def _multiplicities(k: FilteredComplex, degrees, mode: BlanketMode):
+    """(degree, pair, multiplicity) over the diagram pairs of each degree
+    (every degree of the complex when ``degrees`` is None), in pair order,
+    computing only possible non-zeros."""
+    if degrees is None:
+        degrees = range(max(k.max_dim, 0) + 1)
+    pairs = enumerate_diagram_pairs(k.poset)  # grouped by birth open
+    for n in degrees:
+        for birth, group in groupby(pairs, key=lambda pair: pair.birth):
+            cycles = cycles_on_open(k, n, birth).dim
             for pair in group:
-                yield pair, 0
-            continue
-        for pair in group:
-            if homological_memory(k, n, pair).dim == 0:
-                yield pair, 0
-            else:
-                yield pair, pair_group_rank(k, n, pair, mode)
+                if cycles and homological_memory(k, n, pair).dim:
+                    yield n, pair, pair_group_rank(k, n, pair, mode)
+                else:
+                    yield n, pair, 0
 
 
 def compute_diagram(
@@ -81,17 +83,11 @@ def compute_diagram(
     """Pair-group multiplicities over the enumerated principal pairs."""
     k.require_valid()
     p = k.poset
-    if degrees is None:
-        degrees = range(max(k.max_dim, 0) + 1)
-    pairs = enumerate_diagram_pairs(p)
-    out = []
-    for n in degrees:
-        for pair, mult in _multiplicities(k, n, pairs, mode):
-            if mult or include_zero:
-                out.append(
-                    DiagramEntry(n, open_repr(p, pair.birth), open_repr(p, pair.death), mult)
-                )
-    return out
+    return [
+        DiagramEntry(n, open_repr(p, pair.birth), open_repr(p, pair.death), mult)
+        for n, pair, mult in _multiplicities(k, degrees, mode)
+        if mult or include_zero
+    ]
 
 
 def chain_diagram_counter(
@@ -100,45 +96,23 @@ def chain_diagram_counter(
     """Diagram of a chain-indexed complex keyed like the reduction oracle."""
     p = k.poset
     chain_positions(p)  # raises NotAChain otherwise
-    if degrees is None:
-        degrees = range(max(k.max_dim, 0) + 1)
     bars: Counter = Counter()
-    pairs = enumerate_diagram_pairs(p)
-    for n in degrees:
-        for pair, mult in _multiplicities(k, n, pairs, mode):
-            if mult:
-                birth = next(iter(min_elements(p, pair.birth)))
-                death = None if pair.death.is_empty else next(iter(min_elements(p, pair.death)))
-                bars[(n, birth, death)] += mult
+    for n, pair, mult in _multiplicities(k, degrees, mode):
+        if mult:
+            birth = next(iter(min_elements(p, pair.birth)))
+            death = None if pair.death.is_empty else next(iter(min_elements(p, pair.death)))
+            bars[(n, birth, death)] += mult
     return bars
 
 
-def _json_value(v):
-    if isinstance(v, tuple):
-        return list(v)
-    return v
-
-
 def entry_to_json(e: DiagramEntry) -> dict:
+    """JSON form of an entry; ``json`` writes its tuples as lists."""
     return {
         "degree": e.degree,
-        "birth": [_json_value(x) for x in e.birth],
-        "death": INF if e.death == INF else [_json_value(x) for x in e.death],
+        "birth": e.birth,
+        "death": e.death,
         "multiplicity": e.multiplicity,
     }
-
-
-def entry_from_json(doc: dict) -> DiagramEntry:
-    def _back(v):
-        return tuple(v) if isinstance(v, list) else v
-
-    death = doc["death"]
-    return DiagramEntry(
-        degree=int(doc["degree"]),
-        birth=tuple(_back(x) for x in doc["birth"]),
-        death=INF if death == INF else tuple(_back(x) for x in death),
-        multiplicity=int(doc["multiplicity"]),
-    )
 
 
 def diagram_document(k: FilteredComplex, entries, mode: BlanketMode) -> dict:
@@ -149,10 +123,6 @@ def diagram_document(k: FilteredComplex, entries, mode: BlanketMode) -> dict:
         "mode": mode.value,
         "entries": [entry_to_json(e) for e in entries],
     }
-
-
-def entries_from_document(doc: dict) -> list[DiagramEntry]:
-    return [entry_from_json(e) for e in doc["entries"]]
 
 
 def _flat_repr(x) -> str:
@@ -182,15 +152,11 @@ class Bar:
 
 
 def compute_barcode(k: FilteredComplex, mode: BlanketMode = BlanketMode.FULL) -> list[Bar]:
-    p = k.poset
-    chain_positions(p)  # raises NotAChain otherwise
-    entries = compute_diagram(k, mode=mode)
-    bars = []
-    for e in entries:
-        birth = e.birth[0]
-        death = INF if e.death == INF else e.death[0]
-        bars.append(Bar(e.degree, birth, death, e.multiplicity))
-    return bars
+    chain_positions(k.poset)  # raises NotAChain otherwise
+    return [
+        Bar(e.degree, e.birth[0], INF if e.death == INF else e.death[0], e.multiplicity)
+        for e in compute_diagram(k, mode=mode)
+    ]
 
 
 def barcode_document(k: FilteredComplex, bars) -> dict:

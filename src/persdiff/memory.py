@@ -45,8 +45,8 @@ def _on_open(k: FilteredComplex, n: int, u: UpSet, boundaries: bool) -> Subspace
         if u.is_empty:
             sub = k.colimit_cycles(n)
         else:
-            mins = sorted(min_elements(k.poset, u))
-            sub = reduce(meet, [k.point_subspace(n, i, boundaries) for i in mins])
+            at = k.boundaries_at if boundaries else k.cycles_at
+            sub = reduce(meet, [at(n, i) for i in sorted(min_elements(k.poset, u))])
         cache[key] = sub
     return sub
 

@@ -21,8 +21,8 @@ ints.  Masks are never keys: Python hashes an int to its value mod
 
 The order itself is those masks and nothing else.  Grids and cover lists
 build them directly; an explicit order matrix is read row by row into
-masks and checked to be a partial order.  Posets larger than
-:data:`MAX_ELEMENTS` are refused before any mask is built.
+masks and checked to be a partial order.  Empty posets, and posets larger
+than :data:`MAX_ELEMENTS`, are refused before any mask is built.
 """
 from __future__ import annotations
 
@@ -51,7 +51,8 @@ class InvalidPoset(ValueError):
 
 
 class UnknownElement(KeyError):
-    pass
+    # KeyError's own __str__ would print the message as a quoted repr.
+    __str__ = Exception.__str__
 
 
 class InvalidPair(ValueError):
@@ -312,6 +313,8 @@ class FinitePoset:
 
 
 def _check_size(n: int) -> None:
+    if n < 1:
+        raise InvalidPoset("poset has no elements")
     if n > MAX_ELEMENTS:
         raise InvalidPoset(f"poset has {n} elements; at most {MAX_ELEMENTS} are supported")
 

@@ -67,11 +67,8 @@ class VerifyReport:
         }
 
 
-def _sample_graded_pairs(rng, pairs, count, max_degree=2):
-    out = []
-    for _ in range(count):
-        out.append(GradedPair(rng.choice(pairs), rng.choice((0, 0, 1, max_degree))))
-    return out
+def _sample_graded_pairs(rng, pairs, count):
+    return [GradedPair(rng.choice(pairs), rng.choice((0, 0, 1, 2))) for _ in range(count)]
 
 
 def _blanket_walk(rng, p, pair, steps, mode):
@@ -89,7 +86,6 @@ def run_verification(
     samples: int = 50,
     seed: int = 0,
     include_oracle: bool = False,
-    modes=(BlanketMode.FULL, BlanketMode.PRINCIPAL),
 ) -> VerifyReport:
     k.require_valid()
     rng = random.Random(seed)
@@ -100,7 +96,7 @@ def run_verification(
 
     # Pair-group rank versus lifespan quotient rank, every pair, both modes.
     rank_identity = LawReport("pair-group-equals-lifespan-rank")
-    for mode in modes:
+    for mode in BlanketMode:
         for n in degrees:
             for pair in pairs:
                 rank_identity.checked += 1

@@ -74,6 +74,8 @@ def reference_order(labels, leq, grades=None) -> np.ndarray:
     """The checked order matrix of ``FinitePoset(labels, leq, grades)``."""
     labels = tuple(str(l) for l in labels)
     n = len(labels)
+    if n == 0:
+        raise InvalidPoset("poset has no elements")
     leq = np.array(leq, dtype=bool)
     if leq.shape != (n, n):
         raise InvalidPoset(f"leq must be {n}x{n}")

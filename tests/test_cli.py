@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import persdiff
-from persdiff import entries_from_document
-from persdiff.cli import main
+from persdiff import compute_diagram, load_complex
+from persdiff.cli import build_parser, main
 from persdiff.complexes import MAX_DIM
 
 DATA = Path(__file__).parent / "data"
@@ -86,12 +86,12 @@ class TestDiagram:
     def test_round_trip(self, capsys):
         _, out, _ = run(capsys, "diagram", DATA / "triangle.json")
         doc = json.loads(out)
-        entries = entries_from_document(doc)
+        entries = compute_diagram(load_complex(DATA / "triangle.json"))
         assert [e.multiplicity for e in entries] == [2, 1, 1]
-        # Serializing the parsed entries again reproduces the document.
+        # Serializing the computed entries reproduces the document.
         from persdiff.diagrams import entry_to_json
 
-        assert [entry_to_json(e) for e in entries] == doc["entries"]
+        assert json.loads(json.dumps([entry_to_json(e) for e in entries])) == doc["entries"]
 
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "diagram", DATA / "triangle.json", "--csv")
@@ -210,6 +210,11 @@ class TestBlankets:
         )
         assert code == 0
         assert out.strip() == "[1] [2]"
+
+    def test_empty_birth_prints_like_its_json(self, capsys):
+        argv = ("blankets", DATA / "triangle.json", "--birth", "inf", "--death", "inf", "--steps", 0)
+        assert run(capsys, *argv)[:2] == (0, "[] inf\n")
+        assert json.loads(run(capsys, *argv, "--json")[1])["pairs"] == [{"birth": [], "death": "inf"}]
 
     def test_incomparable_pair_rejected(self, capsys):
         code, _, err = run(
@@ -345,6 +350,30 @@ class TestUsage:
             assert got == run(capsys, *blankets, mode)
             assert json.loads(got[1])["mode"] == mode
 
+    def test_repeated_calls_match_fresh_runs(self, capsys):
+        """One process shares one parser: each call's stdout, stderr and exit
+        code equal those of the same command run in a fresh interpreter."""
+        tri = str(DATA / "triangle.json")
+        calls = [
+            ["diagram", tri, "--degree", "1"],
+            ["diagram", tri, "--csv"],
+            ["diagram", tri, "--mode", "bogus"],
+            ["blankets", tri, "--birth", "1", "--death", "inf", "--json", "--mode", "principal"],
+            ["diagram", tri],
+            ["verify", tri, "--samples", "5"],
+            ["blankets", tri, "--birth", "1", "--death", "inf"],
+        ]
+        in_process = [run(capsys, *argv) for argv in calls]
+        env = dict(os.environ, PYTHONPATH=str(Path(persdiff.__file__).parents[1]))
+        fresh = []
+        for argv in calls:
+            done = subprocess.run(
+                [sys.executable, "-m", "persdiff", *argv], env=env, capture_output=True, text=True
+            )
+            fresh.append((done.returncode, done.stdout, done.stderr))
+        assert in_process == fresh
+        assert build_parser() is build_parser()
+
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -444,6 +473,23 @@ class TestMalformedDocuments:
         assert code == 3
         assert "4097 elements" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("validate",),
+            ("diagram",),
+            ("barcode",),
+            ("blankets", "--birth", "0", "--death", "inf"),
+            ("verify", "--oracle"),
+        ],
+    )
+    def test_empty_explicit_poset(self, capsys, tmp_path, argv):
+        doc = _triangle_with(poset={"kind": "explicit", "elements": []}, cells=[])
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, argv[0], path, *argv[1:])
+        assert (code, out, err) == (3, "", "error: bad poset: poset has no elements\n")
+
     def test_cell_dimension_over_limit(self, capsys, tmp_path):
         doc = json.loads((DATA / "two_param.json").read_text())
         doc["cells"].append({"id": "huge", "dim": 30000, "faces": [], "births": [[0, 0]]})
@@ -538,6 +584,14 @@ class TestNoTraceback:
         code, out, err = run(capsys, "blankets", DATA / "triangle.json", "--birth", "²", "--death", "inf")
         assert (code, out) == (3, "")
         assert err.startswith("error:") and "unknown element label '²'" in err
+
+    def test_unknown_elements_print_unquoted(self, capsys, tmp_path):
+        code, out, err = run(capsys, "blankets", DATA / "triangle.json", "--birth", "5", "--death", "inf")
+        assert (code, out, err) == (3, "", "error: no element with grade (5,)\n")
+        doc = _triangle_with()
+        doc["cells"][0]["births"] = ["q"]
+        code, out, err = _run_doc(capsys, tmp_path, doc)
+        assert (code, out, err) == (3, "", "error: bad birth grade: unknown element label 'q'\n")
 
     def test_unwritable_svg_path(self, capsys, tmp_path):
         target = tmp_path / "no-such-dir" / "x.svg"

@@ -6,12 +6,14 @@ from persdiff import (
     EMPTY_OPEN,
     BlanketMode,
     FieldSpec,
+    FilteredComplex,
     FinitePoset,
     InvalidPair,
     PairOpen,
     Subspace,
     blanket_union,
     boundaries_on_open,
+    compute_diagram,
     contains,
     cycles_on_open,
     enumerate_diagram_pairs,
@@ -74,6 +76,25 @@ class TestBoundariesOnOpen:
         got = boundaries_on_open(triangle, 1, principal_up_set(p, 2))
         assert got.dim == 1
         assert got.basis.tolist() == [[1, 1, 1]]
+
+
+    def test_diagram_reads_points_through_cycles_at_and_boundaries_at(
+        self, two_param, monkeypatch
+    ):
+        """Every per-point subspace the diagram uses is asked for through the
+        public accessors, which the benchmark's point-subspace counter wraps."""
+        seen = set()
+        for name, boundaries in (("cycles_at", False), ("boundaries_at", True)):
+            original = getattr(FilteredComplex, name)
+
+            def counted(self, n, x, original=original, boundaries=boundaries):
+                seen.add((n, x, boundaries))
+                return original(self, n, x)
+
+            monkeypatch.setattr(FilteredComplex, name, counted)
+        compute_diagram(two_param)
+        assert {b for _, _, b in seen} == {False, True}
+        assert seen == set(two_param.memo["point"])
 
 
 class TestHomologicalMemory:
