@@ -222,41 +222,45 @@ def degree_shift_action() -> ChangeAction:
 
 def union_rank(
     k: FilteredComplex,
-    d: int,
+    n: int,
     pair: PairOpen,
-    n: int = 0,
+    d: int = 0,
     mode: BlanketMode = BlanketMode.FULL,
 ) -> GroupObj:
-    """Dimension of the degree-n blanket union of the pair, in degree d."""
-    return blanket_union(k, d, pair, n, mode).dim
+    """Dimension of the degree-d blanket union of the pair, in homological
+    degree n."""
+    return blanket_union(k, n, pair, d, mode).dim
 
 
-def union_rank_functor(k: FilteredComplex, d: int, mode: BlanketMode = BlanketMode.FULL) -> IntegerFunctor:
-    """The blanket-union rank as an integer functor on graded pairs."""
-    return IntegerFunctor(lambda gp: union_rank(k, d, gp.pair, gp.degree, mode))
+def union_rank_functor(k: FilteredComplex, n: int, mode: BlanketMode = BlanketMode.FULL) -> IntegerFunctor:
+    """The blanket-union rank in homological degree n as an integer functor
+    on graded pairs, whose degree is the blanket degree."""
+    return IntegerFunctor(lambda gp: union_rank(k, n, gp.pair, gp.degree, mode))
 
 
 def union_rank_derivative(
     k: FilteredComplex,
-    d: int,
-    pair: PairOpen,
     n: int,
+    pair: PairOpen,
+    d: int,
     m: int,
     mode: BlanketMode = BlanketMode.FULL,
 ) -> GroupObj:
-    """Finite difference of the union rank between degrees n and n + m."""
-    return union_rank(k, d, pair, n, mode) - union_rank(k, d, pair, n + m, mode)
+    """Finite difference of the union rank in homological degree n between
+    blanket degrees d and d + m."""
+    return union_rank(k, n, pair, d, mode) - union_rank(k, n, pair, d + m, mode)
 
 
 def pair_group_rank(
     k: FilteredComplex,
-    d: int,
+    n: int,
     pair: PairOpen,
     mode: BlanketMode = BlanketMode.FULL,
 ) -> int:
-    """Multiplicity of the pair in the generalized persistence diagram.
+    """Multiplicity of the pair in the generalized persistence diagram, in
+    homological degree n.
 
     The derivative of the union rank evaluated at (0, 1); agrees with the
     lifespan quotient rank.
     """
-    return union_rank_derivative(k, d, pair, 0, 1, mode)
+    return union_rank_derivative(k, n, pair, 0, 1, mode)

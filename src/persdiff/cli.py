@@ -74,6 +74,9 @@ def _non_negative_int(token: str) -> int:
 
 def _parse_open(k, spec: str):
     """An open from generator grades: 'g' or 'g1;g2', vectors as 'a,b'."""
+    if not isinstance(spec, str):
+        # argparse drops the value of "--birth=--" and hands over [].
+        raise _UsageError("empty open spec")
     text = spec.strip()
     if text.lower() in ("inf", "none", "empty"):
         return EMPTY_OPEN
@@ -83,8 +86,9 @@ def _parse_open(k, spec: str):
         if not chunk:
             continue
         parts = [c.strip() for c in chunk.split(",")]
-        # isdecimal, not isdigit: int() refuses digits such as "²".
-        if all(p.lstrip("-").isdecimal() for p in parts):
+        # isdecimal, not isdigit: int() refuses digits such as "²"; and it
+        # takes at most one sign.
+        if all(p.removeprefix("-").isdecimal() for p in parts):
             gen = int(parts[0]) if len(parts) == 1 else tuple(int(c) for c in parts)
             if len(parts) == 1 and k.poset.grades and len(k.poset.grades[0]) == 1:
                 gen = (int(parts[0]),)

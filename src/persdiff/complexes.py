@@ -290,6 +290,8 @@ def _cell_from_spec(field: FieldSpec, poset: FinitePoset, spec: dict) -> Cell:
         raise InvalidComplex(f"cell {cid!r} needs a non-empty birth list")
     births = tuple(sorted({poset.resolve(b) for b in births_raw}))
     if "vertices" in spec:
+        if not isinstance(spec["vertices"], (list, tuple)):
+            raise InvalidComplex(f"cell {cid!r} needs a vertex list")
         verts = tuple(str(v) for v in spec["vertices"])
         dim = as_int(spec.get("dim", len(verts) - 1))
         return Cell(cid, dim, births, vertices=verts)

@@ -35,6 +35,8 @@ def poset_from_spec(spec) -> FinitePoset:
             return FinitePoset.grid(spec["shape"])
         if kind == "explicit":
             labels = spec["elements"]
+            if not isinstance(labels, list):
+                raise InvalidPoset("'elements' must be a list")
             covers = spec.get("covers", [])
             grades = None
             if "grades" in spec:

@@ -12,19 +12,21 @@ forms:
   elimination step normalises a fraction.  Denominators are cleared once,
   when a matrix row enters a pivot table.
 
-A :class:`Subspace` keeps its canonical basis, the reduced row echelon
-form, in that row form together with its pivot columns; over Q each RREF
-row is scaled to its primitive integer multiple with a positive leading
-entry, which is as canonical.  The RREF depends only on the row space, so
-two subspaces are equal exactly when their rows are.  ``basis``, ``rref``
-and ``complement_basis`` hand out RREF rows, divided back to ``Fraction``
-entries over Q.  The lattice ops work on the subspace rows: a
-meet is one Gauss-Jordan pass over the Zassenhaus block ``[A A; B 0]``,
-a join inserts the smaller operand's rows into the larger one's pivot
-table, containment reduces one operand's rows against the other's pivots,
-and quotient dimensions are plain differences guarded by a containment
-check.  Boundary matrices are built, multiplied, transposed and cut to
-a set of columns in the same row form.
+A :class:`Subspace` is the pivot table of its canonical basis, the
+reduced row echelon form: each pivot maps to its RREF row in that row
+form.  Over Q each RREF row is scaled to its primitive integer multiple
+with a positive leading entry, which is as canonical.  The RREF depends
+only on the row space, so two subspaces are equal exactly when their
+tables are.  ``basis``, ``rref`` and ``complement_basis`` hand out RREF
+rows in pivot-column order, divided back to ``Fraction`` entries over Q.
+The lattice ops read the tables: a join inserts the smaller operand's
+rows into a copy of the larger one's table; containment reduces one
+operand's rows against the other's table; a meet reduces each row ``b``
+of the smaller operand against the larger one's table as the block row
+``[b | b]`` and eliminates only those rows (Zassenhaus); and quotient
+dimensions are plain differences guarded by a containment check.
+Boundary matrices are built, multiplied, transposed and cut to a set of
+columns in the same row form.
 """
 from __future__ import annotations
 
@@ -204,6 +206,17 @@ def _eliminate(field: FieldSpec, table: dict, rows: Iterable) -> dict:
     return table
 
 
+def _residual(field: FieldSpec, table: dict, row):
+    """``row`` reduced against ``table``: zero exactly when it lies in the
+    table's span.  Over Q it is a positive multiple of that reduction."""
+    p = field.characteristic
+    if p == 2:
+        return _residual_gf2(table, row)
+    if p:
+        return _residual_sparse(table, row, p)
+    return _residual_int(table, row)
+
+
 def _table_rows(field: FieldSpec, rows: Iterable) -> Iterable:
     """Matrix rows as rows a pivot table takes: integer rows over Q."""
     return rows if field.characteristic else map(_integer_row, rows)
@@ -216,11 +229,8 @@ def _integer_row(row: dict) -> dict:
 
 
 def _eliminate_gf2(table: dict[int, int], rows: Iterable[int]) -> None:
-    mask = 0
-    for bit in table:
-        mask |= 1 << bit
     for row in rows:
-        row = _residual_gf2(table, mask, row)
+        row = _residual_gf2(table, row)
         if not row:
             continue
         lead = row.bit_length() - 1
@@ -228,16 +238,18 @@ def _eliminate_gf2(table: dict[int, int], rows: Iterable[int]) -> None:
             if prow >> lead & 1:
                 table[bit] = prow ^ row
         table[lead] = row
-        mask |= 1 << lead
 
 
-def _residual_gf2(table: dict[int, int], mask: int, row: int) -> int:
-    """``row`` minus its pivot entries times the pivot rows: one XOR each."""
-    hits = row & mask
-    while hits:
-        bit = hits.bit_length() - 1
-        row ^= table[bit]
-        hits ^= 1 << bit
+def _residual_gf2(table: dict[int, int], row: int) -> int:
+    """``row`` minus its pivot entries times the pivot rows: one XOR each.
+    A pivot row is zero in every other pivot, so the pivots to clear are
+    the pivot bits ``row`` starts with."""
+    bits = row
+    while bits:
+        bit = bits.bit_length() - 1
+        bits ^= 1 << bit
+        if bit in table:
+            row ^= table[bit]
     return row
 
 
@@ -343,43 +355,40 @@ def _primitive(row: dict, lead: int) -> dict:
     return row if g == 1 else {j: v // g for j, v in row.items()}
 
 
-def _sorted_rows(field: FieldSpec, ncols: int, table: dict) -> tuple[tuple, tuple[int, ...]]:
-    """A pivot table's rows in pivot-column order, and those columns."""
-    if field.characteristic == 2:
-        # A higher leading bit is a larger int and an earlier pivot column.
-        rows = tuple(sorted(table.values(), reverse=True))
-        return rows, tuple([ncols - r.bit_length() for r in rows])
-    pivots = tuple(sorted(table))
-    return tuple([table[c] for c in pivots]), pivots
+def _echelon(field: FieldSpec, table: dict) -> list:
+    """A pivot table's rows in pivot-column order.  Over GF(2) a higher
+    leading bit is an earlier column."""
+    return [table[c] for c in sorted(table, reverse=field.characteristic == 2)]
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
     """Reduced row echelon form, zero rows last, and rank.  Idempotent."""
     f = m.field
-    rows, pivots = _sorted_rows(f, m.cols, _eliminate(f, {}, _table_rows(f, m.rows)))
+    rows = _echelon(f, _eliminate(f, {}, _table_rows(f, m.rows)))
     zeros = Matrix.zeros(f, len(m.rows) - len(rows), m.cols).rows
-    return Matrix(f, _handed_out(f, rows) + zeros, m.cols), len(pivots)
+    return Matrix(f, _handed_out(f, rows) + zeros, m.cols), len(rows)
 
 
 class Subspace:
     """Subspace of a fixed ambient coordinate space, in canonical form.
 
-    ``rows`` is the reduced row echelon basis in row form (see the module
-    docstring; primitive integer rows over Q), in pivot-column order, and
-    ``pivots`` holds those columns, so span equality is representation
-    equality.  ``basis`` is the RREF as a new :class:`Matrix` of field
-    scalars, which may be edited without touching the subspace.
+    ``table`` is the pivot table of the reduced row echelon basis: the
+    leading bit over GF(2), or the leading column over GF(p) and Q, maps
+    to its row in row form (see the module docstring; primitive integer
+    rows over Q).  It is never changed after construction, so span
+    equality is table equality.  ``basis`` is the RREF as a new
+    :class:`Matrix` of field scalars, which may be edited without touching
+    the subspace.
     """
 
-    __slots__ = ("field", "ambient_dim", "rows", "pivots", "dim")
+    __slots__ = ("field", "ambient_dim", "table", "dim")
 
-    def __init__(self, field: FieldSpec, ambient_dim: int, rows: tuple, pivots: tuple[int, ...]):
+    def __init__(self, field: FieldSpec, ambient_dim: int, table: dict):
         # Trusts its arguments; use the classmethods to canonicalize.
         self.field = field
         self.ambient_dim = ambient_dim
-        self.rows = rows
-        self.pivots = pivots
-        self.dim = len(pivots)
+        self.table = table
+        self.dim = len(table)
 
     @classmethod
     def from_array(cls, field: FieldSpec, array: Sequence[Iterable], ambient_dim: int | None = None) -> "Subspace":
@@ -390,41 +399,28 @@ class Subspace:
     @classmethod
     def _spanned(cls, field: FieldSpec, ambient_dim: int, rows: Iterable) -> "Subspace":
         """The span of rows in the form a pivot table takes."""
-        return cls._from_table(field, ambient_dim, _eliminate(field, {}, rows))
-
-    @classmethod
-    def _from_table(cls, field: FieldSpec, ambient_dim: int, table: dict) -> "Subspace":
-        return cls(field, ambient_dim, *_sorted_rows(field, ambient_dim, table))
-
-    def _table(self) -> dict:
-        """A fresh pivot table holding this subspace's rows."""
-        if self.field.characteristic == 2:
-            return {r.bit_length() - 1: r for r in self.rows}
-        return dict(zip(self.pivots, self.rows))
+        return cls(field, ambient_dim, _eliminate(field, {}, rows))
 
     @classmethod
     def zero(cls, field: FieldSpec, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim, (), ())
+        return cls(field, ambient_dim, {})
 
     @classmethod
     def full(cls, field: FieldSpec, ambient_dim: int) -> "Subspace":
         if field.characteristic == 2:
-            rows = tuple([1 << (ambient_dim - 1 - c) for c in range(ambient_dim)])
-        else:
-            rows = tuple([{c: 1} for c in range(ambient_dim)])
-        return cls(field, ambient_dim, rows, tuple(range(ambient_dim)))
+            return cls(field, ambient_dim, {b: 1 << b for b in range(ambient_dim)})
+        return cls(field, ambient_dim, {c: {c: 1} for c in range(ambient_dim)})
 
     @property
     def basis(self) -> Matrix:
-        return Matrix(self.field, _handed_out(self.field, self.rows), self.ambient_dim)
+        return Matrix(self.field, _handed_out(self.field, _echelon(self.field, self.table)), self.ambient_dim)
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.field == other.field
             and self.ambient_dim == other.ambient_dim
-            and self.pivots == other.pivots
-            and self.rows == other.rows
+            and self.table == other.table
         )
 
     __hash__ = None
@@ -487,17 +483,22 @@ def embed(sub: Subspace, positions: Sequence[int], ambient_dim: int) -> Subspace
     Positions are increasing, so relabelling the columns of the RREF rows
     keeps them reduced.
     """
-    rows = _move_columns(sub.field, sub.rows, len(positions), dict(enumerate(positions)), ambient_dim)
-    return Subspace(sub.field, ambient_dim, tuple(rows), tuple([positions[c] for c in sub.pivots]))
+    f = sub.field
+    rows = _move_columns(f, sub.table.values(), len(positions), dict(enumerate(positions)), ambient_dim)
+    if f.characteristic == 2:
+        return Subspace(f, ambient_dim, {r.bit_length() - 1: r for r in rows})
+    return Subspace(f, ambient_dim, {positions[c]: r for c, r in zip(sub.table, rows)})
 
 
 def meet(a: Subspace, b: Subspace) -> Subspace:
     """Largest subspace contained in both operands (Zassenhaus block trick).
 
-    Reducing ``[A A; B 0]`` leaves the RREF basis of the intersection in
+    The RREF of ``[A 0; B B]`` holds the RREF basis of the intersection in
     the right half of the rows whose pivot lies there.  ``A`` is the
-    larger operand: its rows are already reduced, so only ``B``'s are
-    inserted.
+    larger operand and already its own pivot table, so it is only read:
+    each row ``b`` of ``B`` is reduced against it as the block row
+    ``[b | b]``, and only those rows are eliminated, in a fresh table.
+    Over Q both halves of a reduced row carry the same positive scale.
     """
     _check_pair(a, b)
     f = a.field
@@ -510,18 +511,15 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
         return a
     big, small = (a, b) if a.dim >= b.dim else (b, a)
     if f.characteristic == 2:
-        table = {r.bit_length() - 1 + n: r << n | r for r in big.rows}
-        _eliminate_gf2(table, [r << n for r in small.rows])
+        table = _eliminate(f, {}, [_residual(f, big.table, r) << n | r for r in small.table.values()])
         table = {bit: r for bit, r in table.items() if bit < n}
     else:
-        table = {
-            c: {**r, **{j + n: x for j, x in r.items()}} for c, r in zip(big.pivots, big.rows)
-        }
-        _eliminate(f, table, small.rows)
+        rows = [{**r, **{j + n: x for j, x in r.items()}} for r in small.table.values()]
+        table = _eliminate(f, {}, [_residual(f, big.table, r) for r in rows])
         table = {c - n: {j - n: x for j, x in r.items()} for c, r in table.items() if c >= n}
     if len(table) == small.dim:
         return small
-    return Subspace._from_table(f, n, table)
+    return Subspace(f, n, table)
 
 
 def join(a: Subspace, b: Subspace) -> Subspace:
@@ -530,31 +528,20 @@ def join(a: Subspace, b: Subspace) -> Subspace:
     big, small = (a, b) if a.dim >= b.dim else (b, a)
     if small.dim == 0:
         return big
-    table = _eliminate(a.field, big._table(), small.rows)
+    table = _eliminate(a.field, dict(big.table), small.table.values())
     if len(table) == big.dim:
         return big
-    return Subspace._from_table(a.field, a.ambient_dim, table)
+    return Subspace(a.field, a.ambient_dim, table)
 
 
 def contains(a: Subspace, b: Subspace) -> bool:
     """True iff ``b`` is contained in ``a``: every row of ``b`` reduces to
-    zero against ``a``'s pivot rows."""
+    zero against ``a``'s pivot table, which is read in place."""
     _check_pair(a, b)
-    if b.dim == 0:
-        return True
-    # A vector of ``a`` leads in one of ``a``'s pivot columns.
-    if not set(b.pivots).issubset(a.pivots):
+    # A vector of ``a`` leads in one of ``a``'s pivots.
+    if not a.table.keys() >= b.table.keys():
         return False
-    table = a._table()
-    if a.field.characteristic == 2:
-        mask = 0
-        for bit in table:
-            mask |= 1 << bit
-        return not any(_residual_gf2(table, mask, row) for row in b.rows)
-    p = a.field.characteristic
-    if p:
-        return not any(_residual_sparse(table, row, p) for row in b.rows)
-    return not any(_residual_int(table, row) for row in b.rows)
+    return not any(_residual(a.field, a.table, row) for row in b.table.values())
 
 
 def quotient_dim(big: Subspace, small: Subspace) -> int:
@@ -573,9 +560,9 @@ def complement_basis(big: Subspace, small: Subspace) -> Matrix:
     """
     if not contains(big, small):
         raise NotASubspace("the second operand is not contained in the first")
-    table = small._table()
+    table = dict(small.table)
     kept = []
-    for row in big.rows:
+    for row in _echelon(big.field, big.table):
         if len(table) == big.dim:
             break
         rank = len(table)

@@ -223,7 +223,10 @@ class FinitePoset:
         _check_size(n)
         index = {lab: i for i, lab in enumerate(labels)}
         above: list[set] = [set() for _ in range(n)]
-        for lo, hi in covers:
+        for cover in covers:
+            if isinstance(cover, str):
+                raise InvalidPoset(f"cover {cover!r} is not a pair of labels")
+            lo, hi = cover
             try:
                 i, j = index[str(lo)], index[str(hi)]
             except KeyError as exc:

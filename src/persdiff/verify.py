@@ -67,6 +67,10 @@ class VerifyReport:
         }
 
 
+# The blanket mode of the derivative-axiom and extended-monotonicity checks.
+_LAW_MODE = BlanketMode.FULL
+
+
 def _sample_graded_pairs(rng, pairs, count):
     return [GradedPair(rng.choice(pairs), rng.choice((0, 0, 1, 2))) for _ in range(count)]
 
@@ -119,72 +123,71 @@ def run_verification(
     shift = degree_shift_action()
     int_cod = integer_subtraction_action()
     sq_cod = square_subtraction_action()
-    for mode in (BlanketMode.FULL,):
-        for d in degrees:
-            F = union_rank_functor(k, d, mode)
-            objs = _sample_graded_pairs(rng, pairs, samples)
-            one_two = [rng.choice((0, 1, 1, 2)) for _ in objs]
-            cad1 = check_cad1(
-                F.on_object,
-                lambda x, m: derivative_obj(F, shift, x, m),
-                shift,
-                int_cod,
-                [(x, m) for x, m in zip(objs, one_two)],
-            )
-            cad1.name = f"cad1-objects-d{d}"
-            report.results.append(cad1)
-            triples = [
-                (x, rng.choice((0, 1, 2)), rng.choice((0, 1)))
-                for x in _sample_graded_pairs(rng, pairs, samples)
-            ]
-            cad2 = check_cad2(
-                F.on_object,
-                lambda x, m: derivative_obj(F, shift, x, m),
-                shift,
-                int_cod,
-                triples,
-            )
-            cad2.name = f"cad2-objects-d{d}"
-            report.results.append(cad2)
+    for d in degrees:
+        F = union_rank_functor(k, d, _LAW_MODE)
+        objs = _sample_graded_pairs(rng, pairs, samples)
+        one_two = [rng.choice((0, 1, 1, 2)) for _ in objs]
+        cad1 = check_cad1(
+            F.on_object,
+            lambda x, m: derivative_obj(F, shift, x, m),
+            shift,
+            int_cod,
+            [(x, m) for x, m in zip(objs, one_two)],
+        )
+        cad1.name = f"cad1-objects-d{d}"
+        report.results.append(cad1)
+        triples = [
+            (x, rng.choice((0, 1, 2)), rng.choice((0, 1)))
+            for x in _sample_graded_pairs(rng, pairs, samples)
+        ]
+        cad2 = check_cad2(
+            F.on_object,
+            lambda x, m: derivative_obj(F, shift, x, m),
+            shift,
+            int_cod,
+            triples,
+        )
+        cad2.name = f"cad2-objects-d{d}"
+        report.results.append(cad2)
 
-            # Morphism level: comparable graded pairs via blanket walks.
-            mor_dom = ChangeAction(
-                act=lambda m, dm: (shift.act(m[0], dm[0]), shift.act(m[1], dm[1])),
-                add=lambda a, b: (a[0] + b[0], a[1] + b[1]),
-                zero=(0, 0),
-            )
-            morphisms = []
-            for _ in range(max(samples // 4, 4)):
-                base = rng.choice(pairs)
-                upper = _blanket_walk(rng, p, base, rng.choice((0, 1, 2)), mode)
-                extra = rng.choice((0, 1))
-                m_deg = rng.choice((0, 1))
-                lo = GradedPair(upper, m_deg + extra)
-                hi = GradedPair(base, m_deg)
-                morphisms.append((lo, hi))
-            dm_samples = [(rng.choice((1, 2)), rng.choice((0, 1))) for _ in morphisms]
-            dm_samples = [(a + b, b) for a, b in dm_samples]  # first shift dominates
-            cad1m = check_cad1(
-                lambda m: F.on_morphism(*m),
-                lambda m, dm: derivative_mor(F, shift, m, dm),
-                mor_dom,
-                sq_cod,
-                list(zip(morphisms, dm_samples)),
-            )
-            cad1m.name = f"cad1-morphisms-d{d}"
-            report.results.append(cad1m)
-            cad2m = check_cad2(
-                lambda m: F.on_morphism(*m),
-                lambda m, dm: derivative_mor(F, shift, m, dm),
-                mor_dom,
-                sq_cod,
-                [
-                    (m, dm, (rng.choice((0, 1)),) * 2)
-                    for m, dm in zip(morphisms, dm_samples)
-                ],
-            )
-            cad2m.name = f"cad2-morphisms-d{d}"
-            report.results.append(cad2m)
+        # Morphism level: comparable graded pairs via blanket walks.
+        mor_dom = ChangeAction(
+            act=lambda m, dm: (shift.act(m[0], dm[0]), shift.act(m[1], dm[1])),
+            add=lambda a, b: (a[0] + b[0], a[1] + b[1]),
+            zero=(0, 0),
+        )
+        morphisms = []
+        for _ in range(max(samples // 4, 4)):
+            base = rng.choice(pairs)
+            upper = _blanket_walk(rng, p, base, rng.choice((0, 1, 2)), _LAW_MODE)
+            extra = rng.choice((0, 1))
+            m_deg = rng.choice((0, 1))
+            lo = GradedPair(upper, m_deg + extra)
+            hi = GradedPair(base, m_deg)
+            morphisms.append((lo, hi))
+        dm_samples = [(rng.choice((1, 2)), rng.choice((0, 1))) for _ in morphisms]
+        dm_samples = [(a + b, b) for a, b in dm_samples]  # first shift dominates
+        cad1m = check_cad1(
+            lambda m: F.on_morphism(*m),
+            lambda m, dm: derivative_mor(F, shift, m, dm),
+            mor_dom,
+            sq_cod,
+            list(zip(morphisms, dm_samples)),
+        )
+        cad1m.name = f"cad1-morphisms-d{d}"
+        report.results.append(cad1m)
+        cad2m = check_cad2(
+            lambda m: F.on_morphism(*m),
+            lambda m, dm: derivative_mor(F, shift, m, dm),
+            mor_dom,
+            sq_cod,
+            [
+                (m, dm, (rng.choice((0, 1)),) * 2)
+                for m, dm in zip(morphisms, dm_samples)
+            ],
+        )
+        cad2m.name = f"cad2-morphisms-d{d}"
+        report.results.append(cad2m)
 
     # Presheaf monotonicity of cycles/boundaries over sampled nested opens.
     presheaf = LawReport("presheaf-monotonicity")
@@ -205,12 +208,12 @@ def run_verification(
         base = rng.choice(pairs)
         m_deg = rng.choice((0, 1))
         steps = rng.choice((0, 1, 2))
-        upper = _blanket_walk(rng, p, base, steps, BlanketMode.FULL)
+        upper = _blanket_walk(rng, p, base, steps, _LAW_MODE)
         n_deg = m_deg + rng.choice((0, 1, 2))
         d = rng.choice(degrees)
         extended.checked += 1
-        small = blanket_union(k, d, upper, n_deg, BlanketMode.FULL)
-        big = blanket_union(k, d, base, m_deg, BlanketMode.FULL)
+        small = blanket_union(k, d, upper, n_deg, _LAW_MODE)
+        big = blanket_union(k, d, base, m_deg, _LAW_MODE)
         if not contains(big, small):
             extended.counterexamples.append((d, describe_open(p, upper.birth), n_deg, describe_open(p, base.birth), m_deg))
     report.results.append(extended)

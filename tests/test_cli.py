@@ -10,7 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import persdiff
 from persdiff import compute_diagram, load_complex
@@ -546,6 +546,28 @@ class TestMalformedDocuments:
         assert (code, out) == (3, "")
         assert "malformed cell record 'g': expected an integer" in err
 
+    def test_string_vertex_list(self, capsys, tmp_path):
+        doc = _triangle_with()
+        doc["cells"].append({"id": "g", "vertices": "ab", "births": [1]})
+        code, out, err = _run_doc(capsys, tmp_path, doc)
+        assert (code, out, err) == (3, "", "error: cell 'g' needs a vertex list\n")
+
+    @pytest.mark.parametrize(
+        "poset, message",
+        [
+            ({"kind": "explicit", "elements": "xyz"}, "bad poset: 'elements' must be a list"),
+            (
+                {"kind": "explicit", "elements": ["x", "y"], "covers": ["xy"]},
+                "bad poset: cover 'xy' is not a pair of labels",
+            ),
+        ],
+    )
+    def test_string_for_a_label_list(self, capsys, tmp_path, poset, message):
+        """A string is never split into one-character labels."""
+        cells = [{"id": "v", "vertices": ["v"], "births": ["x"]}]
+        code, out, err = _run_doc(capsys, tmp_path, _triangle_with(poset=poset, cells=cells))
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
     def test_non_integer_birth_grade(self, capsys, tmp_path):
         doc = json.loads((DATA / "two_param.json").read_text())
         doc["cells"][0]["births"] = [[0, 0.5]]
@@ -584,6 +606,16 @@ class TestNoTraceback:
         code, out, err = run(capsys, "blankets", DATA / "triangle.json", "--birth", "²", "--death", "inf")
         assert (code, out) == (3, "")
         assert err.startswith("error:") and "unknown element label '²'" in err
+
+    @pytest.mark.parametrize(
+        "document, birth, death, label",
+        [("triangle", "--3", "inf", "--3"), ("two_param", "0,0", "-1,--2", "-1,--2")],
+    )
+    def test_double_minus_in_open(self, capsys, document, birth, death, label):
+        """``int`` takes one sign, so a part with two is a label."""
+        argv = ("blankets", DATA / f"{document}.json", f"--birth={birth}", f"--death={death}")
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (3, "", f"error: unknown element label {label!r}\n")
 
     def test_unknown_elements_print_unquoted(self, capsys, tmp_path):
         code, out, err = run(capsys, "blankets", DATA / "triangle.json", "--birth", "5", "--death", "inf")
@@ -649,10 +681,29 @@ def test_mutated_documents_exit_cleanly(doc):
     assert "Traceback" not in err.getvalue()
 
 
+_OPEN_TOKENS = [*"0123456789-,;()abxy", "inf"]
+_open_specs = st.lists(st.sampled_from(_OPEN_TOKENS), max_size=8).map("".join)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(["triangle", "two_param", "offset_grid"]), _open_specs, _open_specs)
+@example("triangle", "--3", "inf")
+@example("triangle", "--", "inf")  # argparse hands over [] for "--birth=--"
+def test_open_specs_exit_cleanly(document, birth, death):
+    """Any ``--birth``/``--death`` spec is an open or a usage error."""
+    argv = ["blankets", str(DATA / f"{document}.json"), f"--birth={birth}", f"--death={death}"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 3)
+    assert "Traceback" not in err.getvalue()
+
+
 GOLDEN = DATA / "golden"
 # Each command's stdout, on one pair for ``blankets``: the GF(2) outputs
 # recorded before opens became bitmasks, the ``--field rational`` ones and
-# every ``torsion_chain`` one before Q subspaces held integer rows.  Byte
+# every ``torsion_chain`` one before Q subspaces held integer rows, and the
+# ``--field gf:5`` ones before subspaces were held as pivot tables.  Byte
 # comparison catches a changed value or diagram-pair order, which two runs
 # of the same build cannot.  No output shows the order of blanket lists
 # while every check passes, so test_open_bitmasks.py pins that order.
@@ -666,6 +717,10 @@ GOLDEN_COMMANDS = {
     "diagram_all_rational": ("diagram", "--all", "--field", "rational"),
     "verify_oracle_s30_seed3_rational": (
         "verify", "--json", "--oracle", "--samples", 30, "--seed", 3, "--field", "rational",
+    ),
+    "diagram_all_gf5": ("diagram", "--all", "--field", "gf:5"),
+    "verify_oracle_s30_seed3_gf5": (
+        "verify", "--json", "--oracle", "--samples", 30, "--seed", 3, "--field", "gf:5",
     ),
 }
 GOLDEN_PAIRS = {

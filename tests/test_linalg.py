@@ -402,27 +402,29 @@ def _dense_rank(field, *blocks) -> int:
 
 
 def _assert_rows_match_basis(s: Subspace):
-    """``rows`` and ``pivots`` hold the same RREF as ``basis`` (over Q each
-    row scaled to a primitive integer row with a positive lead), and
-    editing the matrix ``basis`` returns leaves the subspace as it was."""
+    """``table`` holds the same RREF as ``basis`` (over Q each row scaled
+    to a primitive integer row with a positive lead), each row stored
+    under its lead, and editing the matrix ``basis`` returns leaves the
+    subspace as it was."""
     data = dense(s.basis)
     n = s.ambient_dim
-    assert data.shape == (s.dim, n) == (len(s.rows), n)
-    assert type(s.rows) is tuple
+    assert data.shape == (s.dim, n) == (len(s.table), n)
+    assert type(s.table) is dict
     before = _snapshot(s)
     _scribble(s.basis)
     assert _snapshot(s) == before
-    assert len(s.pivots) == s.dim
     assert _dense_span(s.field, data).tolist() == data.tolist()
-    for row, pivot, entries in zip(s.rows, s.pivots, s.basis.tolist()):
+    # Pivot-column order: over GF(2) the key is the leading bit.
+    stored = sorted(s.table.items(), reverse=s.field.characteristic == 2)
+    for (pivot, row), entries in zip(stored, s.basis.tolist()):
         if s.field.characteristic == 2:
             assert row == int("".join(map(str, entries)), 2)
-            assert pivot == n - row.bit_length()
+            assert pivot == row.bit_length() - 1
         elif s.field.is_prime_field:
             assert row == {j: v for j, v in enumerate(entries) if v}
             assert pivot == min(row) and row[pivot] == 1
         else:
-            _assert_primitive_integer_row(row, pivot, s.pivots)
+            _assert_primitive_integer_row(row, pivot, s.table)
             assert {j: Fraction(v, row[pivot]) for j, v in row.items()} == {
                 j: v for j, v in enumerate(entries) if v
             }
@@ -438,8 +440,9 @@ def _assert_primitive_integer_row(row: dict, pivot: int, pivots) -> None:
     assert not set(row) & (set(pivots) - {pivot})
 
 
-def _snapshot(s: Subspace):
-    return [r if isinstance(r, int) else dict(r) for r in s.rows]
+def _snapshot(s: Subspace | Matrix):
+    rows = s.table.items() if isinstance(s, Subspace) else enumerate(s.rows)
+    return {c: r if isinstance(r, int) else dict(r) for c, r in rows}
 
 
 def _scribble(m: Matrix):
@@ -618,9 +621,9 @@ def _assert_integer_rref(s: Subspace, want: np.ndarray):
     """Every row of a Q subspace is a primitive integer row with a positive
     lead and a zero in each other pivot column, and ``basis`` is the dense
     ``Fraction`` RREF ``want``."""
-    assert type(s.rows) is tuple and len(s.rows) == len(s.pivots) == s.dim
-    for row, pivot in zip(s.rows, s.pivots):
-        _assert_primitive_integer_row(row, pivot, s.pivots)
+    assert type(s.table) is dict and len(s.table) == s.dim
+    for pivot, row in s.table.items():
+        _assert_primitive_integer_row(row, pivot, s.table)
     assert s.basis.tolist() == want.tolist()
     assert all(type(x) is Fraction for row in s.basis.tolist() for x in row)
 
