@@ -34,7 +34,7 @@ from .posets import (
     degree_blankets,
     make_pair,
 )
-from .verify import run_verification
+from .verify import MAX_SAMPLES, run_verification
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLES = 1
@@ -69,6 +69,13 @@ def _non_negative_int(token: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid integer {token!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
+def _sample_count(token: str) -> int:
+    value = _non_negative_int(token)
+    if value > MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"at most {MAX_SAMPLES} samples are supported, got {value}")
     return value
 
 
@@ -253,7 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="sampled exact self-checks")
     common(sp)
-    sp.add_argument("--samples", type=_non_negative_int, default=50)
+    sp.add_argument(
+        "--samples", type=_sample_count, default=50, help=f"samples per check, at most {MAX_SAMPLES}"
+    )
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--oracle", action="store_true", help="also compare against the reduction oracle")
     sp.add_argument("--json", action="store_true")

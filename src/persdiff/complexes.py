@@ -18,7 +18,16 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .fields import FieldSpec
-from .linalg import Matrix, Subspace, column_space, embed, kernel, matmul, select_columns
+from .linalg import (
+    Matrix,
+    Subspace,
+    bit_transpose,
+    column_space,
+    embed,
+    kernel,
+    matmul,
+    select_columns,
+)
 from .posets import FinitePoset, as_int
 
 # Largest accepted cell dimension: diagrams and verification do work in
@@ -235,14 +244,45 @@ class FilteredComplex:
         m = cache[n] = Matrix.from_entries(self.field, rows, len(cols), entries)
         return m
 
-    def cells_present(self, n: int, x) -> tuple[int, ...]:
-        """Indices of n-cells with some birth grade at or below ``x``."""
+    def _presence(self, n: int) -> list[int]:
+        """Per n-cell, the mask of the elements at which it is present."""
         masks = self.memo["presence"].get(n)
         if masks is None:
             cells = self.cells_of_dim(n)
             masks = self.memo["presence"][n] = [self.poset.closure(c.births).bits for c in cells]
+        return masks
+
+    def cells_present(self, n: int, x) -> tuple[int, ...]:
+        """Indices of n-cells with some birth grade at or below ``x``."""
         xi = self.poset.resolve(x)
-        return tuple([j for j, mask in enumerate(masks) if mask >> xi & 1])
+        return tuple([j for j, mask in enumerate(self._presence(n)) if mask >> xi & 1])
+
+    def presence_twins(self, n: int) -> list[int]:
+        """Per element index, the mask of its lower covers at which the same
+        n-cells are present.
+
+        Degree-n cycles and degree-(n-1) boundaries at a point depend only
+        on which n-cells are present there, so they agree at an element
+        and at each of its twins.
+        """
+        cache = self.memo["twins"]
+        twins = cache.get(n)
+        if twins is None:
+            p = self.poset
+            # Per element, the n-cells present there as one int; the
+            # transpose lists the highest element first.
+            present = bit_transpose(self._presence(n), p.n)[::-1]
+            twins = []
+            for x, covers in enumerate(p.lower_covers):
+                mask = 0
+                while covers:
+                    w = covers & -covers
+                    if present[w.bit_length() - 1] == present[x]:
+                        mask |= w
+                    covers ^= w
+                twins.append(mask)
+            cache[n] = twins
+        return twins
 
     # -- per-point subspaces --------------------------------------------------
 

@@ -4,29 +4,74 @@ A diagram entry reports the minimal generators of the birth and death
 opens (the grade for principal opens) with the pair-group multiplicity.
 Barcodes are the 1-parameter specialization.  Diagrams, barcodes and the
 oracle-keyed chain diagram all read one walk, ``_multiplicities``, over
-the degrees and the enumerated pairs.  Diagrams are written as JSON or
-CSV; nothing here reads one back.
+the degrees and the principal pairs in the order of
+``enumerate_diagram_pairs``.  Diagrams are written as JSON or CSV;
+nothing here reads one back.
 
-Assembly skips pairs whose multiplicity must be zero.  The multiplicity
-is ``dim mem(pair) - dim of the join of mem(b)`` over the degree-1
-blankets b.  Every blanket enlarges the birth open (fewer cycles survive
-on it) or the death open (fewer boundaries), so each mem(b) lies inside
-mem(pair): when the pair's memory is zero the multiplicity is zero, and
-when the birth open carries no cycles every pair with that birth has zero
-memory.  ``pair_group_rank`` itself stays unpruned; ``verify`` checks it
-against the lifespan rank on every pair.
+The walk evaluates the multiplicity only where it can be non-zero.  The
+multiplicity of a pair is ``dim mem(pair) - dim of the join of mem(b)``
+over its degree-1 blankets b, so it is zero as soon as one blanket has
+the pair's whole memory.  Every blanket enlarges the birth open (fewer
+cycles survive on it) or the death open (fewer boundaries), so each
+mem(b) lies inside mem(pair): a pair with zero memory has multiplicity
+zero, and so does every pair born on an open that carries no cycles.
+
+Two more rules read only the order and where cells are present.  Call two
+elements twins in degree n when the same n-cells are present at both;
+the cycles Z in degree n and the boundaries B in degree n - 1 are then
+equal at both.  A principal pair (up x, up y) has multiplicity 0 in
+degree n when
+
+(a) a lower cover w of x is an n-twin of x.  In FULL mode: the
+    complement of up x contains w, so it has a maximal element m >= w,
+    and W = up x + {m} is a birth-side blanket.  Z(W) is Z_x meet Z_m,
+    and Z_m contains Z_w = Z_x, so Z(W) = Z_x and the blanket
+    (W, up y) has the pair's memory.  In PRINCIPAL mode up w itself is a
+    birth-side blanket, and Z_w = Z_x.  So (a) holds in both modes.
+
+(b) in FULL mode, a lower cover z of y is an (n+1)-twin of y.  Take
+    c in the pair's memory Z_x meet B_y.  If z >= x, let m >= z be a
+    maximal element of the complement of up y: the death-side cover
+    V = up y + {m} stays inside the birth open (m >= z >= x), and B_m
+    contains B_z = B_y, so B(V) = B_y and (up x, V) has the pair's
+    memory.  Otherwise z lies outside up x: let m >= z be a maximal
+    element of the complement of up x, and W = up x + {m} the birth-side
+    cover.  c lies in B_y = B_z, inside B_m, inside Z_m (a boundary
+    present at m is a cycle there), so c lies in Z(W) meet B_y, the
+    memory of (W, up y).  Either way one blanket has the whole memory.
+    PRINCIPAL mode has neither cover: its blankets of up y are the up z
+    for lower covers z, it drops the one equal to the birth open (z = x),
+    and its birth-side blankets need not reach above z.  So PRINCIPAL
+    mode prunes by (a) alone.
+
+Presence only grows along the order, so when some element strictly below
+x (or y) is a twin of it, so is some lower cover, and testing the covers
+suffices.  Births where (a) does not hold, and in FULL mode deaths where
+(b) does not hold, are critical; neither test depends on the other end
+of the pair.  The walk evaluates only critical births and, for each, its
+critical deaths and the empty death (which no rule prunes); the pairs of
+other births are never built.  On grids the critical elements are the
+usual grid of critical values.
+``pair_group_rank`` itself stays unpruned; ``verify`` checks it against
+the lifespan rank on every pair, and its oracle check reads this walk.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
 
 from .calculus import pair_group_rank
 from .complexes import FilteredComplex
 from .memory import cycles_on_open, homological_memory
 from .oracle import chain_positions
-from .posets import BlanketMode, UpSet, enumerate_diagram_pairs, min_elements
+from .posets import (
+    BlanketMode,
+    PairOpen,
+    UpSet,
+    diagram_order,
+    min_elements,
+    principal_up_set,
+)
 
 INF = "inf"
 
@@ -57,21 +102,34 @@ def open_repr(p, u: UpSet):
     return tuple(element_repr(p, i) for i in mins)
 
 
-def _multiplicities(k: FilteredComplex, degrees, mode: BlanketMode):
-    """(degree, pair, multiplicity) over the diagram pairs of each degree
-    (every degree of the complex when ``degrees`` is None), in pair order,
-    computing only possible non-zeros."""
+def _multiplicities(k: FilteredComplex, degrees, mode: BlanketMode, include_zero: bool):
+    """(degree, birth element, death element or None, multiplicity) over the
+    principal pairs of each degree (every degree of the complex when
+    ``degrees`` is None), in pair order.  Only critical pairs are
+    evaluated; the others are yielded as zeros with ``include_zero`` and
+    skipped without it, as are zero multiplicities."""
+    p = k.poset
     if degrees is None:
         degrees = range(max(k.max_dim, 0) + 1)
-    pairs = enumerate_diagram_pairs(k.poset)  # grouped by birth open
+    births = diagram_order(p, p.top().bits)
+    empty = p.closure(())
+    full = mode is BlanketMode.FULL
     for n in degrees:
-        for birth, group in groupby(pairs, key=lambda pair: pair.birth):
-            cycles = cycles_on_open(k, n, birth).dim
-            for pair in group:
-                if cycles and homological_memory(k, n, pair).dim:
-                    yield n, pair, pair_group_rank(k, n, pair, mode)
-                else:
-                    yield n, pair, 0
+        birth_twins = k.presence_twins(n)
+        death_twins = k.presence_twins(n + 1)
+        for x in births:
+            birth = principal_up_set(p, x)
+            critical = not birth_twins[x] and cycles_on_open(k, n, birth).dim
+            if not (critical or include_zero):
+                continue
+            for y in diagram_order(p, birth.bits ^ 1 << x) + [None]:
+                mult = 0
+                if critical and (y is None or not (full and death_twins[y])):
+                    pair = PairOpen(birth, empty if y is None else principal_up_set(p, y))
+                    if homological_memory(k, n, pair).dim:
+                        mult = pair_group_rank(k, n, pair, mode)
+                if mult or include_zero:
+                    yield n, x, y, mult
 
 
 def compute_diagram(
@@ -84,9 +142,8 @@ def compute_diagram(
     k.require_valid()
     p = k.poset
     return [
-        DiagramEntry(n, open_repr(p, pair.birth), open_repr(p, pair.death), mult)
-        for n, pair, mult in _multiplicities(k, degrees, mode)
-        if mult or include_zero
+        DiagramEntry(n, (element_repr(p, x),), INF if y is None else (element_repr(p, y),), mult)
+        for n, x, y, mult in _multiplicities(k, degrees, mode, include_zero)
     ]
 
 
@@ -94,14 +151,10 @@ def chain_diagram_counter(
     k: FilteredComplex, degrees=None, mode: BlanketMode = BlanketMode.FULL
 ) -> Counter:
     """Diagram of a chain-indexed complex keyed like the reduction oracle."""
-    p = k.poset
-    chain_positions(p)  # raises NotAChain otherwise
+    chain_positions(k.poset)  # raises NotAChain otherwise
     bars: Counter = Counter()
-    for n, pair, mult in _multiplicities(k, degrees, mode):
-        if mult:
-            birth = next(iter(min_elements(p, pair.birth)))
-            death = None if pair.death.is_empty else next(iter(min_elements(p, pair.death)))
-            bars[(n, birth, death)] += mult
+    for n, x, y, mult in _multiplicities(k, degrees, mode, False):
+        bars[(n, x, y)] += mult
     return bars
 
 

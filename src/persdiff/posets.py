@@ -31,7 +31,7 @@ import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import count, product as _iter_product
 from typing import Iterable, NamedTuple, Sequence
 
@@ -286,6 +286,12 @@ class FinitePoset:
         """Deterministic sort key: the grade vector when present."""
         return self.grades[i] if self.grades else (i,)
 
+    @cached_property
+    def lower_covers(self) -> tuple[int, ...]:
+        """Per element index, the mask of the elements it covers: the
+        maximal elements strictly below it."""
+        return tuple(_extremes(down ^ 1 << i, self._down, False) for i, down in enumerate(self._down))
+
     def is_chain(self) -> bool:
         everything = (1 << self.n) - 1
         return all(up | down == everything for up, down in zip(self._up, self._down))
@@ -509,20 +515,24 @@ def degree_blankets(p: FinitePoset, x: PairOpen, n: int, mode: BlanketMode = Bla
     return frontier
 
 
+def diagram_order(p: FinitePoset, bits: int) -> list[int]:
+    """The elements of a mask in diagram order: by grade (lexicographic),
+    else by index."""
+    members = _indices(bits)
+    return sorted(members, key=p.grades.__getitem__) if p.grades else members
+
+
 def enumerate_diagram_pairs(p: FinitePoset) -> list[PairOpen]:
     """Principal pairs reported in diagrams: strict pairs plus essentials.
 
-    Ordering is deterministic: birth by grade (lexicographic), then death,
-    with the empty death open last for each birth.
+    Births and, for each birth, deaths come in diagram order, with the
+    empty death open last for each birth.
     """
-    order = sorted(range(p.n), key=p.element_key)
-    position = {i: rank for rank, i in enumerate(order)}
     principal = p._principal
     empty = p._open(0)
     out = []
-    for i in order:
+    for i in diagram_order(p, p.top().bits):
         u = principal[i]
-        deaths = sorted(_indices(u.bits ^ 1 << i), key=position.__getitem__)
-        out.extend([PairOpen(u, principal[j]) for j in deaths])
+        out.extend([PairOpen(u, principal[j]) for j in diagram_order(p, u.bits ^ 1 << i)])
         out.append(PairOpen(u, empty))
     return out

@@ -70,6 +70,10 @@ class VerifyReport:
 # The blanket mode of the derivative-axiom and extended-monotonicity checks.
 _LAW_MODE = BlanketMode.FULL
 
+# Largest accepted sample count: every sampled check draws lists of that
+# many objects, and each costs rank computations.
+MAX_SAMPLES = 10_000
+
 
 def _sample_graded_pairs(rng, pairs, count):
     return [GradedPair(rng.choice(pairs), rng.choice((0, 0, 1, 2))) for _ in range(count)]

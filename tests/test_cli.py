@@ -16,6 +16,7 @@ import persdiff
 from persdiff import compute_diagram, load_complex
 from persdiff.cli import build_parser, main
 from persdiff.complexes import MAX_DIM
+from persdiff.verify import MAX_SAMPLES
 
 DATA = Path(__file__).parent / "data"
 
@@ -338,6 +339,14 @@ class TestUsage:
             code, out, err = run(capsys, *argv)
             assert (code, out) == (3, ""), argv
             assert err.startswith("usage error: argument --"), argv
+
+    def test_sample_count_is_bounded(self, capsys):
+        """Sample counts above MAX_SAMPLES are refused before any sampling."""
+        tri = DATA / "triangle.json"
+        for samples in (MAX_SAMPLES + 1, 10**8):
+            code, out, err = run(capsys, "verify", tri, "--samples", samples)
+            assert (code, out) == (3, "")
+            assert f"at most {MAX_SAMPLES} samples are supported, got {samples}" in err
 
     def test_mode_aliases(self, capsys):
         tri = DATA / "two_param.json"
@@ -710,6 +719,8 @@ GOLDEN = DATA / "golden"
 # ``torsion_chain`` attaches two 2-cells to a loop by degrees 2 and 3, so
 # its GF(2) and Q diagrams differ.
 GOLDEN_COMMANDS = {
+    "diagram": ("diagram",),
+    "diagram_principal": ("diagram", "--mode", "principal"),
     "diagram_all": ("diagram", "--all"),
     "diagram_principal_all": ("diagram", "--mode", "principal", "--all"),
     "blankets_steps2": ("blankets", "--steps", 2),
