@@ -83,7 +83,12 @@ class FilteredComplex:
     """Immutable multifiltered complex; queries are pure and memoized.
 
     ``memo`` holds every derived result, here and in :mod:`persdiff.memory`:
-    one dict per named layer, each keyed by a tuple of small ints.
+    one dict per named layer.  The per-point layer is keyed by degree,
+    element index and kind, and reads a presence-class layer keyed by
+    degree, kind and the tuple of cells present, so elements with the same
+    cells present share one subspace object.  The meet and join layers of
+    :mod:`persdiff.memory` are keyed by the ``id``s of operand subspaces
+    their entries hold; every other key is a tuple of small ints.
     """
 
     def __init__(self, field: FieldSpec, poset: FinitePoset, cells: Sequence[Cell]):
@@ -303,19 +308,28 @@ class FilteredComplex:
         return self.point_subspace(n, self.poset.resolve(x), True)
 
     def point_subspace(self, n: int, i: int, boundaries: bool) -> Subspace:
-        """Degree-n cycles, or boundaries, present at element index ``i``."""
+        """Degree-n cycles, or boundaries, present at element index ``i``.
+
+        They depend only on the n-cells (or (n+1)-cells) present there, so
+        every element with the same cells present gets the same object.
+        """
         cache = self.memo["point"]
         key = (n, i, boundaries)
         sub = cache.get(key)
         if sub is None:
             degree = n + 1 if boundaries else n
             cols = self.cells_present(degree, i)
-            if not cols:
-                sub = Subspace.zero(self.field, self.ambient_dim(n))
-            elif boundaries:
-                sub = column_space(select_columns(self.boundary_matrix(degree), cols))
-            else:
-                sub = embed(kernel(select_columns(self.boundary_matrix(degree), cols)), cols, self.ambient_dim(n))
+            shared = self.memo["presence_class"]
+            class_key = (n, boundaries, cols)
+            sub = shared.get(class_key)
+            if sub is None:
+                if not cols:
+                    sub = Subspace.zero(self.field, self.ambient_dim(n))
+                elif boundaries:
+                    sub = column_space(select_columns(self.boundary_matrix(degree), cols))
+                else:
+                    sub = embed(kernel(select_columns(self.boundary_matrix(degree), cols)), cols, self.ambient_dim(n))
+                shared[class_key] = sub
             cache[key] = sub
         return sub
 

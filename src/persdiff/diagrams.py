@@ -29,26 +29,29 @@ degree n when
     (W, up y) has the pair's memory.  In PRINCIPAL mode up w itself is a
     birth-side blanket, and Z_w = Z_x.  So (a) holds in both modes.
 
-(b) in FULL mode, a lower cover z of y is an (n+1)-twin of y.  Take
-    c in the pair's memory Z_x meet B_y.  If z >= x, let m >= z be a
-    maximal element of the complement of up y: the death-side cover
-    V = up y + {m} stays inside the birth open (m >= z >= x), and B_m
-    contains B_z = B_y, so B(V) = B_y and (up x, V) has the pair's
-    memory.  Otherwise z lies outside up x: let m >= z be a maximal
-    element of the complement of up x, and W = up x + {m} the birth-side
-    cover.  c lies in B_y = B_z, inside B_m, inside Z_m (a boundary
-    present at m is a cycle there), so c lies in Z(W) meet B_y, the
-    memory of (W, up y).  Either way one blanket has the whole memory.
-    PRINCIPAL mode has neither cover: its blankets of up y are the up z
-    for lower covers z, it drops the one equal to the birth open (z = x),
-    and its birth-side blankets need not reach above z.  So PRINCIPAL
-    mode prunes by (a) alone.
+(b) a lower cover z of y is an (n+1)-twin of y; in PRINCIPAL mode z
+    must also lie strictly above x.  In FULL mode: take c in the pair's
+    memory Z_x meet B_y.  If z >= x, let m >= z be a maximal element of
+    the complement of up y: the death-side cover V = up y + {m} stays
+    inside the birth open (m >= z >= x), and B_m contains B_z = B_y, so
+    B(V) = B_y and (up x, V) has the pair's memory.  Otherwise z lies
+    outside up x: let m >= z be a maximal element of the complement of
+    up x, and W = up x + {m} the birth-side cover.  c lies in B_y = B_z,
+    inside B_m, inside Z_m (a boundary present at m is a cycle there),
+    so c lies in Z(W) meet B_y, the memory of (W, up y).  Either way one
+    blanket has the whole memory.  In PRINCIPAL mode the death-side
+    blankets of up y are the up z for lower covers z of y, kept when up z
+    lies inside the birth open (z >= x) and is not the birth open itself
+    (z != x).  So for a twin z strictly above x the blanket (up x, up z)
+    is kept, and its memory Z_x meet B_z = Z_x meet B_y is the pair's.
+    A twin z outside up x, or z = x, gives PRINCIPAL mode no blanket to
+    use: its birth-side blankets need not reach above z.
 
 Presence only grows along the order, so when some element strictly below
 x (or y) is a twin of it, so is some lower cover, and testing the covers
-suffices.  Births where (a) does not hold, and in FULL mode deaths where
-(b) does not hold, are critical; neither test depends on the other end
-of the pair.  The walk evaluates only critical births and, for each, its
+suffices.  Births where (a) does not hold, and deaths where (b) does
+not hold, are critical; in FULL mode neither test depends on the other
+end of the pair.  The walk evaluates only critical births and, for each, its
 critical deaths and the empty death (which no rule prunes); the pairs of
 other births are never built.  On grids the critical elements are the
 usual grid of critical values.
@@ -122,9 +125,13 @@ def _multiplicities(k: FilteredComplex, degrees, mode: BlanketMode, include_zero
             critical = not birth_twins[x] and cycles_on_open(k, n, birth).dim
             if not (critical or include_zero):
                 continue
-            for y in diagram_order(p, birth.bits ^ 1 << x) + [None]:
+            above = birth.bits ^ 1 << x
+            # Lower covers of a death that rule (b) may use: any in FULL
+            # mode, those strictly above x in PRINCIPAL mode.
+            reach = -1 if full else above
+            for y in diagram_order(p, above) + [None]:
                 mult = 0
-                if critical and (y is None or not (full and death_twins[y])):
+                if critical and (y is None or not death_twins[y] & reach):
                     pair = PairOpen(birth, empty if y is None else principal_up_set(p, y))
                     if homological_memory(k, n, pair).dim:
                         mult = pair_group_rank(k, n, pair, mode)

@@ -6,6 +6,17 @@ open produces the top subobject (the colimit cycles), which makes a pair
 with empty death open the "never dies" pair.  The memory of a pair is the
 meet of birth-side cycles with death-side boundaries; unions over iterated
 blankets of a pair feed the finite-difference calculus.
+
+Results are memoized on the complex in two layers.  The ``open``,
+``memory`` and ``union`` layers are keyed by degree, open ids and a mode
+index, and answer a repeated query in one lookup.  Below them, each meet
+and each union join runs once per distinct set of operand subspaces
+(``_fold``).  Per-point subspaces are shared by every element with the
+same cells present, so opens whose minimal elements have the same
+presence, and pairs and blankets with the same memories, reach one meet
+or one join; so do FULL and PRINCIPAL mode.  Those layers are keyed by
+the set of the operands' ``id``s, and each entry holds its operands, so
+an id in a standing key belongs to a live object and is never reused.
 """
 from __future__ import annotations
 
@@ -23,6 +34,21 @@ from .posets import (
     mode_index,
     pair_blankets,
 )
+
+
+def _fold(k: FilteredComplex, layer: str, op, subs: list[Subspace]) -> Subspace:
+    """``op`` (meet or join) over the distinct subspaces of ``subs``, once
+    per distinct set; the entry holds the operands its key names."""
+    distinct = {id(s): s for s in subs}
+    if len(distinct) == 1:
+        return subs[0]
+    cache = k.memo[layer]
+    key = frozenset(distinct)
+    hit = cache.get(key)
+    if hit is None:
+        operands = tuple(distinct.values())
+        hit = cache[key] = (operands, reduce(op, operands))
+    return hit[1]
 
 
 def cycles_on_open(k: FilteredComplex, n: int, u: UpSet) -> Subspace:
@@ -46,7 +72,7 @@ def _on_open(k: FilteredComplex, n: int, u: UpSet, boundaries: bool) -> Subspace
             sub = k.colimit_cycles(n)
         else:
             at = k.boundaries_at if boundaries else k.cycles_at
-            sub = reduce(meet, [at(n, i) for i in sorted(min_elements(k.poset, u))])
+            sub = _fold(k, "meet", meet, [at(n, i) for i in sorted(min_elements(k.poset, u))])
         cache[key] = sub
     return sub
 
@@ -63,7 +89,7 @@ def homological_memory(k: FilteredComplex, n: int, pair: PairOpen) -> Subspace:
             make_pair(p, birth, death)  # raises InvalidPair
         sub = cycles_on_open(k, n, birth)
         if not death.is_empty:
-            sub = meet(sub, boundaries_on_open(k, n, death))
+            sub = _fold(k, "meet", meet, [sub, boundaries_on_open(k, n, death)])
         cache[key] = sub
     return sub
 
@@ -88,8 +114,8 @@ def blanket_union(
     sub = cache.get(key)
     if sub is None:
         blankets = pair_blankets(p, pair, mode) if d == 1 else degree_blankets(p, pair, d, mode)
-        memories = [homological_memory(k, n, w) for w in blankets]
-        sub = reduce(join, memories, Subspace.zero(k.field, k.ambient_dim(n)))
+        memories = [m for w in blankets if (m := homological_memory(k, n, w)).dim]
+        sub = _fold(k, "join", join, memories) if memories else Subspace.zero(k.field, k.ambient_dim(n))
         cache[key] = sub
     return sub
 

@@ -19,10 +19,12 @@ interns the opens it hands out with a small-int id
 ints.  Masks are never keys: Python hashes an int to its value mod
 2^61 - 1, so the up-sets 2^n - 2^i of an n-chain share about 61 hashes.
 
-The order itself is those masks and nothing else.  Grids and cover lists
-build them directly; an explicit order matrix is read row by row into
-masks and checked to be a partial order.  Empty posets, and posets larger
-than :data:`MAX_ELEMENTS`, are refused before any mask is built.
+The order itself is those masks and nothing else.  Grids build both kinds
+straight from their grade vectors.  Cover lists build the up-sets by
+closure, and an explicit order matrix is read row by row into up-set
+masks and checked to be a partial order; their down-sets are the
+transpose.  Empty posets, and posets larger than :data:`MAX_ELEMENTS`,
+are refused before any mask is built.
 """
 from __future__ import annotations
 
@@ -178,16 +180,19 @@ class FinitePoset:
         _check_size(len(labels))
         self._setup(labels, _order_masks(leq, len(labels)), grades, check_order=True)
 
-    def _setup(self, labels: tuple, up: list[int], grades, check_order: bool = False) -> None:
+    def _setup(self, labels: tuple, up: list[int], grades, down=None, check_order: bool = False) -> None:
         """Finish construction from the up-set masks.  ``check_order`` asks for
         the partial-order checks, which grids and cover closures pass by
-        construction."""
+        construction.  A grid also passes its down-set masks, built from its
+        grade vectors like the up-sets, so its grades need no check."""
         n = len(labels)
         if len(set(labels)) != n:
             raise InvalidPoset("duplicate element labels")
-        # Reversing the rows, and then the columns, turns the low-bit-first
-        # up-set masks into the highest-bit-first rows that bit_transpose reads.
-        down = bit_transpose(up[::-1], n)[::-1]
+        from_grades = down is not None
+        if not from_grades:
+            # Reversing the rows, and then the columns, turns the low-bit-first
+            # up-set masks into the highest-bit-first rows that bit_transpose reads.
+            down = bit_transpose(up[::-1], n)[::-1]
         if check_order:
             if not all(up[i] >> i & 1 for i in range(n)):
                 raise InvalidPoset("leq is not reflexive")
@@ -198,7 +203,7 @@ class FinitePoset:
             if any(reduce(operator.or_, map(up.__getitem__, _indices(bits))) != bits for bits in up):
                 raise InvalidPoset("leq is not transitive")
         self.labels = labels
-        self.grades = _checked_grades(labels, up, grades)
+        self.grades = grades if from_grades else _checked_grades(labels, up, grades)
         self.n = n
         self._up = up
         self._down = down
@@ -250,7 +255,7 @@ class FinitePoset:
         vectors = tuple(_iter_product(*(range(s) for s in shape)))
         labels = tuple(",".join(str(c) for c in v) for v in vectors)
         p = cls.__new__(cls)
-        p._setup(labels, _product_up(vectors), vectors)
+        p._setup(labels, _product_masks(vectors, True), vectors, _product_masks(vectors, False))
         return p
 
     @classmethod
@@ -367,22 +372,23 @@ def _order_masks(leq, n: int) -> list[int]:
     return [int(r[::-1].translate(_BINARY), 2) for r in rows]
 
 
-def _product_up(grades: Sequence[tuple]) -> list[int]:
-    """Up-set masks of the coordinatewise order on equal-length grade vectors:
-    per axis, the elements at or above each value are a suffix union over
-    the sorted values, and an up-set is the AND over the axes."""
+def _product_masks(grades: Sequence[tuple], up: bool) -> list[int]:
+    """Up-set masks (``up``) or down-set masks of the coordinatewise order on
+    equal-length grade vectors: per axis, the elements at or above (at or
+    below) each value are a suffix (prefix) union over the sorted values,
+    and a mask is the AND over the axes."""
     n = len(grades)
-    up = [(1 << n) - 1] * n
+    masks = [(1 << n) - 1] * n
     for axis in range(len(grades[0]) if grades else 0):
-        at_least: dict[int, int] = {}
+        reached: dict[int, int] = {}
         for i, g in enumerate(grades):
-            at_least[g[axis]] = at_least.get(g[axis], 0) | 1 << i
+            reached[g[axis]] = reached.get(g[axis], 0) | 1 << i
         bits = 0
-        for value in sorted(at_least, reverse=True):
-            at_least[value] = bits = bits | at_least[value]
+        for value in sorted(reached, reverse=up):
+            reached[value] = bits = bits | reached[value]
         for i, g in enumerate(grades):
-            up[i] &= at_least[g[axis]]
-    return up
+            masks[i] &= reached[g[axis]]
+    return masks
 
 
 def _checked_grades(labels: tuple, up: list[int], grades) -> tuple | None:
@@ -394,7 +400,7 @@ def _checked_grades(labels: tuple, up: list[int], grades) -> tuple | None:
         raise InvalidPoset("one grade vector per element required")
     if len({len(v) for v in grades}) > 1:
         raise InvalidPoset("grade vectors have differing lengths")
-    for i, (have, want) in enumerate(zip(up, _product_up(grades))):
+    for i, (have, want) in enumerate(zip(up, _product_masks(grades, True))):
         if have != want:
             j = ((have ^ want) & -(have ^ want)).bit_length() - 1
             raise InvalidPoset(f"leq disagrees with the product order at ({labels[i]}, {labels[j]})")

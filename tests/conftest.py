@@ -80,6 +80,19 @@ TWO_PARAM_CELLS = [
 ]
 
 
+# Two vertices and the edge between them on a 2,048-chain: a long poset
+# on which presence changes at three grades only.
+LONG_CHAIN_CELLS = [
+    {"id": "a", "vertices": ["a"], "births": [0]},
+    {"id": "b", "vertices": ["b"], "births": [1024]},
+    {"id": "ab", "vertices": ["a", "b"], "births": [2047]},
+]
+
+
+def build_long_chain():
+    return FilteredComplex.build(GF2, FinitePoset.chain(2048), LONG_CHAIN_CELLS)
+
+
 def build_two_param(field=None):
     return FilteredComplex.build(field or GF2, FinitePoset.grid((3, 3)), TWO_PARAM_CELLS)
 

@@ -264,6 +264,26 @@ class TestVerify:
         assert doc["ok"] is True
         assert any(c["name"].startswith("cad1") for c in doc["checks"])
 
+    def test_union_escaping_its_memory_is_a_counterexample(self, capsys, monkeypatch):
+        """A degree-1 blanket union that is not inside the pair's memory has
+        no quotient rank: verify reports the pair and exits 1."""
+        import persdiff.memory
+
+        original = persdiff.memory.blanket_union
+
+        def escaping(k, n, pair, d, mode=persdiff.BlanketMode.FULL):
+            return k.colimit_cycles(n) if d == 1 else original(k, n, pair, d, mode)
+
+        monkeypatch.setattr(persdiff.memory, "blanket_union", escaping)
+        code, out, err = run(capsys, "verify", DATA / "two_param.json", "--samples", 5, "--json")
+        assert (code, err) == (1, "")
+        doc = json.loads(out)
+        assert doc["ok"] is False
+        (check,) = [c for c in doc["checks"] if c["name"] == "pair-group-equals-lifespan-rank"]
+        first = check["counterexamples"][0]
+        assert first == "('full', 0, '{(0,0)}', '{(0,1)}', 1, 'union-not-in-memory')"
+        assert any(c.startswith("('principal', 1, ") for c in check["counterexamples"])
+
     def test_random_bifiltration_passes(self, capsys, tmp_path):
         import random as _random
         import sys

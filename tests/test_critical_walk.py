@@ -23,7 +23,7 @@ from persdiff import (
 )
 from persdiff.diagrams import DiagramEntry, open_repr
 
-from conftest import GF2
+from conftest import GF2, build_long_chain
 from exhaustive import all_up_sets
 
 # Candidate simplices, faces first: two triangles sharing the edge bc.
@@ -106,16 +106,13 @@ def test_walk_equals_full_enumeration_on_every_small_poset():
 
 
 def test_long_chain_visits_only_critical_pairs():
-    """Three cells on a 2,048-chain: the walk evaluates a handful of pairs,
-    not the two million principal ones."""
-    cells = [
-        {"id": "a", "vertices": ["a"], "births": [0]},
-        {"id": "b", "vertices": ["b"], "births": [1024]},
-        {"id": "ab", "vertices": ["a", "b"], "births": [2047]},
-    ]
-    k = FilteredComplex.build(GF2, FinitePoset.chain(2048), cells)
-    assert compute_diagram(k) == [
+    """Three cells on a 2,048-chain: in both blanket modes the walk
+    evaluates a handful of pairs, not the two million principal ones."""
+    expected = [
         DiagramEntry(0, (0,), "inf", 1),
         DiagramEntry(0, (1024,), (2047,), 1),
     ]
-    assert len(k.memo["memory"]) <= 16
+    for mode in BlanketMode:
+        k = build_long_chain()
+        assert compute_diagram(k, mode=mode) == expected
+        assert len(k.memo["memory"]) <= 16, mode

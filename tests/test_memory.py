@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 
@@ -27,7 +28,7 @@ from persdiff import (
     principal_up_set,
 )
 
-from conftest import GF2, GF5, QQ
+from conftest import GF2, GF5, QQ, build_long_chain, build_two_param
 from corpus import random_filtration
 from exhaustive import meet_over_all_points
 
@@ -302,3 +303,57 @@ class TestModeBehaviour:
         pair = make_pair(p, principal_up_set(p, 0), principal_up_set(p, 1))
         assert lifespan_rank(k, 0, pair, BlanketMode.FULL) == 0
         assert lifespan_rank(k, 0, pair, BlanketMode.PRINCIPAL) == 1
+
+
+class TestSharedSubspaces:
+    """Point subspaces are shared by presence class, and meets and joins are
+    done once per distinct operand set, without changing any value."""
+
+    @pytest.mark.parametrize("build", [build_long_chain, build_two_param])
+    def test_one_subspace_per_presence_tuple(self, build, monkeypatch):
+        import persdiff.complexes as complexes
+
+        k = build()
+        made = []
+        for name in ("kernel", "column_space"):
+            original = getattr(complexes, name)
+
+            def counted(m, name=name, original=original):
+                made.append(name)
+                return original(m)
+
+            monkeypatch.setattr(complexes, name, counted)
+        for n in range(k.max_dim + 2):
+            for boundaries, at, name in ((False, k.cycles_at, "kernel"), (True, k.boundaries_at, "column_space")):
+                made.clear()
+                by_presence = {}
+                for x in range(k.poset.n):
+                    sub = at(n, x)
+                    first = by_presence.setdefault(k.cells_present(n + boundaries, x), sub)
+                    assert first is sub
+                # The empty tuple gives the zero subspace and needs no kernel.
+                assert made == [name] * len([cols for cols in by_presence if cols])
+
+    @pytest.mark.parametrize("field", [GF2, GF5, QQ], ids=lambda f: f.token())
+    def test_memories_and_unions_equal_plain_lattice_ops(self, field):
+        """Every principal pair's memory and degree-1 unions, in both modes,
+        against the same values built one meet and join at a time."""
+        rng = random.Random(67)
+        for _ in range(3):
+            k = random_filtration(rng, shape=(3, 3), field=field, max_cells=14)
+            p = k.poset
+            fresh = FilteredComplex(field, p, list(k.all_cells()))
+
+            def memory(n, pair):
+                sub = meet_over_all_points(fresh, n, pair.birth.members)
+                for y in sorted(pair.death.members):
+                    sub = meet(sub, fresh.boundaries_at(n, y))
+                return sub
+
+            for n in range(k.max_dim + 1):
+                for pair in enumerate_diagram_pairs(p):
+                    assert homological_memory(k, n, pair) == memory(n, pair)
+                    for mode in BlanketMode:
+                        memories = [memory(n, w) for w in pair_blankets(p, pair, mode)]
+                        want = reduce(join, memories, Subspace.zero(field, k.ambient_dim(n)))
+                        assert blanket_union(k, n, pair, 1, mode) == want

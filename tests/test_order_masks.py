@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from persdiff import FinitePoset, InvalidPoset, UnknownElement
+from persdiff.linalg import bit_transpose
 
 from dense_reference import reference_cover_order, reference_order, reference_product_order
 
@@ -113,6 +114,15 @@ def test_grids_are_the_product_order():
         p = FinitePoset.grid(shape)
         vectors = list(product(*(range(s) for s in shape)))
         assert (p._up, p._down) == masks(reference_product_order(vectors))
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (3, 4), (2, 3, 2), (64,)])
+def test_grid_down_masks_are_the_transpose_of_the_up_masks(shape):
+    """Grids build their down-set masks from the grade vectors; they must be
+    what every other constructor gets by transposing the up-set masks."""
+    p = FinitePoset.grid(shape)
+    assert p._down == bit_transpose(p._up[::-1], p.n)[::-1]
+    assert all(p.leq(j, i) == bool(p._down[i] >> j & 1) for i in range(p.n) for j in range(p.n))
 
 
 def test_random_covers_with_and_without_grades():
