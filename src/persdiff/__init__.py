@@ -9,7 +9,6 @@ persistence diagram.
 
 from .fields import FieldSpec
 from .linalg import (
-    DimensionMismatch,
     Matrix,
     NotASubspace,
     Subspace,
@@ -21,7 +20,6 @@ from .linalg import (
     matmul,
     meet,
     quotient_dim,
-    rref,
 )
 from .posets import (
     EMPTY_OPEN,
@@ -37,42 +35,32 @@ from .posets import (
     degree_blankets,
     describe_open,
     enumerate_diagram_pairs,
-    is_up_closed,
     make_pair,
     min_elements,
     pair_blankets,
     principal_up_set,
 )
-from .complexes import FilteredComplex, InvalidComplex
+from .complexes import FilteredComplex
 from .memory import (
     blanket_union,
     boundaries_on_open,
     cycles_on_open,
     homological_memory,
     lifespan_rank,
-    lifespan_representatives,
 )
 from .calculus import (
     ChangeAction,
     GroupSquare,
-    IntegerFunctor,
     arr_add,
-    arr_inv,
     arr_sub,
-    arr_zero,
-    check_action_laws,
     check_cad1,
     check_cad2,
     check_monotone,
-    compose_squares,
     degree_shift_action,
     derivative_mor,
     derivative_obj,
-    identity_square,
     integer_addition_action,
     integer_subtraction_action,
-    neg_derivative_mor,
-    neg_derivative_obj,
     pair_group_rank,
     rank_square,
     square_subtraction_action,

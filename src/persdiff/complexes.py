@@ -86,9 +86,11 @@ class FilteredComplex:
     one dict per named layer.  The per-point layer is keyed by degree,
     element index and kind, and reads a presence-class layer keyed by
     degree, kind and the tuple of cells present, so elements with the same
-    cells present share one subspace object.  The meet and join layers of
-    :mod:`persdiff.memory` are keyed by the ``id``s of operand subspaces
-    their entries hold; every other key is a tuple of small ints.
+    cells present share one subspace object.  The layers over opens in
+    :mod:`persdiff.memory` are keyed by the opens' mask bytes
+    (``UpSet.key``) next to ints and bools, and its meet and join layers
+    by the ``id``s of operand subspaces their entries hold; every other
+    key is built from ints and bools.
     """
 
     def __init__(self, field: FieldSpec, poset: FinitePoset, cells: Sequence[Cell]):
@@ -145,11 +147,12 @@ class FilteredComplex:
             yield from self._by_dim[n]
 
     def _face_entries(self, cell: Cell) -> list[tuple[int, object]] | None:
-        """(row index, coefficient) pairs of the boundary of one cell."""
+        """(row index, coefficient) pairs of the boundary of one cell; None
+        when a face does not resolve, as any face a generic 0-cell lists."""
         f = self.field
-        if cell.dim == 0:
-            return []
         if cell.vertices is not None:
+            if cell.dim == 0:
+                return []
             verts = sorted(cell.vertices)
             entries = []
             for i in range(len(verts)):

@@ -68,6 +68,7 @@ from .complexes import FilteredComplex
 from .memory import cycles_on_open, homological_memory
 from .oracle import chain_positions
 from .posets import (
+    EMPTY_OPEN,
     BlanketMode,
     PairOpen,
     UpSet,
@@ -115,7 +116,6 @@ def _multiplicities(k: FilteredComplex, degrees, mode: BlanketMode, include_zero
     if degrees is None:
         degrees = range(max(k.max_dim, 0) + 1)
     births = diagram_order(p, p.top().bits)
-    empty = p.closure(())
     full = mode is BlanketMode.FULL
     for n in degrees:
         birth_twins = k.presence_twins(n)
@@ -132,7 +132,7 @@ def _multiplicities(k: FilteredComplex, degrees, mode: BlanketMode, include_zero
             for y in diagram_order(p, above) + [None]:
                 mult = 0
                 if critical and (y is None or not death_twins[y] & reach):
-                    pair = PairOpen(birth, empty if y is None else principal_up_set(p, y))
+                    pair = PairOpen(birth, EMPTY_OPEN if y is None else principal_up_set(p, y))
                     if homological_memory(k, n, pair).dim:
                         mult = pair_group_rank(k, n, pair, mode)
                 if mult or include_zero:

@@ -8,9 +8,11 @@ meet of birth-side cycles with death-side boundaries; unions over iterated
 blankets of a pair feed the finite-difference calculus.
 
 Results are memoized on the complex in two layers.  The ``open``,
-``memory`` and ``union`` layers are keyed by degree, open ids and a mode
-index, and answer a repeated query in one lookup.  Below them, each meet
-and each union join runs once per distinct set of operand subspaces
+``memory`` and ``union`` layers are keyed by degree and the opens' mask
+bytes (``UpSet.key``), plus the kind on an open and the blanket degree
+and whether the mode is FULL on a union, and answer a repeated query in
+one lookup.  Below them, each meet and
+each union join runs once per distinct set of operand subspaces
 (``_fold``).  Per-point subspaces are shared by every element with the
 same cells present, so opens whose minimal elements have the same
 presence, and pairs and blankets with the same memories, reach one meet
@@ -31,7 +33,6 @@ from .posets import (
     degree_blankets,
     make_pair,
     min_elements,
-    mode_index,
     pair_blankets,
 )
 
@@ -65,7 +66,7 @@ def _on_open(k: FilteredComplex, n: int, u: UpSet, boundaries: bool) -> Subspace
     """Meet of the per-point cycles (or boundaries) over the open's minimal
     elements; the colimit cycles on the empty open."""
     cache = k.memo["open"]
-    key = (n, k.poset.open_id(u), boundaries)
+    key = (n, u.key, boundaries)
     sub = cache.get(key)
     if sub is None:
         if u.is_empty:
@@ -79,14 +80,13 @@ def _on_open(k: FilteredComplex, n: int, u: UpSet, boundaries: bool) -> Subspace
 
 def homological_memory(k: FilteredComplex, n: int, pair: PairOpen) -> Subspace:
     """Cycles appearing by the birth open that bound by the death open."""
-    p = k.poset
     birth, death = pair
     cache = k.memo["memory"]
-    key = (n, p.open_id(birth), p.open_id(death))
+    key = (n, birth.key, death.key)
     sub = cache.get(key)
     if sub is None:
         if death.bits & ~birth.bits:
-            make_pair(p, birth, death)  # raises InvalidPair
+            make_pair(k.poset, birth, death)  # raises InvalidPair
         sub = cycles_on_open(k, n, birth)
         if not death.is_empty:
             sub = _fold(k, "meet", meet, [sub, boundaries_on_open(k, n, death)])
@@ -110,7 +110,7 @@ def blanket_union(
         return homological_memory(k, n, pair)
     p = k.poset
     cache = k.memo["union"]
-    key = (n, p.open_id(pair.birth), p.open_id(pair.death), d, mode_index(mode))
+    key = (n, pair.birth.key, pair.death.key, d, mode is BlanketMode.FULL)
     sub = cache.get(key)
     if sub is None:
         blankets = pair_blankets(p, pair, mode) if d == 1 else degree_blankets(p, pair, d, mode)

@@ -13,11 +13,11 @@ inclusion order.  Two cover notions are implemented, selected by
 
 An open is an int bitmask over element indices (bit i is element i), and
 each element's principal up-set and down-set are kept as masks, so subset
-tests, closures, minimal elements and covers are bit operations.  A poset
-interns the opens it hands out with a small-int id
-(:meth:`FinitePoset.open_id`), and every memo is keyed by tuples of small
-ints.  Masks are never keys: Python hashes an int to its value mod
-2^61 - 1, so the up-sets 2^n - 2^i of an n-chain share about 61 hashes.
+tests, closures, minimal elements and covers are bit operations.  Every
+memo over opens is keyed by their mask bytes (:attr:`UpSet.key`), next to
+ints and bools, so an equal open built anywhere finds the same entry.
+Masks are never keys: Python hashes an int to its value mod 2^61 - 1, so
+the up-sets 2^n - 2^i of an n-chain share about 61 hashes.
 
 The order itself is those masks and nothing else.  Grids build both kinds
 straight from their grade vectors.  Cover lists build the up-sets by
@@ -34,7 +34,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, reduce
-from itertools import count, product as _iter_product
+from itertools import product as _iter_product
 from typing import Iterable, NamedTuple, Sequence
 
 from .linalg import bit_transpose
@@ -44,8 +44,6 @@ from .linalg import bit_transpose
 MAX_ELEMENTS = 4096
 # Flag bytes 0 and 1 to the binary digits "0" and "1".
 _BINARY = bytes.maketrans(b"\0\1", b"01")
-# Never-reused poset tokens; an interned open records its poset's token.
-_TOKENS = count()
 
 
 class InvalidPoset(ValueError):
@@ -75,27 +73,21 @@ class BlanketMode(Enum):
         raise ValueError(f"unknown blanket mode {token!r}")
 
 
-def mode_index(mode: BlanketMode) -> int:
-    """The blanket mode as a memo key: 0 for FULL, 1 for PRINCIPAL."""
-    return 0 if mode is BlanketMode.FULL else 1
-
-
 class UpSet:
     """An upward closed subset, stored as an int bitmask over element indices.
 
     Built from element indices, or from a mask as ``UpSet(bits=mask)``.
-    It hashes the mask's bytes, which spreads masks the int hash collides.
-    An open interned by a poset also holds that poset's token and its id.
+    ``key`` is the mask's little-endian bytes: the memo key for the open,
+    and what it hashes, which spreads masks the int hash collides.
     """
 
-    __slots__ = ("bits", "_hash", "_owner", "_id")
+    __slots__ = ("bits", "key")
 
     def __init__(self, members: Iterable[int] = (), bits: int = 0):
         for i in members:
             bits |= 1 << i
         self.bits = bits
-        self._hash = hash(bits.to_bytes((bits.bit_length() + 7) // 8, "little"))
-        self._owner = None
+        self.key = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
 
     @property
     def members(self) -> frozenset:
@@ -105,7 +97,7 @@ class UpSet:
         return isinstance(other, UpSet) and self.bits == other.bits
 
     def __hash__(self):
-        return self._hash
+        return hash(self.key)
 
     def __repr__(self):
         return f"UpSet(members={self.members!r})"
@@ -209,9 +201,7 @@ class FinitePoset:
         self._down = down
         self._index = {lab: i for i, lab in enumerate(labels)}
         self._grade_index = {g: i for i, g in enumerate(self.grades)} if self.grades else {}
-        self._token = next(_TOKENS)
-        self._interned: dict[UpSet, UpSet] = {}
-        self._principal = [self._open(bits) for bits in up]
+        self._principal = [UpSet(bits=bits) for bits in up]
         # Blankets and pair blankets: one dict per named layer.
         self.memo: defaultdict[str, dict] = defaultdict(dict)
 
@@ -308,22 +298,10 @@ class FinitePoset:
         bits = 0
         for x in members:
             bits |= self._up[self.resolve(x)]
-        return self._open(bits)
+        return UpSet(bits=bits)
 
     def top(self) -> UpSet:
-        return self._open((1 << self.n) - 1)
-
-    def open_id(self, u: UpSet) -> int:
-        """Small-int id of an open in this poset, assigned on first use."""
-        return (u if u._owner == self._token else self._open(u.bits))._id
-
-    def _open(self, bits: int) -> UpSet:
-        """The interned open with this mask."""
-        u = UpSet(bits=bits)
-        found = self._interned.setdefault(u, u)
-        if found is u:
-            u._owner, u._id = self._token, len(self._interned) - 1
-        return found
+        return UpSet(bits=(1 << self.n) - 1)
 
 
 def _check_size(n: int) -> None:
@@ -440,7 +418,7 @@ def min_elements(p: FinitePoset, u: UpSet) -> frozenset:
 def blankets_of_open(p: FinitePoset, u: UpSet, mode: BlanketMode = BlanketMode.FULL) -> list[UpSet]:
     """Blankets (covers) of an open, by size and then sorted members; never
     the open itself."""
-    key = (p.open_id(u), mode_index(mode))
+    key = (u.key, mode is BlanketMode.FULL)
     cache = p.memo["blankets"]
     out = cache.get(key)
     if out is None:
@@ -449,7 +427,7 @@ def blankets_of_open(p: FinitePoset, u: UpSet, mode: BlanketMode = BlanketMode.F
             # Add one maximal element of the complement: same sizes, and
             # ascending added elements are ascending sorted members.
             added = _extremes(outside, p._down, False)
-            out = tuple(p._open(u.bits | 1 << m) for m in _indices(added))
+            out = tuple(UpSet(bits=u.bits | 1 << m) for m in _indices(added))
         else:
             # up(i) contains u iff i lies below every minimal element of u,
             # strictly iff also i is not in u; the smallest come from maximal i.
@@ -494,7 +472,7 @@ def pair_blankets(p: FinitePoset, x: PairOpen, mode: BlanketMode = BlanketMode.F
     birth members, then death size and death members.
     """
     birth, death = x
-    key = (p.open_id(birth), p.open_id(death), mode_index(mode))
+    key = (birth.key, death.key, mode is BlanketMode.FULL)
     cache = p.memo["pair_blankets"]
     out = cache.get(key)
     if out is None:
@@ -535,10 +513,9 @@ def enumerate_diagram_pairs(p: FinitePoset) -> list[PairOpen]:
     empty death open last for each birth.
     """
     principal = p._principal
-    empty = p._open(0)
     out = []
     for i in diagram_order(p, p.top().bits):
         u = principal[i]
         out.extend([PairOpen(u, principal[j]) for j in diagram_order(p, u.bits ^ 1 << i)])
-        out.append(PairOpen(u, empty))
+        out.append(PairOpen(u, EMPTY_OPEN))
     return out

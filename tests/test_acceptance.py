@@ -17,7 +17,6 @@ from persdiff import (
     GroupSquare,
     arr_add,
     arr_sub,
-    arr_zero,
     blanket_union,
     boundaries_on_open,
     check_cad1,
@@ -45,6 +44,7 @@ from persdiff import (
     union_rank_derivative,
     union_rank_functor,
 )
+from persdiff.calculus import arr_zero
 from persdiff.cli import main
 
 from conftest import build_triangle, corner_grid_poset, offset_grid_poset

@@ -9,30 +9,22 @@ from persdiff import (
     FieldSpec,
     GradedPair,
     GroupSquare,
-    IntegerFunctor,
     NotASubspace,
     Subspace,
     arr_add,
-    arr_inv,
     arr_sub,
-    arr_zero,
-    check_action_laws,
     check_cad1,
     check_cad2,
     check_monotone,
-    compose_squares,
     degree_shift_action,
     derivative_mor,
     derivative_obj,
     enumerate_diagram_pairs,
     homological_memory,
-    identity_square,
     integer_addition_action,
     integer_subtraction_action,
     lifespan_rank,
     make_pair,
-    neg_derivative_mor,
-    neg_derivative_obj,
     pair_group_rank,
     principal_up_set,
     rank_square,
@@ -40,6 +32,16 @@ from persdiff import (
     union_rank,
     union_rank_derivative,
     union_rank_functor,
+)
+from persdiff.calculus import (
+    IntegerFunctor,
+    arr_inv,
+    arr_zero,
+    check_action_laws,
+    compose_squares,
+    identity_square,
+    neg_derivative_mor,
+    neg_derivative_obj,
 )
 from persdiff.complexes import FilteredComplex
 from persdiff.posets import FinitePoset

@@ -18,6 +18,8 @@ from persdiff.cli import build_parser, main
 from persdiff.complexes import MAX_DIM
 from persdiff.verify import MAX_SAMPLES
 
+from golden import GOLDEN_COMMANDS, GOLDEN_PAIRS, golden_argv, golden_path
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -53,6 +55,16 @@ class TestValidate:
         doc = json.loads(out)
         assert doc["ok"] is False
         assert doc["violations"][0]["kind"] == "birth-order"
+
+    def test_generic_vertex_with_a_face(self, capsys, tmp_path):
+        # A 0-cell has no faces to resolve, so any face it lists is unknown.
+        doc = _triangle_with()
+        doc["cells"].append({"id": "v", "dim": 0, "faces": [["v", 1]], "births": [0]})
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "validate", path, "--json")
+        assert code == 2
+        assert [v["kind"] for v in json.loads(out)["violations"]] == ["unknown-face"]
 
 
 class TestDiagram:
@@ -728,40 +740,6 @@ def test_open_specs_exit_cleanly(document, birth, death):
     assert "Traceback" not in err.getvalue()
 
 
-GOLDEN = DATA / "golden"
-# Each command's stdout, on one pair for ``blankets``: the GF(2) outputs
-# recorded before opens became bitmasks, the ``--field rational`` ones and
-# every ``torsion_chain`` one before Q subspaces held integer rows, and the
-# ``--field gf:5`` ones before subspaces were held as pivot tables.  Byte
-# comparison catches a changed value or diagram-pair order, which two runs
-# of the same build cannot.  No output shows the order of blanket lists
-# while every check passes, so test_open_bitmasks.py pins that order.
-# ``torsion_chain`` attaches two 2-cells to a loop by degrees 2 and 3, so
-# its GF(2) and Q diagrams differ.
-GOLDEN_COMMANDS = {
-    "diagram": ("diagram",),
-    "diagram_principal": ("diagram", "--mode", "principal"),
-    "diagram_all": ("diagram", "--all"),
-    "diagram_principal_all": ("diagram", "--mode", "principal", "--all"),
-    "blankets_steps2": ("blankets", "--steps", 2),
-    "verify_oracle_s30_seed3": ("verify", "--json", "--oracle", "--samples", 30, "--seed", 3),
-    "diagram_all_rational": ("diagram", "--all", "--field", "rational"),
-    "verify_oracle_s30_seed3_rational": (
-        "verify", "--json", "--oracle", "--samples", 30, "--seed", 3, "--field", "rational",
-    ),
-    "diagram_all_gf5": ("diagram", "--all", "--field", "gf:5"),
-    "verify_oracle_s30_seed3_gf5": (
-        "verify", "--json", "--oracle", "--samples", 30, "--seed", 3, "--field", "gf:5",
-    ),
-}
-GOLDEN_PAIRS = {
-    "two_param": ("--birth", "1,1", "--death", "2,2"),
-    "triangle": ("--birth", "2", "--death", "inf"),
-    "corner_grid": ("--birth", "3,3", "--death", "inf"),
-    "torsion_chain": ("--birth", "1", "--death", "4"),
-}
-
-
 @pytest.mark.parametrize(
     "field, points",
     [
@@ -782,13 +760,9 @@ def test_torsion_chain_diagram_depends_on_the_field(capsys, field, points):
 @pytest.mark.parametrize("command", sorted(GOLDEN_COMMANDS))
 @pytest.mark.parametrize("document", sorted(GOLDEN_PAIRS))
 def test_golden_output(capsys, document, command):
-    name, *options = GOLDEN_COMMANDS[command]
-    if name == "blankets":
-        options += GOLDEN_PAIRS[document]
-    code, out, _ = run(capsys, name, DATA / f"{document}.json", *options)
+    code, out, _ = run(capsys, *golden_argv(document, command))
     assert code == 0
-    suffix = "json" if command.startswith("verify") else "txt"
-    assert out.encode() == (GOLDEN / f"{document}.{command}.{suffix}").read_bytes()
+    assert out.encode() == golden_path(document, command).read_bytes()
 
 
 def test_golden_output_without_numpy():
@@ -807,22 +781,16 @@ for key, argv in json.loads(sys.argv[1]).items():
         out[key] = [main(argv), buf.getvalue()]
 print(json.dumps({"clean": clean, "out": out}))
 """
-    cases = {}
-    for document in GOLDEN_PAIRS:
-        for command, (name, *options) in GOLDEN_COMMANDS.items():
-            if name == "blankets":
-                options += GOLDEN_PAIRS[document]
-            cases[document, command] = [name, str(DATA / f"{document}.json"), *map(str, options)]
+    cases = [(document, command) for document in GOLDEN_PAIRS for command in GOLDEN_COMMANDS]
     src = Path(persdiff.__file__).parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    argv = json.dumps({".".join(key): value for key, value in cases.items()})
+    argv = json.dumps({".".join(case): golden_argv(*case) for case in cases})
     done = subprocess.run(
         [sys.executable, "-c", script, argv], env=env, capture_output=True, text=True, check=True
     )
     result = json.loads(done.stdout)
     assert result["clean"]
-    for (document, command), _ in cases.items():
-        code, out = result["out"][f"{document}.{command}"]
-        suffix = "json" if command.startswith("verify") else "txt"
+    for case in cases:
+        code, out = result["out"][".".join(case)]
         assert code == 0
-        assert out.encode() == (GOLDEN / f"{document}.{command}.{suffix}").read_bytes()
+        assert out.encode() == golden_path(*case).read_bytes()

@@ -8,10 +8,10 @@ from persdiff import (
     FieldSpec,
     FilteredComplex,
     FinitePoset,
-    InvalidComplex,
     contains,
     matmul,
 )
+from persdiff.complexes import InvalidComplex
 
 from conftest import GF2, QQ, build_triangle
 from corpus import random_filtration

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from persdiff import (
-    DimensionMismatch,
     FieldSpec,
     Matrix,
     NotASubspace,
@@ -20,11 +19,10 @@ from persdiff import (
     matmul,
     meet,
     quotient_dim,
-    rref,
 )
 
 from persdiff.fields import InvalidField
-from persdiff.linalg import embed, select_columns, transpose
+from persdiff.linalg import DimensionMismatch, embed, rref, select_columns, transpose
 
 from dense_reference import dense, dense_row_reduce, dense_zeros
 from exhaustive import kernel_set, span_rank, span_set

@@ -21,12 +21,12 @@ from persdiff import (
     homological_memory,
     join,
     lifespan_rank,
-    lifespan_representatives,
     make_pair,
     meet,
     pair_blankets,
     principal_up_set,
 )
+from persdiff.memory import lifespan_representatives
 
 from conftest import GF2, GF5, QQ, build_long_chain, build_two_param
 from corpus import random_filtration

@@ -10,19 +10,24 @@ import pytest
 
 from persdiff import (
     BlanketMode,
+    FilteredComplex,
     FinitePoset,
     InvalidPair,
     PairOpen,
     UpSet,
+    blanket_union,
     blankets_of_open,
-    is_up_closed,
+    compute_diagram,
+    homological_memory,
     make_pair,
     min_elements,
     pair_blankets,
     principal_up_set,
+    run_verification,
 )
+from persdiff.posets import is_up_closed
 
-from conftest import corner_grid_poset, offset_grid_poset
+from conftest import GF2, build_two_param, corner_grid_poset, offset_grid_poset
 from dense_reference import dense_leq
 from exhaustive import all_up_sets
 
@@ -132,25 +137,83 @@ def test_constructions_compare_and_hash_equal(poset_and_up_sets):
             UpSet(up_of(p, i)),
             UpSet(bits=principal_up_set(p, i).bits),
         ]
-        assert all(u == made[0] and hash(u) == hash(made[0]) for u in made)
-        assert len({p.open_id(u) for u in made}) == 1
+        assert all(u == made[0] and hash(u) == hash(made[0]) and u.key == made[0].key for u in made)
     seen = {(0, PairOpen(p.top(), UpSet(s))) for s in ups}
     seen |= {(0, PairOpen(p.closure(range(p.n)), p.closure(sorted(s)))) for s in ups}
     assert len(seen) == len(ups)
 
 
-def test_chain_principal_up_sets_get_distinct_hashes_and_ids():
+def test_chain_principal_up_sets_get_distinct_hashes_and_keys():
     # As ints, the up-sets 2^n - 2^i of a chain hash onto about 61 values.
     p = FinitePoset.chain(1024)
     opens = [principal_up_set(p, i) for i in range(p.n)]
     assert len({hash(u) for u in opens}) == p.n
-    assert len({p.open_id(u) for u in opens}) == p.n
-    assert len({p.open_id(UpSet(u.members)) for u in opens}) == p.n
+    assert len({u.key for u in opens}) == p.n
+    assert all(UpSet(u.members).key == u.key for u in opens)
 
 
 def test_an_open_from_another_poset_is_looked_up_by_value():
     up = FinitePoset.chain(3)
     down = FinitePoset.from_covers(["a", "b", "c"], [("c", "b"), ("b", "a")])
-    everything = up.top()  # interned by ``up`` first, as its principal up-set of 0
-    assert down.open_id(everything) == down.open_id(principal_up_set(down, "c"))
-    assert down.open_id(everything) != up.open_id(everything)
+    everything = up.top()  # equal to the principal up-set of "c" in ``down``
+    for mode in MODES:
+        first = blankets_of_open(down, principal_up_set(down, "c"), mode)
+        size = len(down.memo["blankets"])
+        again = blankets_of_open(down, everything, mode)
+        assert len(again) == len(first) and all(a is b for a, b in zip(again, first))
+        assert len(down.memo["blankets"]) == size
+
+
+# An open rebuilt from its members, by closure, from its mask, and by
+# another poset over the same elements.
+REBUILDS = {
+    "members": lambda p, u: UpSet(u.members),
+    "closure": lambda p, u: p.closure(u.members),
+    "bits": lambda p, u: UpSet(bits=u.bits),
+    "other_poset": lambda p, u: FinitePoset.grid((3, 3)).closure(u.members),
+}
+
+
+@pytest.mark.parametrize("rebuild", sorted(REBUILDS))
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+def test_an_equal_open_finds_the_existing_memo_entries(mode, rebuild):
+    k = build_two_param()
+    p = k.poset
+    pair = PairOpen(principal_up_set(p, (1, 1)), principal_up_set(p, (2, 2)))
+    memory = homological_memory(k, 1, pair)
+    union = blanket_union(k, 1, pair, 1, mode)
+    blankets = pair_blankets(p, pair, mode)
+    layers = (k.memo["memory"], k.memo["union"], p.memo["pair_blankets"])
+    sizes = [len(layer) for layer in layers]
+    again = PairOpen(*(REBUILDS[rebuild](p, u) for u in pair))
+    assert again == pair and again.birth is not pair.birth and again.death is not pair.death
+    assert homological_memory(k, 1, again) is memory
+    assert blanket_union(k, 1, again, 1, mode) is union
+    found = pair_blankets(p, again, mode)
+    assert len(found) == len(blankets) and all(a is b for a, b in zip(found, blankets))
+    assert [len(layer) for layer in layers] == sizes
+
+
+def _ints(key):
+    if isinstance(key, int):
+        yield key
+    elif isinstance(key, (tuple, frozenset)):
+        for part in key:
+            yield from _ints(part)
+
+
+def test_no_memo_key_holds_a_mask():
+    # Up-set masks of a 128-chain reach 2^128; as keys they would collide
+    # under the int hash, which reduces mod 2^61 - 1.
+    cells = [
+        {"id": "a", "vertices": ["a"], "births": [0]},
+        {"id": "b", "vertices": ["b"], "births": [64]},
+        {"id": "ab", "vertices": ["a", "b"], "births": [127]},
+    ]
+    k = FilteredComplex.build(GF2, FinitePoset.chain(128), cells)
+    compute_diagram(k)
+    run_verification(k, samples=10)
+    memos = (k.memo, k.poset.memo)
+    assert all(memo[layer] for memo, layer in zip(memos, ("union", "pair_blankets")))
+    keys = [key for memo in memos for layer in memo.values() for key in layer]
+    assert all(i < 2**61 for key in keys for i in _ints(key))

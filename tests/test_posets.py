@@ -18,13 +18,12 @@ from persdiff import (
     blankets_of_open,
     degree_blankets,
     enumerate_diagram_pairs,
-    is_up_closed,
     make_pair,
     min_elements,
     pair_blankets,
     principal_up_set,
 )
-from persdiff.posets import MAX_ELEMENTS
+from persdiff.posets import MAX_ELEMENTS, is_up_closed
 
 from conftest import corner_grid_poset, offset_grid_poset
 from corpus import random_nested_pairs
