@@ -17,8 +17,8 @@ from persdiff import (
     min_elements,
     oracle_barcode,
     principal_up_set,
-    union_rank_derivative,
 )
+from persdiff.calculus import union_rank_derivative
 
 poset = FinitePoset.chain(3)
 complex_ = FilteredComplex.build(

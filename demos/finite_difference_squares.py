@@ -7,11 +7,8 @@ axioms in action (and how monotonicity of a derivative can fail), then the
 blanket-shift instance recovers the triangle's loop multiplicity as a
 derivative evaluated at (0, 1).
 """
-from persdiff import (
-    FieldSpec,
-    FilteredComplex,
-    FinitePoset,
-    GradedPair,
+from persdiff import FieldSpec, FilteredComplex, FinitePoset, GradedPair, make_pair, principal_up_set
+from persdiff.calculus import (
     GroupSquare,
     arr_add,
     arr_sub,
@@ -21,8 +18,6 @@ from persdiff import (
     degree_shift_action,
     derivative_obj,
     integer_addition_action,
-    make_pair,
-    principal_up_set,
     rank_square,
     union_rank,
     union_rank_functor,

@@ -90,17 +90,14 @@ def square_subtraction_action() -> ChangeAction:
 class IntegerFunctor:
     """Functor from a poset-presented category into integer squares.
 
-    Morphisms of the domain are ordered comparable pairs; by default a
-    morphism maps to the inclusion-style square with zero top.
+    Morphisms of the domain are ordered comparable pairs; a morphism maps
+    to the inclusion-style square with zero top.
     """
 
-    def __init__(self, on_object: Callable[[Any], int], on_pair: Callable[[Any, Any], GroupSquare] | None = None):
+    def __init__(self, on_object: Callable[[Any], int]):
         self.on_object = on_object
-        self._on_pair = on_pair
 
     def on_morphism(self, x, y) -> GroupSquare:
-        if self._on_pair is not None:
-            return self._on_pair(x, y)
         a, b = self.on_object(x), self.on_object(y)
         return GroupSquare(a, b, 0, b - a)
 

@@ -30,6 +30,7 @@ from .posets import (
     EMPTY_OPEN,
     InvalidPair,
     InvalidPoset,
+    TooManyBlankets,
     UnknownElement,
     degree_blankets,
     make_pair,
@@ -277,7 +278,9 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
-    except (InputError, InvalidField, InvalidPoset, InvalidPair, UnknownElement, NotAChain) as exc:
+    except (
+        InputError, InvalidField, InvalidPoset, InvalidPair, UnknownElement, NotAChain, TooManyBlankets
+    ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except SystemExit as exc:

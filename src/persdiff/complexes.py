@@ -204,8 +204,9 @@ class FilteredComplex:
                 continue
             for row, _ in entries:
                 face = self._by_dim[cell.dim - 1][row]
+                present = self._presence(cell.dim - 1)[row]
                 for b in cell.births:
-                    if not any(self.poset.leq(fb, b) for fb in face.births):
+                    if not present >> b & 1:
                         out.append(
                             Violation(
                                 "birth-order",

@@ -86,10 +86,6 @@ class Matrix:
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "Matrix":
         return cls(field, [0 if field.characteristic == 2 else {} for _ in range(rows)], cols)
 
-    @classmethod
-    def identity(cls, field: FieldSpec, n: int) -> "Matrix":
-        return Subspace.full(field, n).basis
-
     def _items(self, row) -> list[tuple[int, object]]:
         """(column, scalar) pairs of the non-zero entries of one of the rows."""
         if self.field.characteristic == 2:

@@ -42,6 +42,10 @@ from .linalg import bit_transpose
 # Largest accepted element count: an explicit order matrix has n^2 entries
 # to read and check, and a diagram has about n^2 / 2 principal pairs.
 MAX_ELEMENTS = 4096
+# Largest accepted set of degree-n blankets: the sets grow combinatorially
+# with n (on an 8x8 grid, 17,129 pairs at 24 steps and 260,167 at 40), and
+# each pair holds two opens.
+MAX_BLANKET_PAIRS = 10_000
 # Flag bytes 0 and 1 to the binary digits "0" and "1".
 _BINARY = bytes.maketrans(b"\0\1", b"01")
 
@@ -57,6 +61,10 @@ class UnknownElement(KeyError):
 
 class InvalidPair(ValueError):
     """Birth open does not contain the death open."""
+
+
+class TooManyBlankets(ValueError):
+    """A set of iterated blankets grew past :data:`MAX_BLANKET_PAIRS`."""
 
 
 class BlanketMode(Enum):
@@ -390,11 +398,6 @@ def principal_up_set(p: FinitePoset, x) -> UpSet:
     return p._principal[p.resolve(x)]
 
 
-def is_up_closed(p: FinitePoset, members: Iterable) -> bool:
-    members = list(members)
-    return p.closure(members) == UpSet(members)
-
-
 def _extremes(bits: int, strict_side: list[int], lowest_first: bool) -> int:
     """Minimal elements of a mask (``strict_side`` the up-sets, lowest index
     first) or maximal ones (the down-sets, highest first), as a mask.
@@ -488,14 +491,23 @@ def pair_blankets(p: FinitePoset, x: PairOpen, mode: BlanketMode = BlanketMode.F
 
 
 def degree_blankets(p: FinitePoset, x: PairOpen, n: int, mode: BlanketMode = BlanketMode.FULL) -> frozenset:
-    """Pairs reachable by exactly ``n`` blanket steps (degree-n blankets)."""
+    """Pairs reachable by exactly ``n`` blanket steps (degree-n blankets).
+
+    Raises :class:`TooManyBlankets` once a step reaches more than
+    :data:`MAX_BLANKET_PAIRS` pairs.
+    """
     if n < 0:
         raise ValueError("degree must be non-negative")
     frontier = frozenset([x])
-    for _ in range(n):
+    for step in range(1, n + 1):
         if not frontier:
             break
         frontier = frozenset([y for w in frontier for y in pair_blankets(p, w, mode)])
+        if len(frontier) > MAX_BLANKET_PAIRS:
+            raise TooManyBlankets(
+                f"{len(frontier)} pairs lie {step} blanket steps from the pair; "
+                f"at most {MAX_BLANKET_PAIRS} are supported"
+            )
     return frontier
 
 

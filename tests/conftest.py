@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from persdiff import FieldSpec, FilteredComplex, FinitePoset
+from persdiff.complexes import FilteredComplex
+from persdiff.fields import FieldSpec
+from persdiff.posets import FinitePoset
 
 settings.register_profile(
     "exact",

@@ -1,7 +1,9 @@
 """Seeded random tame filtrations shared by property and acceptance tests."""
 from itertools import combinations
 
-from persdiff import FieldSpec, FilteredComplex, FinitePoset, PairOpen, UpSet
+from persdiff.complexes import FilteredComplex
+from persdiff.fields import FieldSpec
+from persdiff.posets import FinitePoset, PairOpen, UpSet
 
 
 def random_nested_pairs(rng, p):

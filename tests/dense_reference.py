@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from persdiff import InvalidPoset, UnknownElement
+from persdiff.posets import InvalidPoset, UnknownElement
 
 
 def dense_zeros(field, rows: int, cols: int) -> np.ndarray:

@@ -53,7 +53,7 @@ def all_up_sets(leq: np.ndarray) -> list[frozenset]:
 
 def meet_over_all_points(k, n, members) -> object:
     """Meet of per-point cycle subspaces over every point of an open."""
-    from persdiff import meet
+    from persdiff.linalg import meet
 
     points = sorted(members)
     if not points:

@@ -11,41 +11,37 @@ from itertools import product
 
 import pytest
 
-from persdiff import (
-    BlanketMode,
-    GradedPair,
+from persdiff.calculus import (
     GroupSquare,
     arr_add,
     arr_sub,
-    blanket_union,
-    boundaries_on_open,
+    arr_zero,
     check_cad1,
     check_cad2,
     check_monotone,
-    chain_diagram_counter,
-    compute_diagram,
-    contains,
-    cycles_on_open,
     degree_shift_action,
     derivative_obj,
-    enumerate_diagram_pairs,
     integer_addition_action,
     integer_subtraction_action,
-    join,
-    lifespan_rank,
-    make_pair,
-    meet,
-    oracle_barcode,
-    pair_blankets,
     pair_group_rank,
-    principal_up_set,
     rank_square,
-    run_verification,
     union_rank_derivative,
     union_rank_functor,
 )
-from persdiff.calculus import arr_zero
 from persdiff.cli import main
+from persdiff.diagrams import chain_diagram_counter, compute_diagram
+from persdiff.linalg import contains, join, meet
+from persdiff.memory import blanket_union, boundaries_on_open, cycles_on_open, lifespan_rank
+from persdiff.oracle import oracle_barcode
+from persdiff.posets import (
+    BlanketMode,
+    GradedPair,
+    enumerate_diagram_pairs,
+    make_pair,
+    pair_blankets,
+    principal_up_set,
+)
+from persdiff.verify import run_verification
 
 from conftest import build_triangle, corner_grid_poset, offset_grid_poset
 from corpus import acceptance_corpus, random_chain_filtration
@@ -240,7 +236,8 @@ def test_criterion_5_blanket_examples():
         (frozenset(x.birth.members), frozenset(x.death.members))
         for x in pair_blankets(offset, pair2, BlanketMode.FULL)
     } != got_principal
-    from persdiff import FieldSpec, FilteredComplex
+    from persdiff.complexes import FilteredComplex
+    from persdiff.fields import FieldSpec
 
     vk = FilteredComplex.build(FieldSpec.gf(2), offset, [])
     verify_report = run_verification(vk, samples=5, seed=0)

@@ -3,48 +3,46 @@ from itertools import product
 
 import pytest
 
-from persdiff import (
-    BlanketMode,
+from persdiff.calculus import (
     ChangeAction,
-    FieldSpec,
-    GradedPair,
     GroupSquare,
-    NotASubspace,
-    Subspace,
+    IntegerFunctor,
     arr_add,
+    arr_inv,
     arr_sub,
+    arr_zero,
+    check_action_laws,
     check_cad1,
     check_cad2,
     check_monotone,
+    compose_squares,
     degree_shift_action,
     derivative_mor,
     derivative_obj,
-    enumerate_diagram_pairs,
-    homological_memory,
+    identity_square,
     integer_addition_action,
     integer_subtraction_action,
-    lifespan_rank,
-    make_pair,
+    neg_derivative_mor,
+    neg_derivative_obj,
     pair_group_rank,
-    principal_up_set,
     rank_square,
     square_subtraction_action,
     union_rank,
     union_rank_derivative,
     union_rank_functor,
 )
-from persdiff.calculus import (
-    IntegerFunctor,
-    arr_inv,
-    arr_zero,
-    check_action_laws,
-    compose_squares,
-    identity_square,
-    neg_derivative_mor,
-    neg_derivative_obj,
-)
 from persdiff.complexes import FilteredComplex
-from persdiff.posets import FinitePoset
+from persdiff.fields import FieldSpec
+from persdiff.linalg import NotASubspace, Subspace
+from persdiff.memory import homological_memory, lifespan_rank
+from persdiff.posets import (
+    BlanketMode,
+    FinitePoset,
+    GradedPair,
+    enumerate_diagram_pairs,
+    make_pair,
+    principal_up_set,
+)
 
 from conftest import GF2
 from corpus import random_filtration
@@ -241,7 +239,7 @@ class TestDerivativeOperations:
             F = union_rank_functor(k, d)
             for _ in range(6):
                 base = rng.choice(pairs)
-                from persdiff import pair_blankets
+                from persdiff.posets import pair_blankets
 
                 options = pair_blankets(p, base)
                 upper = rng.choice(options) if options else base

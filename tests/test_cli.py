@@ -13,12 +13,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import persdiff
-from persdiff import compute_diagram, load_complex
 from persdiff.cli import build_parser, main
 from persdiff.complexes import MAX_DIM
+from persdiff.diagrams import compute_diagram
+from persdiff.io import load_complex
+from persdiff.posets import MAX_BLANKET_PAIRS
 from persdiff.verify import MAX_SAMPLES
 
-from golden import GOLDEN_COMMANDS, GOLDEN_PAIRS, golden_argv, golden_path
+from golden import GOLDEN_CASES, golden_argv, golden_path
 
 DATA = Path(__file__).parent / "data"
 
@@ -249,6 +251,23 @@ class TestBlankets:
         assert code == 0
         assert out.strip() == "[0] [2]"
 
+    def test_blanket_count_is_bounded(self, capsys, tmp_path):
+        """Iterated blankets past MAX_BLANKET_PAIRS are refused; on an 8x8
+        grid the set passes it at step 22, and 64 steps would exhaust memory."""
+        path = tmp_path / "grid8.json"
+        doc = {
+            "format_version": 1,
+            "field": "gf2",
+            "poset": {"kind": "grid", "shape": [8, 8]},
+            "cells": [{"id": "v", "vertices": ["v"], "births": [[0, 0]]}],
+        }
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "blankets", path, "--birth", "7,7", "--death", "inf", "--steps", 64)
+        assert time.perf_counter() - start < 10
+        assert (code, out) == (3, "")
+        assert f"blanket steps from the pair; at most {MAX_BLANKET_PAIRS} are supported" in err
+
 
 class TestVerify:
     def test_triangle_passes(self, capsys):
@@ -283,7 +302,7 @@ class TestVerify:
 
         original = persdiff.memory.blanket_union
 
-        def escaping(k, n, pair, d, mode=persdiff.BlanketMode.FULL):
+        def escaping(k, n, pair, d, mode=persdiff.posets.BlanketMode.FULL):
             return k.colimit_cycles(n) if d == 1 else original(k, n, pair, d, mode)
 
         monkeypatch.setattr(persdiff.memory, "blanket_union", escaping)
@@ -757,8 +776,7 @@ def test_torsion_chain_diagram_depends_on_the_field(capsys, field, points):
     assert all(e["multiplicity"] == 1 for e in entries)
 
 
-@pytest.mark.parametrize("command", sorted(GOLDEN_COMMANDS))
-@pytest.mark.parametrize("document", sorted(GOLDEN_PAIRS))
+@pytest.mark.parametrize("document, command", sorted(GOLDEN_CASES))
 def test_golden_output(capsys, document, command):
     code, out, _ = run(capsys, *golden_argv(document, command))
     assert code == 0
@@ -781,16 +799,15 @@ for key, argv in json.loads(sys.argv[1]).items():
         out[key] = [main(argv), buf.getvalue()]
 print(json.dumps({"clean": clean, "out": out}))
 """
-    cases = [(document, command) for document in GOLDEN_PAIRS for command in GOLDEN_COMMANDS]
     src = Path(persdiff.__file__).parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    argv = json.dumps({".".join(case): golden_argv(*case) for case in cases})
+    argv = json.dumps({".".join(case): golden_argv(*case) for case in GOLDEN_CASES})
     done = subprocess.run(
         [sys.executable, "-c", script, argv], env=env, capture_output=True, text=True, check=True
     )
     result = json.loads(done.stdout)
     assert result["clean"]
-    for case in cases:
+    for case in GOLDEN_CASES:
         code, out = result["out"][".".join(case)]
         assert code == 0
         assert out.encode() == golden_path(*case).read_bytes()

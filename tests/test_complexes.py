@@ -4,14 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from persdiff import (
-    FieldSpec,
-    FilteredComplex,
-    FinitePoset,
-    contains,
-    matmul,
-)
-from persdiff.complexes import InvalidComplex
+from persdiff.complexes import FilteredComplex, InvalidComplex
+from persdiff.fields import FieldSpec
+from persdiff.linalg import contains, matmul
+from persdiff.posets import FinitePoset
 
 from conftest import GF2, QQ, build_triangle
 from corpus import random_filtration
@@ -36,6 +32,27 @@ class TestValidate:
         assert len(bad) == 1
         assert bad[0].kind == "birth-order"
         assert set(bad[0].cells) == {"ab", "a"}
+
+    @pytest.mark.parametrize(
+        "edge_births, violations",
+        [
+            # Only the face's second birth lies below the edge's birth.
+            ([[1, 0]], []),
+            # The edge's second birth lies below both births of the face.
+            ([[1, 1], [0, 0]], ["birth-order: cell 'ab' is born at 0,0 before its face 'a' [ab, a]"]),
+        ],
+    )
+    def test_face_with_two_births(self, edge_births, violations):
+        k = FilteredComplex.build(
+            GF2,
+            FinitePoset.grid((2, 2)),
+            [
+                {"id": "a", "vertices": ["a"], "births": [[0, 1], [1, 0]]},
+                {"id": "b", "vertices": ["b"], "births": [[0, 0]]},
+                {"id": "ab", "vertices": ["a", "b"], "births": edge_births},
+            ],
+        )
+        assert [str(v) for v in k.validate()] == violations
 
     def test_triangle_ok(self, triangle):
         assert triangle.validate() == []

@@ -11,17 +11,10 @@ from itertools import product
 
 import numpy as np
 
-from persdiff import (
-    BlanketMode,
-    FilteredComplex,
-    FinitePoset,
-    UpSet,
-    compute_diagram,
-    enumerate_diagram_pairs,
-    min_elements,
-    pair_group_rank,
-)
-from persdiff.diagrams import DiagramEntry, open_repr
+from persdiff.calculus import pair_group_rank
+from persdiff.complexes import FilteredComplex
+from persdiff.diagrams import DiagramEntry, compute_diagram, open_repr
+from persdiff.posets import BlanketMode, FinitePoset, UpSet, enumerate_diagram_pairs, min_elements
 
 from conftest import GF2, build_long_chain
 from exhaustive import all_up_sets

@@ -3,30 +3,29 @@ from functools import reduce
 
 import pytest
 
-from persdiff import (
+from persdiff.complexes import FilteredComplex
+from persdiff.diagrams import compute_diagram
+from persdiff.fields import FieldSpec
+from persdiff.linalg import Subspace, contains, join, meet
+from persdiff.memory import (
+    blanket_union,
+    boundaries_on_open,
+    cycles_on_open,
+    homological_memory,
+    lifespan_rank,
+    lifespan_representatives,
+)
+from persdiff.posets import (
     EMPTY_OPEN,
     BlanketMode,
-    FieldSpec,
-    FilteredComplex,
     FinitePoset,
     InvalidPair,
     PairOpen,
-    Subspace,
-    blanket_union,
-    boundaries_on_open,
-    compute_diagram,
-    contains,
-    cycles_on_open,
     enumerate_diagram_pairs,
-    homological_memory,
-    join,
-    lifespan_rank,
     make_pair,
-    meet,
     pair_blankets,
     principal_up_set,
 )
-from persdiff.memory import lifespan_representatives
 
 from conftest import GF2, GF5, QQ, build_long_chain, build_two_param
 from corpus import random_filtration
@@ -288,7 +287,8 @@ class TestModeBehaviour:
         # component merged at its own birth grade leaks into the [0, 1)
         # count.  Full mode (the default) quotients it away and matches the
         # reduction oracle; this pins the known divergence down.
-        from persdiff import FilteredComplex, FinitePoset
+        from persdiff.complexes import FilteredComplex
+        from persdiff.posets import FinitePoset
 
         p = FinitePoset.chain(2)
         k = FilteredComplex.build(

@@ -8,24 +8,22 @@ import random
 
 import pytest
 
-from persdiff import (
+from persdiff.complexes import FilteredComplex
+from persdiff.diagrams import compute_diagram
+from persdiff.memory import blanket_union, homological_memory
+from persdiff.posets import (
     BlanketMode,
-    FilteredComplex,
     FinitePoset,
     InvalidPair,
     PairOpen,
     UpSet,
-    blanket_union,
     blankets_of_open,
-    compute_diagram,
-    homological_memory,
     make_pair,
     min_elements,
     pair_blankets,
     principal_up_set,
-    run_verification,
 )
-from persdiff.posets import is_up_closed
+from persdiff.verify import run_verification
 
 from conftest import GF2, build_two_param, corner_grid_poset, offset_grid_poset
 from dense_reference import dense_leq
@@ -108,7 +106,7 @@ def test_open_queries_match_reference(poset_and_up_sets):
             assert as_sets(blankets_of_open(p, u, mode)) == ref_blankets(p, s, mode)
     for bits in range(2 ** p.n):
         members = [i for i in range(p.n) if bits >> i & 1]
-        assert is_up_closed(p, members) == ref_is_up_closed(p, members)
+        assert (p.closure(members) == UpSet(members)) == ref_is_up_closed(p, members)
         assert p.closure(members).members == ref_closure(p, members)
 
 

@@ -5,15 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from persdiff import (
-    FieldSpec,
-    FilteredComplex,
-    FinitePoset,
-    NotAChain,
-    chain_diagram_counter,
-    oracle_barcode,
-)
 from persdiff import oracle
+from persdiff.complexes import FilteredComplex
+from persdiff.diagrams import chain_diagram_counter
+from persdiff.fields import FieldSpec
+from persdiff.oracle import NotAChain, oracle_barcode
+from persdiff.posets import FinitePoset
 
 from conftest import GF2, QQ, build_triangle
 from corpus import random_chain_filtration

@@ -12,8 +12,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from persdiff import FinitePoset, InvalidPoset, UnknownElement
 from persdiff.linalg import bit_transpose
+from persdiff.posets import FinitePoset, InvalidPoset, UnknownElement
 
 from dense_reference import reference_cover_order, reference_order, reference_product_order
 

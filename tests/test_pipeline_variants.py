@@ -4,16 +4,12 @@ import random
 
 import numpy as np
 
-from persdiff import (
-    BlanketMode,
-    FieldSpec,
-    FilteredComplex,
-    FinitePoset,
-    compute_diagram,
-    enumerate_diagram_pairs,
-    lifespan_rank,
-    pair_group_rank,
-)
+from persdiff.calculus import pair_group_rank
+from persdiff.complexes import FilteredComplex
+from persdiff.diagrams import compute_diagram
+from persdiff.fields import FieldSpec
+from persdiff.memory import lifespan_rank
+from persdiff.posets import BlanketMode, FinitePoset, enumerate_diagram_pairs
 
 from conftest import GF2, QQ, build_triangle, corner_grid_poset
 
@@ -80,7 +76,7 @@ def test_multi_grade_birth_lives_on_the_union_open():
     # principal up-sets, which is not principal.  The principal-pair
     # diagram therefore reports nothing, and the class is found by a
     # single query on the union open (the documented enumeration scope).
-    from persdiff import EMPTY_OPEN, make_pair, principal_up_set
+    from persdiff.posets import EMPTY_OPEN, make_pair, principal_up_set
 
     p = FinitePoset.grid((2, 2))
     k = FilteredComplex.build(
@@ -104,7 +100,8 @@ def test_multi_grade_birth_lives_on_the_union_open():
 def test_gf5_corpus_spot_check_against_brute_quotient():
     # Cross-check a GF(5) complex's pair counts with independently computed
     # quotient dimensions join(meet)-style, using only lattice primitives.
-    from persdiff import blanket_union, homological_memory, quotient_dim
+    from persdiff.linalg import quotient_dim
+    from persdiff.memory import blanket_union, homological_memory
 
     rng = random.Random(271)
     import sys

@@ -5,8 +5,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from persdiff import (
+from persdiff.posets import (
     EMPTY_OPEN,
+    MAX_ELEMENTS,
     BlanketMode,
     FinitePoset,
     GradedPair,
@@ -23,7 +24,6 @@ from persdiff import (
     pair_blankets,
     principal_up_set,
 )
-from persdiff.posets import MAX_ELEMENTS, is_up_closed
 
 from conftest import corner_grid_poset, offset_grid_poset
 from corpus import random_nested_pairs
@@ -192,12 +192,12 @@ class TestPrincipalUpSet:
 class TestIsUpClosed:
     def test_empty_and_full(self):
         p = FinitePoset.chain(3)
-        assert is_up_closed(p, set())
-        assert is_up_closed(p, {0, 1, 2})
+        assert p.closure(set()) == UpSet()
+        assert p.closure({0, 1, 2}) == UpSet({0, 1, 2})
 
     def test_gap_is_not_up_closed(self):
         p = FinitePoset.chain(3)
-        assert not is_up_closed(p, {0, 2})
+        assert p.closure({0, 2}) != UpSet({0, 2})
 
 
 class TestMinElements:
@@ -433,8 +433,8 @@ class TestClosureProperties:
             p = random_poset(rng, rng.randint(1, 8))
             u = p.closure(rng.sample(range(p.n), rng.randint(0, p.n)))
             v = p.closure(rng.sample(range(p.n), rng.randint(0, p.n)))
-            assert is_up_closed(p, u.members | v.members)
-            assert is_up_closed(p, u.members & v.members)
+            for members in (u.members | v.members, u.members & v.members):
+                assert p.closure(members) == UpSet(members)
 
 
 class TestPairValidity:
