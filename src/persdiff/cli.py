@@ -35,7 +35,7 @@ from .posets import (
     degree_blankets,
     make_pair,
 )
-from .verify import MAX_SAMPLES, run_verification
+from .verify import MAX_SAMPLES, TooManyChecks, run_verification
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLES = 1
@@ -279,7 +279,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
     except (
-        InputError, InvalidField, InvalidPoset, InvalidPair, UnknownElement, NotAChain, TooManyBlankets
+        InputError, InvalidField, InvalidPoset, InvalidPair, UnknownElement, NotAChain, TooManyBlankets, TooManyChecks
     ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

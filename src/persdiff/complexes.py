@@ -86,7 +86,8 @@ class FilteredComplex:
     one dict per named layer.  The per-point layer is keyed by degree,
     element index and kind, and reads a presence-class layer keyed by
     degree, kind and the tuple of cells present, so elements with the same
-    cells present share one subspace object.  The layers over opens in
+    cells present share one subspace object; the empty classes of a degree
+    share its one zero with the empty blanket unions.  The layers over opens in
     :mod:`persdiff.memory` are keyed by the opens' mask bytes
     (``UpSet.key``) next to ints and bools, and its meet and join layers
     by the ``id``s of operand subspaces their entries hold; every other
@@ -303,6 +304,15 @@ class FilteredComplex:
             sub = cache[n] = kernel(self.boundary_matrix(n))
         return sub
 
+    def zero(self, n: int) -> Subspace:
+        """The zero subspace in degree n: one object, shared by the empty
+        presence classes and the empty blanket unions."""
+        cache = self.memo["zero"]
+        sub = cache.get(n)
+        if sub is None:
+            sub = cache[n] = Subspace.zero(self.field, self.ambient_dim(n))
+        return sub
+
     def cycles_at(self, n: int, x) -> Subspace:
         """Cycles present at a point, in colimit coordinates."""
         return self.point_subspace(n, self.poset.resolve(x), False)
@@ -328,7 +338,7 @@ class FilteredComplex:
             sub = shared.get(class_key)
             if sub is None:
                 if not cols:
-                    sub = Subspace.zero(self.field, self.ambient_dim(n))
+                    sub = self.zero(n)
                 elif boundaries:
                     sub = column_space(select_columns(self.boundary_matrix(degree), cols))
                 else:

@@ -532,7 +532,10 @@ def join(a: Subspace, b: Subspace) -> Subspace:
 
 def contains(a: Subspace, b: Subspace) -> bool:
     """True iff ``b`` is contained in ``a``: every row of ``b`` reduces to
-    zero against ``a``'s pivot table, which is read in place."""
+    zero against ``a``'s pivot table, which is read in place.  A subspace
+    contains itself without a reduction."""
+    if a is b:
+        return True
     _check_pair(a, b)
     # A vector of ``a`` leads in one of ``a``'s pivots.
     if not a.table.keys() >= b.table.keys():

@@ -19,6 +19,10 @@ presence, and pairs and blankets with the same memories, reach one meet
 or one join; so do FULL and PRINCIPAL mode.  Those layers are keyed by
 the set of the operands' ``id``s, and each entry holds its operands, so
 an id in a standing key belongs to a live object and is never reused.
+A union with no non-zero blanket memory is the degree's one zero
+(``FilteredComplex.zero``), the object the empty presence classes hold,
+so an empty union builds no subspace.  A union reads
+its blankets' memories straight from the ``memory`` layer.
 """
 from __future__ import annotations
 
@@ -40,6 +44,8 @@ from .posets import (
 def _fold(k: FilteredComplex, layer: str, op, subs: list[Subspace]) -> Subspace:
     """``op`` (meet or join) over the distinct subspaces of ``subs``, once
     per distinct set; the entry holds the operands its key names."""
+    if len(subs) == 1:
+        return subs[0]
     distinct = {id(s): s for s in subs}
     if len(distinct) == 1:
         return subs[0]
@@ -114,9 +120,15 @@ def blanket_union(
     sub = cache.get(key)
     if sub is None:
         blankets = pair_blankets(p, pair, mode) if d == 1 else degree_blankets(p, pair, d, mode)
-        memories = [m for w in blankets if (m := homological_memory(k, n, w)).dim]
-        sub = _fold(k, "join", join, memories) if memories else Subspace.zero(k.field, k.ambient_dim(n))
-        cache[key] = sub
+        known = k.memo["memory"]
+        memories = []
+        for w in blankets:
+            m = known.get((n, w.birth.key, w.death.key))
+            if m is None:
+                m = homological_memory(k, n, w)
+            if m.dim:
+                memories.append(m)
+        sub = cache[key] = _fold(k, "join", join, memories) if memories else k.zero(n)
     return sub
 
 

@@ -462,10 +462,6 @@ def describe_open(p: FinitePoset, u: UpSet) -> str:
     return "{" + inner + "}"
 
 
-def _pair_sort_key(x: PairOpen):
-    return (_lex_key(x.birth.bits), x.death.bits.bit_count(), _lex_key(x.death.bits))
-
-
 def pair_blankets(p: FinitePoset, x: PairOpen, mode: BlanketMode = BlanketMode.FULL) -> list[PairOpen]:
     """Blankets of a pair: cover one coordinate, keep the other.
 
@@ -473,20 +469,38 @@ def pair_blankets(p: FinitePoset, x: PairOpen, mode: BlanketMode = BlanketMode.F
     a death-side cover equal to the birth open is dropped, so the blanket
     set of a principal pair consists of strict pairs only.  Sorted by
     birth members, then death size and death members.
+
+    The list is merged in that order rather than sorted.  Death-side
+    blankets share the birth, and ``blankets_of_open`` already lists them
+    by size and then members.  A birth-side cover W contains the birth,
+    so its sorted members first differ from the birth's at the least
+    added element: W sorts before the death-side block exactly when
+    min(W \\ birth) < max(birth), and those W form a prefix of the
+    birth-side covers in member order.  FULL covers come in that order
+    (one element added, ascending); PRINCIPAL ones, listed by size first,
+    are re-sorted by members.
     """
     birth, death = x
     key = (birth.key, death.key, mode is BlanketMode.FULL)
     cache = p.memo["pair_blankets"]
     out = cache.get(key)
     if out is None:
-        # The two sides never share a pair: birth-side ones grow the birth.
-        found = [PairOpen(w, death) for w in blankets_of_open(p, birth, mode)]
+        principal = mode is BlanketMode.PRINCIPAL
+        grown = blankets_of_open(p, birth, mode)
+        if principal:
+            grown.sort(key=lambda w: _lex_key(w.bits))
+        # The indices below the birth's largest element.
+        below_top = (1 << max(birth.bits.bit_length() - 1, 0)) - 1
+        cut = 0
+        while cut < len(grown) and (grown[cut].bits ^ birth.bits) & below_top:
+            cut += 1
+        out = [PairOpen(w, death) for w in grown[:cut]]
         for z in blankets_of_open(p, death, mode):
-            if z.bits & ~birth.bits or (mode is BlanketMode.PRINCIPAL and z.bits == birth.bits):
+            if z.bits & ~birth.bits or (principal and z.bits == birth.bits):
                 continue
-            found.append(PairOpen(birth, z))
-        out = tuple(sorted(found, key=_pair_sort_key))
-        cache[key] = out
+            out.append(PairOpen(birth, z))
+        out.extend([PairOpen(w, death) for w in grown[cut:]])
+        out = cache[key] = tuple(out)
     return list(out)
 
 
@@ -516,6 +530,12 @@ def diagram_order(p: FinitePoset, bits: int) -> list[int]:
     else by index."""
     members = _indices(bits)
     return sorted(members, key=p.grades.__getitem__) if p.grades else members
+
+
+def diagram_pair_count(p: FinitePoset) -> int:
+    """How many pairs :func:`enumerate_diagram_pairs` lists, without listing
+    them: per birth, the rest of its up-set and the empty death open."""
+    return sum([up.bit_count() for up in p._up])
 
 
 def enumerate_diagram_pairs(p: FinitePoset) -> list[PairOpen]:

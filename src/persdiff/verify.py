@@ -30,6 +30,7 @@ from .posets import (
     BlanketMode,
     GradedPair,
     describe_open,
+    diagram_pair_count,
     enumerate_diagram_pairs,
     pair_blankets,
 )
@@ -73,6 +74,15 @@ _LAW_MODE = BlanketMode.FULL
 # Largest accepted sample count: every sampled check draws lists of that
 # many objects, and each costs rank computations.
 MAX_SAMPLES = 10_000
+# Largest accepted number of rank-identity checks (principal pairs times
+# degrees times the two blanket modes), each of which keeps a memory and
+# unions in the memos: the 3-cell 512-chain's 525,312 take about 3 s and
+# 190 MiB, and the 2,048-chain's 8,392,704 would need about 16 times both.
+MAX_RANK_CHECKS = 1_000_000
+
+
+class TooManyChecks(ValueError):
+    """The rank identity would be checked more than :data:`MAX_RANK_CHECKS` times."""
 
 
 def _sample_graded_pairs(rng, pairs, count):
@@ -98,9 +108,14 @@ def run_verification(
     k.require_valid()
     rng = random.Random(seed)
     p = k.poset
+    degrees = list(range(max(k.max_dim, 0) + 1))
+    checks = diagram_pair_count(p) * len(degrees) * len(BlanketMode)
+    if checks > MAX_RANK_CHECKS:
+        raise TooManyChecks(
+            f"verify would check the rank identity {checks} times; at most {MAX_RANK_CHECKS} are supported"
+        )
     report = VerifyReport()
     pairs = enumerate_diagram_pairs(p)
-    degrees = list(range(max(k.max_dim, 0) + 1))
 
     # Pair-group rank versus lifespan quotient rank, every pair, both modes.
     rank_identity = LawReport("pair-group-equals-lifespan-rank")

@@ -17,9 +17,10 @@ from persdiff.cli import build_parser, main
 from persdiff.complexes import MAX_DIM
 from persdiff.diagrams import compute_diagram
 from persdiff.io import load_complex
-from persdiff.posets import MAX_BLANKET_PAIRS
-from persdiff.verify import MAX_SAMPLES
+from persdiff.posets import MAX_BLANKET_PAIRS, FinitePoset, diagram_pair_count
+from persdiff.verify import MAX_RANK_CHECKS, MAX_SAMPLES
 
+from conftest import LONG_CHAIN_CELLS
 from golden import GOLDEN_CASES, golden_argv, golden_path
 
 DATA = Path(__file__).parent / "data"
@@ -345,6 +346,29 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", path, "--samples", 25, "--seed", 42)
         assert code == 0
         assert "verification PASSED" in out
+
+    def test_rank_check_count_is_bounded(self, capsys, tmp_path):
+        """The 3-cell 2,048-chain has 2,098,176 principal pairs, so 8,392,704
+        rank-identity checks in two degrees and two modes, 16 times the
+        512-chain's: refused before the first."""
+        path = tmp_path / "chain2048.json"
+        doc = {
+            "format_version": 1,
+            "field": "gf2",
+            "poset": {"kind": "grid", "shape": [2048]},
+            "cells": LONG_CHAIN_CELLS,
+        }
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", path, "--samples", 10)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: verify would check the rank identity 8392704 times; "
+            f"at most {MAX_RANK_CHECKS} are supported\n"
+        )
+        # The 3-cell 512-chain, two degrees in two modes, stays inside it.
+        assert diagram_pair_count(FinitePoset.chain(512)) * 2 * 2 == 525_312 <= MAX_RANK_CHECKS
 
 
 class TestDeterminism:

@@ -511,6 +511,37 @@ def test_lattice_ops_match_dense_reference(case):
     assert [_snapshot(sa), _snapshot(sb)] == before
 
 
+@st.composite
+def containment_case(draw):
+    """Two subspaces over GF(2), GF(5) or Q, the second drawn half the time
+    inside the first: the span of random combinations of its rows."""
+    field = draw(st.sampled_from([GF2, GF5, QQ]))
+    ambient = draw(st.integers(0, 6))
+    sa, a = draw(subspace_case(field, ambient))
+    if not draw(st.booleans()):
+        return field, (sa, a), draw(subspace_case(field, ambient))
+    count = draw(st.integers(0, 4))
+    coeffs = dense_zeros(field, count, a.shape[0])
+    for i in range(count):
+        coeffs[i, :] = draw(st.lists(_scalar(field), min_size=a.shape[0], max_size=a.shape[0]))
+    b = field.normalize(coeffs.dot(a)) if count and a.shape[0] else dense_zeros(field, count, ambient)
+    return field, (sa, a), (Subspace.from_array(field, b, ambient), b)
+
+
+@settings(max_examples=200)
+@given(containment_case())
+def test_contains_matches_dense_reference(case):
+    """A rank test on the stacked rows, in both directions; every subspace
+    contains itself and an equal subspace held as another object."""
+    field, (sa, a), (sb, b) = case
+    for (x, dx), (y, dy) in (((sa, a), (sb, b)), ((sb, b), (sa, a))):
+        assert contains(x, y) == (_dense_rank(field, dx, dy) == _dense_rank(field, dx))
+    for x, dx in ((sa, a), (sb, b)):
+        twin = Subspace.from_array(field, dx, x.ambient_dim)
+        assert twin is not x and twin == x
+        assert contains(x, x) and contains(x, twin) and contains(twin, x)
+
+
 @settings(max_examples=100)
 @given(lattice_case())
 def test_complement_basis_keeps_rows_that_raise_the_rank(case):

@@ -16,8 +16,10 @@ from persdiff.posets import (
     PairOpen,
     UnknownElement,
     UpSet,
+    _lex_key,
     blankets_of_open,
     degree_blankets,
+    diagram_pair_count,
     enumerate_diagram_pairs,
     make_pair,
     min_elements,
@@ -325,6 +327,64 @@ class TestPairBlankets:
         assert pair_blankets(p, pair) == []
 
 
+def _pair_sort_key(x: PairOpen):
+    """The order pair_blankets lists its pairs in: birth members, then death
+    size and death members.  Each string compares like a sorted member list."""
+    return (_lex_key(x.birth.bits), x.death.bits.bit_count(), _lex_key(x.death.bits))
+
+
+def shuffled_poset(rng, n):
+    """A random explicit poset whose indices are not a linear extension."""
+    leq = dense_leq(random_poset(rng, n))
+    while True:
+        perm = rng.sample(range(n), n)
+        p = FinitePoset([str(i) for i in range(n)], leq[np.ix_(perm, perm)])
+        if any(p.leq(j, i) for i in range(n) for j in range(i + 1, n)):
+            return p
+
+
+def nested_pairs(rng, p, count):
+    """Every principal pair, and ``count`` random nested pairs of opens."""
+    pairs = enumerate_diagram_pairs(p)
+    for _ in range(count):
+        birth = p.closure(rng.sample(range(p.n), rng.randint(0, p.n)))
+        inside = sorted(birth.members)
+        pairs.append(PairOpen(birth, p.closure(rng.sample(inside, rng.randint(0, len(inside))))))
+    return pairs
+
+
+class TestPairBlanketOrder:
+    """pair_blankets merges its list instead of sorting it; the merge must
+    give the sorted order on posets past the exhaustive small ones."""
+
+    def check(self, p, pairs):
+        placements = set()
+        for pair in pairs:
+            for mode in BlanketMode:
+                got = pair_blankets(p, pair, mode)
+                assert got == sorted(got, key=_pair_sort_key)
+                before = _pair_sort_key(pair)
+                placements.update(x.birth != pair.birth and _pair_sort_key(x) < before for x in got)
+        return placements
+
+    def test_30_chain(self):
+        p = FinitePoset.chain(30)
+        assert self.check(p, nested_pairs(random.Random(3), p, 200))
+
+    def test_8x8_grid(self):
+        p = FinitePoset.grid((8, 8))
+        # Birth-side covers land on both sides of the death-side block.
+        assert self.check(p, nested_pairs(random.Random(5), p, 300)) == {False, True}
+
+    def test_shuffled_explicit_posets(self):
+        rng = random.Random(7)
+        placements = set()
+        for _ in range(12):
+            p = shuffled_poset(rng, rng.randint(8, 10))
+            placements |= self.check(p, nested_pairs(rng, p, 150))
+        assert placements == {False, True}
+
+
 class TestDegreeBlankets:
     def test_degree_zero(self):
         p = FinitePoset.chain(3)
@@ -424,6 +484,14 @@ class TestEnumerateDiagramPairs:
         p = FinitePoset.grid((3, 2))
         for pair in enumerate_diagram_pairs(p):
             assert pair.birth.members >= pair.death.members
+
+    def test_count_without_listing(self):
+        rng = random.Random(11)
+        posets = [FinitePoset.chain(1), FinitePoset.chain(30), FinitePoset.grid((8, 8)), corner_grid_poset()]
+        posets += [shuffled_poset(rng, rng.randint(8, 10)) for _ in range(5)]
+        for p in posets:
+            assert diagram_pair_count(p) == len(enumerate_diagram_pairs(p))
+        assert diagram_pair_count(FinitePoset.chain(512)) == 512 * 513 // 2
 
 
 class TestClosureProperties:
