@@ -34,6 +34,7 @@ from .posets import (
     UnknownElement,
     degree_blankets,
     make_pair,
+    named_element,
 )
 from .verify import MAX_SAMPLES, TooManyChecks, run_verification
 
@@ -81,7 +82,8 @@ def _sample_count(token: str) -> int:
 
 
 def _parse_open(k, spec: str):
-    """An open from generator grades: 'g' or 'g1;g2', vectors as 'a,b'."""
+    """An open from generators: 'g' or 'g1;g2', vectors as 'a,b', each read
+    by ``named_element`` (a bare integer is a grade, or a label)."""
     if not isinstance(spec, str):
         # argparse drops the value of "--birth=--" and hands over [].
         raise _UsageError("empty open spec")
@@ -98,11 +100,9 @@ def _parse_open(k, spec: str):
         # takes at most one sign.
         if all(p.removeprefix("-").isdecimal() for p in parts):
             gen = int(parts[0]) if len(parts) == 1 else tuple(int(c) for c in parts)
-            if len(parts) == 1 and k.poset.grades and len(k.poset.grades[0]) == 1:
-                gen = (int(parts[0]),)
         else:
             gen = chunk
-        generators.append(gen)
+        generators.append(named_element(k.poset, gen))
     if not generators:
         raise _UsageError(f"empty open spec {spec!r}")
     return k.poset.closure(generators)

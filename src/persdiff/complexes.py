@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import reduce
+from typing import Iterable, NamedTuple, Sequence
 
 from .fields import FieldSpec
 from .linalg import (
@@ -28,7 +29,7 @@ from .linalg import (
     matmul,
     select_columns,
 )
-from .posets import FinitePoset, as_int
+from .posets import FinitePoset, as_int, named_element
 
 # Largest accepted cell dimension: diagrams and verification do work in
 # every degree up to it, even where no cell has that dimension.
@@ -68,6 +69,22 @@ class Cell:
             )
 
 
+class PresenceTable(NamedTuple):
+    """Where the n-cells are present.  ``masks`` maps n-cell index to the mask
+    of the elements where it is present.  Elements with the same n-cells
+    present form a class: ``classes`` maps element index to class, ``cells``
+    class to n-cell indices, and ``twins`` element to the mask of its lower
+    covers in its class.  Degree-n cycles and degree-(n-1) boundaries at a
+    point depend only on its class c: ``subspaces[2c]`` and ``[2c + 1]``
+    once built."""
+
+    masks: list[int]
+    classes: list[int]
+    cells: list[tuple[int, ...]]
+    twins: list[int]
+    subspaces: list
+
+
 @dataclass(frozen=True)
 class Violation:
     kind: str
@@ -83,11 +100,13 @@ class FilteredComplex:
     """Immutable multifiltered complex; queries are pure and memoized.
 
     ``memo`` holds every derived result, here and in :mod:`persdiff.memory`:
-    one dict per named layer.  The per-point layer is keyed by degree,
-    element index and kind, and reads a presence-class layer keyed by
-    degree, kind and the tuple of cells present, so elements with the same
-    cells present share one subspace object; the empty classes of a degree
-    share its one zero with the empty blanket unions.  The layers over opens in
+    one dict per named layer.  Per-point state is the ``presence_table``
+    layer, keyed by degree: a :class:`PresenceTable`, read by element
+    index, whose classes hold the cycle and boundary subspaces, so elements
+    with the same cells present share one subspace object; the empty
+    classes of a degree share its one zero with the empty blanket unions.
+    The ``boundary``, ``colimit`` and ``zero`` layers are keyed by degree
+    too.  The layers over opens in
     :mod:`persdiff.memory` are keyed by the opens' mask bytes
     (``UpSet.key``) next to ints and bools, and its meet and join layers
     by the ``id``s of operand subspaces their entries hold; every other
@@ -205,7 +224,7 @@ class FilteredComplex:
                 continue
             for row, _ in entries:
                 face = self._by_dim[cell.dim - 1][row]
-                present = self._presence(cell.dim - 1)[row]
+                present = self.presence_table(cell.dim - 1).masks[row]
                 for b in cell.births:
                     if not present >> b & 1:
                         out.append(
@@ -254,45 +273,33 @@ class FilteredComplex:
         m = cache[n] = Matrix.from_entries(self.field, rows, len(cols), entries)
         return m
 
-    def _presence(self, n: int) -> list[int]:
-        """Per n-cell, the mask of the elements at which it is present."""
-        masks = self.memo["presence"].get(n)
-        if masks is None:
-            cells = self.cells_of_dim(n)
-            masks = self.memo["presence"][n] = [self.poset.closure(c.births).bits for c in cells]
-        return masks
+    def presence_table(self, n: int) -> PresenceTable:
+        """Where the n-cells are present; built once per degree, its classes
+        in one pass over the transposed presence masks."""
+        table = self.memo["presence_table"].get(n)
+        if table is None:
+            p, width = self.poset, self.ambient_dim(n)
+            masks = [reduce(int.__or__, [p.principal[b].bits for b in c.births]) for c in self.cells_of_dim(n)]
+            # Per element (the transpose lists the highest first), its n-cells
+            # as one int, cell 0 the highest bit; keyed on bytes, as opens are.
+            index: dict[bytes, int] = {}
+            classes, cells, members = [], [], []
+            for x, row in enumerate(bit_transpose(masks, p.n)[::-1]):
+                c = index.setdefault(row.to_bytes((row.bit_length() + 7) // 8, "little"), len(cells))
+                if c == len(cells):
+                    cells.append(tuple([j for j, d in enumerate(format(row, f"0{width}b")) if d == "1"]))
+                    members.append(0)
+                members[c] |= 1 << x
+                classes.append(c)
+            twins = [covers & members[c] for covers, c in zip(p.lower_covers, classes)]
+            table = PresenceTable(masks, classes, cells, twins, [None] * (2 * len(cells)))
+            self.memo["presence_table"][n] = table
+        return table
 
-    def cells_present(self, n: int, x) -> tuple[int, ...]:
-        """Indices of n-cells with some birth grade at or below ``x``."""
-        xi = self.poset.resolve(x)
-        return tuple([j for j, mask in enumerate(self._presence(n)) if mask >> xi & 1])
-
-    def presence_twins(self, n: int) -> list[int]:
-        """Per element index, the mask of its lower covers at which the same
-        n-cells are present.
-
-        Degree-n cycles and degree-(n-1) boundaries at a point depend only
-        on which n-cells are present there, so they agree at an element
-        and at each of its twins.
-        """
-        cache = self.memo["twins"]
-        twins = cache.get(n)
-        if twins is None:
-            p = self.poset
-            # Per element, the n-cells present there as one int; the
-            # transpose lists the highest element first.
-            present = bit_transpose(self._presence(n), p.n)[::-1]
-            twins = []
-            for x, covers in enumerate(p.lower_covers):
-                mask = 0
-                while covers:
-                    w = covers & -covers
-                    if present[w.bit_length() - 1] == present[x]:
-                        mask |= w
-                    covers ^= w
-                twins.append(mask)
-            cache[n] = twins
-        return twins
+    def cells_present(self, n: int, x: int) -> tuple[int, ...]:
+        """Indices of the n-cells present at element index ``x``."""
+        table = self.presence_table(n)
+        return table.cells[table.classes[x]]
 
     # -- per-point subspaces --------------------------------------------------
 
@@ -313,38 +320,29 @@ class FilteredComplex:
             sub = cache[n] = Subspace.zero(self.field, self.ambient_dim(n))
         return sub
 
-    def cycles_at(self, n: int, x) -> Subspace:
-        """Cycles present at a point, in colimit coordinates."""
-        return self.point_subspace(n, self.poset.resolve(x), False)
+    def cycles_at(self, n: int, x: int) -> Subspace:
+        """Cycles present at element index ``x``, in colimit coordinates."""
+        return self._class_subspace(n, x, False)
 
-    def boundaries_at(self, n: int, x) -> Subspace:
-        """Boundaries of (n+1)-cells present at a point, in colimit coordinates."""
-        return self.point_subspace(n, self.poset.resolve(x), True)
+    def boundaries_at(self, n: int, x: int) -> Subspace:
+        """Boundaries of (n+1)-cells present at element index ``x``, in colimit coordinates."""
+        return self._class_subspace(n + 1, x, True)
 
-    def point_subspace(self, n: int, i: int, boundaries: bool) -> Subspace:
-        """Degree-n cycles, or boundaries, present at element index ``i``.
-
-        They depend only on the n-cells (or (n+1)-cells) present there, so
-        every element with the same cells present gets the same object.
-        """
-        cache = self.memo["point"]
-        key = (n, i, boundaries)
-        sub = cache.get(key)
+    def _class_subspace(self, degree: int, x: int, boundaries: bool) -> Subspace:
+        """The cycles in ``degree``, or the boundaries in ``degree - 1``, of
+        the degree-``degree`` presence class of ``x``; built once per class."""
+        table = self.presence_table(degree)
+        slot = 2 * table.classes[x] + boundaries
+        sub = table.subspaces[slot]
         if sub is None:
-            degree = n + 1 if boundaries else n
-            cols = self.cells_present(degree, i)
-            shared = self.memo["presence_class"]
-            class_key = (n, boundaries, cols)
-            sub = shared.get(class_key)
-            if sub is None:
-                if not cols:
-                    sub = self.zero(n)
-                elif boundaries:
-                    sub = column_space(select_columns(self.boundary_matrix(degree), cols))
-                else:
-                    sub = embed(kernel(select_columns(self.boundary_matrix(degree), cols)), cols, self.ambient_dim(n))
-                shared[class_key] = sub
-            cache[key] = sub
+            cols = table.cells[slot >> 1]
+            if not cols:
+                sub = self.zero(degree - 1 if boundaries else degree)
+            elif boundaries:
+                sub = column_space(select_columns(self.boundary_matrix(degree), cols))
+            else:
+                sub = embed(kernel(select_columns(self.boundary_matrix(degree), cols)), cols, self.ambient_dim(degree))
+            table.subspaces[slot] = sub
         return sub
 
 
@@ -356,7 +354,7 @@ def _cell_from_spec(field: FieldSpec, poset: FinitePoset, spec: dict) -> Cell:
         raise InvalidComplex(f"cell record missing {exc.args[0]!r}") from None
     if not isinstance(births_raw, (list, tuple)) or not births_raw:
         raise InvalidComplex(f"cell {cid!r} needs a non-empty birth list")
-    births = tuple(sorted({poset.resolve(b) for b in births_raw}))
+    births = tuple(sorted({named_element(poset, b) for b in births_raw}))
     if "vertices" in spec:
         if not isinstance(spec["vertices"], (list, tuple)):
             raise InvalidComplex(f"cell {cid!r} needs a vertex list")

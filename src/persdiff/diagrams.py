@@ -74,7 +74,6 @@ from .posets import (
     UpSet,
     diagram_order,
     min_elements,
-    principal_up_set,
 )
 
 INF = "inf"
@@ -117,11 +116,12 @@ def _multiplicities(k: FilteredComplex, degrees, mode: BlanketMode, include_zero
         degrees = range(max(k.max_dim, 0) + 1)
     births = diagram_order(p, p.top().bits)
     full = mode is BlanketMode.FULL
+    principal = p.principal
     for n in degrees:
-        birth_twins = k.presence_twins(n)
-        death_twins = k.presence_twins(n + 1)
+        birth_twins = k.presence_table(n).twins
+        death_twins = k.presence_table(n + 1).twins
         for x in births:
-            birth = principal_up_set(p, x)
+            birth = principal[x]
             critical = not birth_twins[x] and cycles_on_open(k, n, birth).dim
             if not (critical or include_zero):
                 continue
@@ -132,7 +132,7 @@ def _multiplicities(k: FilteredComplex, degrees, mode: BlanketMode, include_zero
             for y in diagram_order(p, above) + [None]:
                 mult = 0
                 if critical and (y is None or not death_twins[y] & reach):
-                    pair = PairOpen(birth, EMPTY_OPEN if y is None else principal_up_set(p, y))
+                    pair = PairOpen(birth, EMPTY_OPEN if y is None else principal[y])
                     if homological_memory(k, n, pair).dim:
                         mult = pair_group_rank(k, n, pair, mode)
                 if mult or include_zero:

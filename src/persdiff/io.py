@@ -3,7 +3,8 @@
 One document describes a multifiltered complex (``format_version`` 1).
 Grid posets are declared by shape; explicit posets by labels and covering
 relations, transitively closed at load.  Births name poset elements by
-grade scalar/vector or by label.  Shapes, grades and cell dimensions must
+grade scalar/vector or by label; a bare integer is a grade scalar on a
+graded poset and a label on an ungraded one (``posets.named_element``).  Shapes, grades and cell dimensions must
 be JSON integers.  Posets with more than ``posets.MAX_ELEMENTS`` elements
 are refused before their order is built, and so are integer literals and
 rational coefficients with more than ``fields.MAX_DIGITS`` digits.  Every

@@ -17,7 +17,7 @@ reduced row echelon form: each pivot maps to its RREF row in that row
 form.  Over Q each RREF row is scaled to its primitive integer multiple
 with a positive leading entry, which is as canonical.  The RREF depends
 only on the row space, so two subspaces are equal exactly when their
-tables are.  ``basis``, ``rref`` and ``complement_basis`` hand out RREF
+tables are.  ``basis`` and ``complement_basis`` hand out RREF
 rows in pivot-column order, divided back to ``Fraction`` entries over Q.
 The lattice ops read the tables: a join inserts the smaller operand's
 rows into a copy of the larger one's table; containment reduces one
@@ -81,10 +81,6 @@ class Matrix:
         else:
             rows = [{c: x for c, x in row.items() if x} for row in sums]
         return cls(field, rows, ncols)
-
-    @classmethod
-    def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "Matrix":
-        return cls(field, [0 if field.characteristic == 2 else {} for _ in range(rows)], cols)
 
     def _items(self, row) -> list[tuple[int, object]]:
         """(column, scalar) pairs of the non-zero entries of one of the rows."""
@@ -355,14 +351,6 @@ def _echelon(field: FieldSpec, table: dict) -> list:
     """A pivot table's rows in pivot-column order.  Over GF(2) a higher
     leading bit is an earlier column."""
     return [table[c] for c in sorted(table, reverse=field.characteristic == 2)]
-
-
-def rref(m: Matrix) -> tuple[Matrix, int]:
-    """Reduced row echelon form, zero rows last, and rank.  Idempotent."""
-    f = m.field
-    rows = _echelon(f, _eliminate(f, {}, _table_rows(f, m.rows)))
-    zeros = Matrix.zeros(f, len(m.rows) - len(rows), m.cols).rows
-    return Matrix(f, _handed_out(f, rows) + zeros, m.cols), len(rows)
 
 
 class Subspace:

@@ -11,12 +11,13 @@ Results are memoized on the complex in two layers.  The ``open``,
 ``memory`` and ``union`` layers are keyed by degree and the opens' mask
 bytes (``UpSet.key``), plus the kind on an open and the blanket degree
 and whether the mode is FULL on a union, and answer a repeated query in
-one lookup.  Below them, each meet and
-each union join runs once per distinct set of operand subspaces
-(``_fold``).  Per-point subspaces are shared by every element with the
-same cells present, so opens whose minimal elements have the same
+one lookup.  Below them, each meet and each union join runs once per
+distinct set of operand subspaces (``_fold``).  Per-point subspaces come
+from the complex's per-degree presence tables through ``cycles_at`` and
+``boundaries_at``, by element index: one object per presence class.
+So opens whose minimal elements have the same
 presence, and pairs and blankets with the same memories, reach one meet
-or one join; so do FULL and PRINCIPAL mode.  Those layers are keyed by
+or one join; so do FULL and PRINCIPAL mode.  The meet and join layers are keyed by
 the set of the operands' ``id``s, and each entry holds its operands, so
 an id in a standing key belongs to a live object and is never reused.
 A union with no non-zero blanket memory is the degree's one zero

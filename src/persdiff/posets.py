@@ -209,7 +209,8 @@ class FinitePoset:
         self._down = down
         self._index = {lab: i for i, lab in enumerate(labels)}
         self._grade_index = {g: i for i, g in enumerate(self.grades)} if self.grades else {}
-        self._principal = [UpSet(bits=bits) for bits in up]
+        # Per element index, its principal up-set.
+        self.principal = [UpSet(bits=bits) for bits in up]
         # Blankets and pair blankets: one dict per named layer.
         self.memo: defaultdict[str, dict] = defaultdict(dict)
 
@@ -394,8 +395,17 @@ def _checked_grades(labels: tuple, up: list[int], grades) -> tuple | None:
 
 
 def principal_up_set(p: FinitePoset, x) -> UpSet:
-    """Smallest up-set containing ``x``."""
-    return p._principal[p.resolve(x)]
+    """Smallest up-set containing ``x`` (any form ``resolve`` reads)."""
+    return p.principal[p.resolve(x)]
+
+
+def named_element(p: FinitePoset, x) -> int:
+    """Element index of an element named in a document or on the command
+    line: a label, a grade vector, or a bare integer, which is the grade
+    ``(x,)`` on a graded poset and the label ``str(x)`` on an ungraded one."""
+    if not isinstance(x, bool) and hasattr(type(x), "__index__"):
+        x = (x,) if p.grades else str(operator.index(x))
+    return p.resolve(x)
 
 
 def _extremes(bits: int, strict_side: list[int], lowest_first: bool) -> int:
@@ -438,7 +448,7 @@ def blankets_of_open(p: FinitePoset, u: UpSet, mode: BlanketMode = BlanketMode.F
             for m in _indices(_extremes(u.bits, p._up, True)):
                 below &= p._down[m]
             tops = _indices(_extremes(below, p._down, False))
-            out = [p._principal[i] for i in tops]
+            out = [p.principal[i] for i in tops]
             out = tuple(sorted(out, key=lambda w: (w.bits.bit_count(), _lex_key(w.bits))))
         cache[key] = out
     return list(out)
@@ -544,7 +554,7 @@ def enumerate_diagram_pairs(p: FinitePoset) -> list[PairOpen]:
     Births and, for each birth, deaths come in diagram order, with the
     empty death open last for each birth.
     """
-    principal = p._principal
+    principal = p.principal
     out = []
     for i in diagram_order(p, p.top().bits):
         u = principal[i]

@@ -40,6 +40,20 @@ def kernel_set(p: int, matrix_rows, cols: int) -> frozenset:
     return frozenset(out)
 
 
+def all_posets(max_elements=4):
+    """Every partial order on 1..max_elements labelled elements, as leq matrices."""
+    for n in range(1, max_elements + 1):
+        off = [(i, j) for i in range(n) for j in range(n) if i != j]
+        for chosen in product((False, True), repeat=len(off)):
+            leq = np.eye(n, dtype=bool)
+            for (i, j), on in zip(off, chosen):
+                leq[i, j] = on
+            if np.any(leq & leq.T & ~np.eye(n, dtype=bool)):
+                continue
+            if np.array_equal((leq.astype(int) @ leq.astype(int)) > 0, leq):
+                yield leq
+
+
 def all_up_sets(leq: np.ndarray) -> list[frozenset]:
     """Every upward closed subset of a poset given by its order matrix."""
     n = leq.shape[0]

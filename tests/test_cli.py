@@ -660,6 +660,59 @@ class TestMalformedDocuments:
         assert "expected an integer" in err
 
 
+def _doc(poset, births):
+    """One vertex born at ``births`` on ``poset``."""
+    cells = [{"id": "v", "vertices": ["v"], "births": births}]
+    return {"format_version": 1, "field": "gf2", "poset": poset, "cells": cells}
+
+
+_GRADED = {"kind": "explicit", "elements": ["a", "b"], "covers": [["a", "b"]], "grades": {"a": 5, "b": 7}}
+_LABELLED = {"kind": "explicit", "elements": ["1", "2", "3"], "covers": [["1", "2"], ["2", "3"]]}
+_GRID = {"kind": "grid", "shape": [2, 2]}
+
+
+class TestBareIntegers:
+    """A bare integer names the grade (x,) on a graded poset and the label
+    str(x) on an ungraded one, in documents and in ``blankets`` opens;
+    it is never an element index."""
+
+    @pytest.mark.parametrize(
+        "poset, births, birth",
+        [(_GRADED, [5], [5]), (_GRADED, [7], [7]), (_LABELLED, [1], ["1"]), (_GRID, [[1, 0]], [[1, 0]])],
+    )
+    def test_birth_names_a_grade_or_label(self, capsys, tmp_path, poset, births, birth):
+        code, out, _ = _run_doc(capsys, tmp_path, _doc(poset, births))
+        assert code == 0
+        assert json.loads(out)["entries"] == [{"degree": 0, "birth": birth, "death": "inf", "multiplicity": 1}]
+
+    @pytest.mark.parametrize(
+        "poset, births, message",
+        [(_GRADED, [1], "no element with grade (1,)"), (_GRID, [3], "no element with grade (3,)")],
+    )
+    def test_birth_is_not_an_index(self, capsys, tmp_path, poset, births, message):
+        code, out, err = _run_doc(capsys, tmp_path, _doc(poset, births))
+        assert (code, out, err) == (3, "", f"error: bad birth grade: {message}\n")
+
+    @pytest.mark.parametrize(
+        "poset, births, birth, out",
+        [
+            (_GRID, [[0, 0]], "1,0", "[(1, 0)] inf\n"),
+            (_GRADED, [5], "7", "[7] inf\n"),
+            (_LABELLED, [1], "2", "['2'] inf\n"),
+        ],
+    )
+    def test_blanket_open_names_a_grade_or_label(self, capsys, tmp_path, poset, births, birth, out):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(_doc(poset, births)))
+        assert run(capsys, "blankets", path, "--birth", birth, "--death", "inf", "--steps", 0) == (0, out, "")
+
+    def test_blanket_open_is_not_an_index(self, capsys, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(_doc(_GRID, [[0, 0]])))
+        code, out, err = run(capsys, "blankets", path, "--birth", "1", "--death", "inf")
+        assert (code, out, err) == (3, "", "error: no element with grade (1,)\n")
+
+
 class TestNoTraceback:
     """Inputs that once ended in a traceback exit 3 with one error line."""
 

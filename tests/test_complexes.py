@@ -143,7 +143,7 @@ class TestBoundaryMatrix:
 
 class TestPresence:
     def test_below_all_births(self, two_param):
-        assert two_param.cells_present(1, (0, 0)) == ()
+        assert two_param.cells_present(1, two_param.poset.resolve((0, 0))) == ()
 
     def test_above_all_births(self, triangle):
         assert triangle.cells_present(1, 2) == (0, 1, 2)

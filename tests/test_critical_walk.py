@@ -4,37 +4,25 @@ Every poset with at most four elements, each with small random complexes
 over GF(2) whose cells have arbitrary up-sets of presence (so several
 births per cell): in both blanket modes, with and without zero entries,
 ``compute_diagram`` must list exactly what ``pair_group_rank`` gives over
-``enumerate_diagram_pairs``, entry for entry and in the same order.
+``enumerate_diagram_pairs``, entry for entry and in the same order.  On
+the same complexes, the presence table the walk reads must match presence
+read off the cells' births.
 """
+import json
 import random
-from itertools import product
-
-import numpy as np
 
 from persdiff.calculus import pair_group_rank
 from persdiff.complexes import FilteredComplex
 from persdiff.diagrams import DiagramEntry, compute_diagram, open_repr
+from persdiff.io import load_complex
 from persdiff.posets import BlanketMode, FinitePoset, UpSet, enumerate_diagram_pairs, min_elements
 
 from conftest import GF2, build_long_chain
-from exhaustive import all_up_sets
+from corpus import random_filtration
+from exhaustive import all_posets, all_up_sets
 
 # Candidate simplices, faces first: two triangles sharing the edge bc.
 SIMPLICES = ("a", "b", "c", "d", "ab", "ac", "bc", "bd", "cd", "abc", "bcd")
-
-
-def all_posets(max_elements=4):
-    """Every partial order on 1..max_elements labelled elements, as leq matrices."""
-    for n in range(1, max_elements + 1):
-        off = [(i, j) for i in range(n) for j in range(n) if i != j]
-        for chosen in product((False, True), repeat=len(off)):
-            leq = np.eye(n, dtype=bool)
-            for (i, j), on in zip(off, chosen):
-                leq[i, j] = on
-            if np.any(leq & leq.T & ~np.eye(n, dtype=bool)):
-                continue
-            if np.array_equal((leq.astype(int) @ leq.astype(int)) > 0, leq):
-                yield leq
 
 
 def random_cells(rng, p, ups):
@@ -67,19 +55,27 @@ def reference_diagram(k, mode, include_zero):
     ]
 
 
-def reference_twins(k, n, leq):
-    """Lower covers with the same n-cells present, straight from the definition."""
+def reference_presence(k, n, leq):
+    """Per element, the n-cells present there: those with a birth at or below it."""
+    cells = k.cells_of_dim(n)
+    return [tuple(j for j, c in enumerate(cells) if any(leq[b, x] for b in c.births)) for x in range(len(leq))]
+
+
+def reference_twins(leq, present):
+    """Lower covers with the same cells present, straight from the definition."""
     size = len(leq)
     out = []
     for x in range(size):
         below = [w for w in range(size) if w != x and leq[w, x]]
         covers = [w for w in below if not any(v != w and leq[w, v] for v in below)]
-        same = [w for w in covers if k.cells_present(n, w) == k.cells_present(n, x)]
+        same = [w for w in covers if present[w] == present[x]]
         out.append(sum(1 << w for w in same))
     return out
 
 
-def test_walk_equals_full_enumeration_on_every_small_poset():
+def small_complexes():
+    """Three random complexes on every poset with at most four elements,
+    each with its order matrix and cell records."""
     rng = random.Random(4)
     posets = list(all_posets())
     assert len(posets) == 1 + 3 + 19 + 219
@@ -88,14 +84,61 @@ def test_walk_equals_full_enumeration_on_every_small_poset():
         ups = all_up_sets(leq)
         for _ in range(3):
             cells = random_cells(rng, p, ups)
-            k = FilteredComplex.build(GF2, p, cells)
-            fresh = FilteredComplex.build(GF2, p, cells)
-            for n in range(max(k.max_dim, 0) + 2):
-                assert k.presence_twins(n) == reference_twins(k, n, leq)
-            for mode in BlanketMode:
-                for include_zero in (False, True):
-                    got = compute_diagram(k, mode=mode, include_zero=include_zero)
-                    assert got == reference_diagram(fresh, mode, include_zero), (leq, cells)
+            yield leq, cells, FilteredComplex.build(GF2, p, cells)
+
+
+def test_presence_table_matches_births_on_every_small_poset():
+    """Classes, cells present, presence masks and twins, in every degree,
+    against presence read off the cells' births."""
+    for leq, cells, k in small_complexes():
+        size = len(leq)
+        for n in range(max(k.max_dim, 0) + 2):
+            table = k.presence_table(n)
+            present = reference_presence(k, n, leq)
+            for x in range(size):
+                assert k.cells_present(n, x) == present[x]
+                for y in range(size):
+                    assert (table.classes[x] == table.classes[y]) == (present[x] == present[y])
+            assert table.twins == reference_twins(leq, present)
+            assert table.masks == [
+                sum(1 << x for x in range(size) if j in present[x]) for j in range(k.ambient_dim(n))
+            ]
+            assert len(table.subspaces) == 2 * len(table.cells) == 2 * len(set(present))
+
+
+def test_walk_equals_full_enumeration_on_every_small_poset():
+    for leq, cells, k in small_complexes():
+        fresh = FilteredComplex.build(GF2, k.poset, cells)
+        for mode in BlanketMode:
+            for include_zero in (False, True):
+                got = compute_diagram(k, mode=mode, include_zero=include_zero)
+                assert got == reference_diagram(fresh, mode, include_zero), (leq, cells)
+
+
+def test_walk_resolves_no_element(tmp_path, monkeypatch):
+    """On a loaded 8x8 grid document, in both modes and with and without
+    zeros, the walk reads every element by index: ``resolve`` is never
+    called once the document is loaded."""
+    k = random_filtration(random.Random(8), shape=(8, 8), max_vertices=5)
+    p = k.poset
+    doc = {
+        "format_version": 1,
+        "field": "gf2",
+        "poset": {"kind": "grid", "shape": [8, 8]},
+        "cells": [
+            {"id": c.id, "vertices": list(c.vertices), "births": [list(p.grades[b]) for b in c.births]}
+            for c in k.all_cells()
+        ],
+    }
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(doc))
+    runs = [(load_complex(path), mode, include_zero) for mode in BlanketMode for include_zero in (False, True)]
+    calls = []
+    original = FinitePoset.resolve
+    monkeypatch.setattr(FinitePoset, "resolve", lambda self, x: calls.append(x) or original(self, x))
+    for loaded, mode, include_zero in runs:
+        entries = compute_diagram(loaded, mode=mode, include_zero=include_zero)
+        assert entries and calls == [], (mode, include_zero)
 
 
 def test_long_chain_visits_only_critical_pairs():

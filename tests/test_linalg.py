@@ -21,7 +21,6 @@ from persdiff.linalg import (
     matmul,
     meet,
     quotient_dim,
-    rref,
     select_columns,
     transpose,
 )
@@ -39,39 +38,38 @@ def gf2_subspace(rows, ambient=None):
 
 
 class TestRref:
+    """The reduced row echelon form a subspace hands out as ``basis``."""
+
     def test_zero_matrix(self):
-        red, rank = rref(Matrix.zeros(GF2, 2, 3))
-        assert rank == 0
-        assert red == Matrix.zeros(GF2, 2, 3)
+        s = Subspace.from_array(GF2, [[0, 0, 0], [0, 0, 0]])
+        assert s.dim == 0
+        assert s.basis == Matrix.from_array(GF2, [], 3)
 
     def test_identity(self):
-        red, rank = rref(Subspace.full(GF2, 3).basis)
-        assert rank == 3
-        assert red == Subspace.full(GF2, 3).basis
+        s = Subspace.from_array(GF2, Subspace.full(GF2, 3).basis.tolist())
+        assert s.dim == 3
+        assert s.basis == Subspace.full(GF2, 3).basis
 
     def test_gf2_rank_two(self):
         rows = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
         assert span_rank(2, rows, 3) == 2  # brute-force span enumeration
-        _, rank = rref(Matrix.from_array(GF2, rows))
-        assert rank == 2
+        assert Subspace.from_array(GF2, rows).dim == 2
 
     def test_idempotent(self):
-        m = Matrix.from_array(GF5, [[2, 3, 1], [4, 1, 0], [1, 4, 1]])
-        red, rank = rref(m)
-        again, rank2 = rref(red)
-        assert again == red and rank2 == rank
+        red = Subspace.from_array(GF5, [[2, 3, 1], [4, 1, 0], [1, 4, 1]]).basis
+        again = Subspace.from_array(GF5, red.tolist()).basis
+        assert again == red and len(red.rows) == 2
 
     def test_rational_entries_stay_exact(self):
-        m = Matrix.from_array(QQ, [["1/3", "1/6"], ["2/3", "1/3"]])
-        red, rank = rref(m)
-        assert rank == 1
-        assert red.tolist()[0] == [Fraction(1), Fraction(1, 2)]
-        assert all(type(x) is Fraction for row in red.tolist() for x in row)
+        s = Subspace.from_array(QQ, [["1/3", "1/6"], ["2/3", "1/3"]])
+        assert s.dim == 1
+        assert s.basis.tolist() == [[Fraction(1), Fraction(1, 2)]]
+        assert all(type(x) is Fraction for row in s.basis.tolist() for x in row)
 
 
 class TestKernel:
     def test_zero_map(self):
-        assert kernel(Matrix.zeros(GF2, 2, 3)) == Subspace.full(GF2, 3)
+        assert kernel(Matrix.from_entries(GF2, 2, 3, [])) == Subspace.full(GF2, 3)
 
     def test_identity(self):
         assert kernel(Subspace.full(GF2, 3).basis) == Subspace.zero(GF2, 3)
@@ -85,7 +83,7 @@ class TestKernel:
 
 class TestColumnSpace:
     def test_zero_map(self):
-        assert column_space(Matrix.zeros(GF2, 2, 3)) == Subspace.zero(GF2, 2)
+        assert column_space(Matrix.from_entries(GF2, 2, 3, [])) == Subspace.zero(GF2, 2)
 
     def test_identity(self):
         assert column_space(Subspace.full(GF2, 3).basis) == Subspace.full(GF2, 3)
@@ -232,7 +230,7 @@ def gf2_subspace_pair(draw, ambient=4):
 
 @given(gf2_matrix())
 def test_rank_nullity(m):
-    _, rank = rref(m)
+    rank = Subspace.from_array(GF2, m.tolist(), m.cols).dim
     assert rank + kernel(m).dim == m.cols
 
 
@@ -285,9 +283,7 @@ def test_rational_rank_matches_large_prime_field():
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
         data = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        _, rank_q = rref(Matrix.from_array(QQ, data))
-        _, rank_p = rref(Matrix.from_array(big, data))
-        assert rank_q == rank_p
+        assert Subspace.from_array(QQ, data).dim == Subspace.from_array(big, data).dim
 
 
 def test_matmul_shapes_and_large_prime():
@@ -298,7 +294,7 @@ def test_matmul_shapes_and_large_prime():
     p = 2**31 - 1
     assert got.tolist()[0][0] == (2**30 * 5 + 7) % p
     with pytest.raises(DimensionMismatch):
-        matmul(a, Matrix.zeros(big, 3, 2))
+        matmul(a, Matrix.from_entries(big, 3, 2, []))
 
 
 # -- elimination kernels against the dense reference ---------------------
@@ -342,13 +338,14 @@ def _scalar_type(field):
 
 
 def _assert_same_reduction(red: Matrix, rank: int, want):
-    """``rref``'s result holds the reference's entries, entry types and pivots."""
+    """A ``basis`` of ``rank`` rows holds the reference's non-zero rows,
+    entry types and pivots."""
     ref, ref_pivots = want
-    got = red.tolist()
-    assert (len(got), red.cols) == ref.shape
-    assert got == ref.tolist()
-    assert [type(x) for row in got for x in row] == [type(x) for row in ref.tolist() for x in row]
-    leading = [next(j for j, x in enumerate(row) if x) for row in got if any(row)]
+    got, ref_rows = red.tolist(), ref.tolist()[:rank]
+    assert (len(got), red.cols) == (rank, ref.shape[1])
+    assert got == ref_rows
+    assert [type(x) for row in got for x in row] == [type(x) for row in ref_rows for x in row]
+    leading = [next(j for j, x in enumerate(row) if x) for row in got]
     assert leading == ref_pivots and rank == len(ref_pivots)
 
 
@@ -361,11 +358,12 @@ def test_kernel_matches_dense_reference(case):
     field, a = case
     m = _matrix(field, a)
     before = _snapshot(m)
-    red, rank = rref(m)
-    _assert_same_reduction(red, rank, dense_row_reduce(field, a))
+    s = Subspace.from_array(field, a, a.shape[1])
+    _assert_same_reduction(s.basis, s.dim, dense_row_reduce(field, a))
+    kernel(m)
     assert _snapshot(m) == before
-    assert all(type(x) is _scalar_type(field) for row in red.tolist() for x in row)
-    assert rref(red) == (red, rank)
+    assert all(type(x) is _scalar_type(field) for row in s.basis.tolist() for x in row)
+    assert Subspace.from_array(field, s.basis.tolist(), a.shape[1]).basis == s.basis
 
 
 @given(st.sampled_from(KERNEL_FIELDS).flatmap(lambda f: st.tuples(kernel_input(f), kernel_input(f))))
@@ -687,12 +685,12 @@ def test_rational_subspaces_hold_primitive_integer_rows(arrays, gaps):
     # subspaces alone.
     big = join(sa, sb)
     before = [_snapshot(s) for s, _ in cases]
-    handed = [rref(m)[0], sa.basis, big.basis, complement_basis(big, sa)]
+    handed = [sa.basis, big.basis, complement_basis(big, sa)]
     for out in handed:
         assert all(type(x) is Fraction for row in out.tolist() for x in row)
         _scribble(out)
     assert [_snapshot(s) for s, _ in cases] == before
-    assert rref(m)[0].tolist()[: sa.dim] == _dense_span(QQ, a).tolist()
+    assert sa.basis.tolist() == _dense_span(QQ, a).tolist()
 
 
 @given(st.sampled_from(KERNEL_FIELDS).flatmap(lambda f: st.tuples(kernel_input(f), st.lists(st.booleans(), max_size=9))))

@@ -51,7 +51,7 @@ class TestCyclesOnOpen:
         p = two_param.poset
         u = p.closure([(0, 1), (1, 0)])
         got = cycles_on_open(two_param, 1, u)
-        want = meet(two_param.cycles_at(1, (0, 1)), two_param.cycles_at(1, (1, 0)))
+        want = meet(two_param.cycles_at(1, p.resolve((0, 1))), two_param.cycles_at(1, p.resolve((1, 0))))
         assert got == want
 
     def test_min_element_shortcut_matches_full_meet(self):
@@ -81,20 +81,27 @@ class TestBoundariesOnOpen:
     def test_diagram_reads_points_through_cycles_at_and_boundaries_at(
         self, two_param, monkeypatch
     ):
-        """Every per-point subspace the diagram uses is asked for through the
+        """Every class subspace the diagram fills is asked for through the
         public accessors, which the benchmark's point-subspace counter wraps."""
         seen = set()
         for name, boundaries in (("cycles_at", False), ("boundaries_at", True)):
             original = getattr(FilteredComplex, name)
 
             def counted(self, n, x, original=original, boundaries=boundaries):
-                seen.add((n, x, boundaries))
+                degree = n + boundaries
+                seen.add((degree, self.presence_table(degree).classes[x], boundaries))
                 return original(self, n, x)
 
             monkeypatch.setattr(FilteredComplex, name, counted)
         compute_diagram(two_param)
+        filled = {
+            (degree, slot // 2, bool(slot % 2))
+            for degree, table in two_param.memo["presence_table"].items()
+            for slot, sub in enumerate(table.subspaces)
+            if sub is not None
+        }
         assert {b for _, _, b in seen} == {False, True}
-        assert seen == set(two_param.memo["point"])
+        assert seen == filled
 
 
 class TestHomologicalMemory:
