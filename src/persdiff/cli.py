@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from .diagrams import (
+    TooManyRows,
     barcode_document,
     barcode_svg,
     barcode_text,
@@ -82,8 +83,9 @@ def _sample_count(token: str) -> int:
 
 
 def _parse_open(k, spec: str):
-    """An open from generators: 'g' or 'g1;g2', vectors as 'a,b', each read
-    by ``named_element`` (a bare integer is a grade, or a label)."""
+    """An open from generators: 'g' or 'g1;g2', vectors as 'a,b'.  On a
+    graded poset integers are a grade scalar or vector; otherwise, and on
+    an ungraded poset always, a generator is a label as written."""
     if not isinstance(spec, str):
         # argparse drops the value of "--birth=--" and hands over [].
         raise _UsageError("empty open spec")
@@ -98,7 +100,7 @@ def _parse_open(k, spec: str):
         parts = [c.strip() for c in chunk.split(",")]
         # isdecimal, not isdigit: int() refuses digits such as "²"; and it
         # takes at most one sign.
-        if all(p.removeprefix("-").isdecimal() for p in parts):
+        if k.poset.grades and all(p.removeprefix("-").isdecimal() for p in parts):
             gen = int(parts[0]) if len(parts) == 1 else tuple(int(c) for c in parts)
         else:
             gen = chunk
@@ -279,7 +281,15 @@ def main(argv=None) -> int:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
     except (
-        InputError, InvalidField, InvalidPoset, InvalidPair, UnknownElement, NotAChain, TooManyBlankets, TooManyChecks
+        InputError,
+        InvalidField,
+        InvalidPoset,
+        InvalidPair,
+        UnknownElement,
+        NotAChain,
+        TooManyBlankets,
+        TooManyChecks,
+        TooManyRows,
     ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

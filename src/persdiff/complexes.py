@@ -7,6 +7,18 @@ construction, so the filtration is monic for free; validation checks that
 faces are never born after their cofaces and that the boundary squares to
 zero.
 
+Per-point subspaces read the presence table of each degree.  The cycles
+at a point are the colimit cycles Z supported on the cells present
+there: a chain on those cells is a cycle of the complex at the point
+exactly when it is one of the colimit complex, so Z_x = Z ∩ span S_n(x).
+So one kernel per degree, the colimit cycles, gives every cycle
+subspace by restriction to a support (``cycles_on_support``).  The
+boundaries at a point are the column space of the boundary on its
+present cells, one per presence class.  Every boundary is a cycle only
+when ∂∂ = 0, which is what lets :mod:`persdiff.memory` cut pair memories
+by supports too; ``colimit_cycles`` raises :class:`InvalidComplex` on a
+complex that fails validation.
+
 Diagrams and verification walk every degree from 0 to the largest cell
 dimension, so cells of dimension above :data:`MAX_DIM` are refused when
 they are built.
@@ -24,9 +36,9 @@ from .linalg import (
     Subspace,
     bit_transpose,
     column_space,
-    embed,
     kernel,
     matmul,
+    restrict,
     select_columns,
 )
 from .posets import FinitePoset, as_int, named_element
@@ -72,17 +84,19 @@ class Cell:
 class PresenceTable(NamedTuple):
     """Where the n-cells are present.  ``masks`` maps n-cell index to the mask
     of the elements where it is present.  Elements with the same n-cells
-    present form a class: ``classes`` maps element index to class, ``cells``
-    class to n-cell indices, and ``twins`` element to the mask of its lower
-    covers in its class.  Degree-n cycles and degree-(n-1) boundaries at a
-    point depend only on its class c: ``subspaces[2c]`` and ``[2c + 1]``
-    once built."""
+    present form a class: ``classes`` maps element index to class, ``rows``
+    class to its present cells as one row (cell 0 the highest bit, as a
+    GF(2) row holds column 0), ``cells`` class to n-cell indices, and
+    ``twins`` element to the mask of its lower covers in its class.  The
+    degree-(n-1) boundaries at a point depend only on its class c:
+    ``boundaries[c]`` once built."""
 
     masks: list[int]
     classes: list[int]
+    rows: list[int]
     cells: list[tuple[int, ...]]
     twins: list[int]
-    subspaces: list
+    boundaries: list
 
 
 @dataclass(frozen=True)
@@ -102,15 +116,17 @@ class FilteredComplex:
     ``memo`` holds every derived result, here and in :mod:`persdiff.memory`:
     one dict per named layer.  Per-point state is the ``presence_table``
     layer, keyed by degree: a :class:`PresenceTable`, read by element
-    index, whose classes hold the cycle and boundary subspaces, so elements
-    with the same cells present share one subspace object; the empty
-    classes of a degree share its one zero with the empty blanket unions.
-    The ``boundary``, ``colimit`` and ``zero`` layers are keyed by degree
-    too.  The layers over opens in
-    :mod:`persdiff.memory` are keyed by the opens' mask bytes
-    (``UpSet.key``) next to ints and bools, and its meet and join layers
-    by the ``id``s of operand subspaces their entries hold; every other
-    key is built from ints and bools.
+    index, whose classes hold their boundary subspaces, so elements with
+    the same cells present share one subspace object; the empty classes of
+    a degree share its one zero with the empty blanket unions.  The
+    ``cycles`` layer holds the cycles on each support, keyed by degree and
+    the support's bytes, so elements and opens with the same support share
+    one object.  The ``boundary``, ``colimit`` and ``zero`` layers are
+    keyed by degree.  The layers over opens in :mod:`persdiff.memory` are
+    keyed by the opens' mask bytes (``UpSet.key``) next to ints and bools,
+    and its cut, meet and join layers by the ``id``s of operand subspaces
+    their entries hold; every other key is built from ints, bools and
+    bytes.
     """
 
     def __init__(self, field: FieldSpec, poset: FinitePoset, cells: Sequence[Cell]):
@@ -283,66 +299,72 @@ class FilteredComplex:
             # Per element (the transpose lists the highest first), its n-cells
             # as one int, cell 0 the highest bit; keyed on bytes, as opens are.
             index: dict[bytes, int] = {}
-            classes, cells, members = [], [], []
+            classes, rows, cells, members = [], [], [], []
             for x, row in enumerate(bit_transpose(masks, p.n)[::-1]):
                 c = index.setdefault(row.to_bytes((row.bit_length() + 7) // 8, "little"), len(cells))
                 if c == len(cells):
+                    rows.append(row)
                     cells.append(tuple([j for j, d in enumerate(format(row, f"0{width}b")) if d == "1"]))
                     members.append(0)
                 members[c] |= 1 << x
                 classes.append(c)
             twins = [covers & members[c] for covers, c in zip(p.lower_covers, classes)]
-            table = PresenceTable(masks, classes, cells, twins, [None] * (2 * len(cells)))
+            table = PresenceTable(masks, classes, rows, cells, twins, [None] * len(cells))
             self.memo["presence_table"][n] = table
         return table
-
-    def cells_present(self, n: int, x: int) -> tuple[int, ...]:
-        """Indices of the n-cells present at element index ``x``."""
-        table = self.presence_table(n)
-        return table.cells[table.classes[x]]
 
     # -- per-point subspaces --------------------------------------------------
 
     def colimit_cycles(self, n: int) -> Subspace:
-        """Kernel of the colimit boundary; the ambient for degree-n subobjects."""
+        """Kernel of the colimit boundary; the ambient for degree-n subobjects.
+
+        Every cycle and pair memory is cut from it by a support, which is
+        exact only when every boundary is a cycle, so a complex that fails
+        validation raises :class:`InvalidComplex` here instead.
+        """
         cache = self.memo["colimit"]
         sub = cache.get(n)
         if sub is None:
+            self.require_valid()
             sub = cache[n] = kernel(self.boundary_matrix(n))
         return sub
 
     def zero(self, n: int) -> Subspace:
         """The zero subspace in degree n: one object, shared by the empty
-        presence classes and the empty blanket unions."""
+        presence classes' boundaries and the empty blanket unions."""
         cache = self.memo["zero"]
         sub = cache.get(n)
         if sub is None:
             sub = cache[n] = Subspace.zero(self.field, self.ambient_dim(n))
         return sub
 
+    def cycles_on_support(self, n: int, keep: int) -> Subspace:
+        """Cycles supported on the n-cells of ``keep``, a row of present
+        cells as the presence table holds one: the colimit cycles
+        restricted to those columns, once per support."""
+        cache = self.memo["cycles"]
+        key = (n, keep.to_bytes((keep.bit_length() + 7) // 8, "little"))
+        sub = cache.get(key)
+        if sub is None:
+            sub = cache[key] = restrict(self.colimit_cycles(n), keep)
+        return sub
+
     def cycles_at(self, n: int, x: int) -> Subspace:
         """Cycles present at element index ``x``, in colimit coordinates."""
-        return self._class_subspace(n, x, False)
+        table = self.presence_table(n)
+        return self.cycles_on_support(n, table.rows[table.classes[x]])
 
     def boundaries_at(self, n: int, x: int) -> Subspace:
-        """Boundaries of (n+1)-cells present at element index ``x``, in colimit coordinates."""
-        return self._class_subspace(n + 1, x, True)
-
-    def _class_subspace(self, degree: int, x: int, boundaries: bool) -> Subspace:
-        """The cycles in ``degree``, or the boundaries in ``degree - 1``, of
-        the degree-``degree`` presence class of ``x``; built once per class."""
-        table = self.presence_table(degree)
-        slot = 2 * table.classes[x] + boundaries
-        sub = table.subspaces[slot]
+        """Boundaries of (n+1)-cells present at element index ``x``, in
+        colimit coordinates: the column space of the boundary on its
+        presence class's (n+1)-cells, built once per class."""
+        table = self.presence_table(n + 1)
+        c = table.classes[x]
+        sub = table.boundaries[c]
         if sub is None:
-            cols = table.cells[slot >> 1]
-            if not cols:
-                sub = self.zero(degree - 1 if boundaries else degree)
-            elif boundaries:
-                sub = column_space(select_columns(self.boundary_matrix(degree), cols))
-            else:
-                sub = embed(kernel(select_columns(self.boundary_matrix(degree), cols)), cols, self.ambient_dim(degree))
-            table.subspaces[slot] = sub
+            cols = table.cells[c]
+            sub = column_space(select_columns(self.boundary_matrix(n + 1), cols)) if cols else self.zero(n)
+            table.boundaries[c] = sub
         return sub
 
 

@@ -73,10 +73,22 @@ from .posets import (
     PairOpen,
     UpSet,
     diagram_order,
+    diagram_pair_count,
     min_elements,
 )
 
 INF = "inf"
+
+# Most rows a diagram with zero multiplicities may have: every principal
+# pair in every degree is a row, and each costs about 1.6 KiB until the
+# output is written.  The 3-cell 1,024-chain (1,049,600 rows, about 22 s
+# and 1.6 GiB) passes; the 2,048-chain (4,196,352 rows) is refused.
+MAX_DIAGRAM_ROWS = 1_500_000
+
+
+class TooManyRows(ValueError):
+    """A diagram with zero multiplicities would have more than
+    :data:`MAX_DIAGRAM_ROWS` rows."""
 
 
 @dataclass(frozen=True)
@@ -145,9 +157,21 @@ def compute_diagram(
     mode: BlanketMode = BlanketMode.FULL,
     include_zero: bool = False,
 ) -> list[DiagramEntry]:
-    """Pair-group multiplicities over the enumerated principal pairs."""
+    """Pair-group multiplicities over the enumerated principal pairs.
+
+    With ``include_zero`` every principal pair of every degree is a row;
+    more than :data:`MAX_DIAGRAM_ROWS` of them raise :class:`TooManyRows`
+    before the walk starts.
+    """
     k.require_valid()
     p = k.poset
+    if include_zero:
+        rows = diagram_pair_count(p) * (max(k.max_dim, 0) + 1 if degrees is None else len(degrees))
+        if rows > MAX_DIAGRAM_ROWS:
+            raise TooManyRows(
+                f"the diagram with zero multiplicities would have {rows} rows; "
+                f"at most {MAX_DIAGRAM_ROWS} are supported"
+            )
     return [
         DiagramEntry(n, (element_repr(p, x),), INF if y is None else (element_repr(p, y),), mult)
         for n, x, y, mult in _multiplicities(k, degrees, mode, include_zero)

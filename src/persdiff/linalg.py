@@ -25,6 +25,13 @@ operand's rows against the other's table; a meet reduces each row ``b``
 of the smaller operand against the larger one's table as the block row
 ``[b | b]`` and eliminates only those rows (Zassenhaus); and quotient
 dimensions are plain differences guarded by a containment check.
+A restriction meets a subspace with the coordinate subspace on a set of
+columns without a second operand: its rows are eliminated on the other
+columns first, and those left with no entry there span the meet.  That
+is how cycles and pair memories are cut to a cell support: a cycle is
+present on an open exactly when its support is, so Z(U) = Z ∩ span S(U)
+for the colimit cycles Z; and since ∂∂ = 0 puts every boundary in Z,
+Z(U) ∩ B(V) = B(V) ∩ span S(U).
 Boundary matrices are built, multiplied, transposed and cut to a set of
 columns in the same row form.
 """
@@ -148,26 +155,22 @@ def bit_transpose(rows: Sequence[int], width: int) -> list[int]:
 
 def select_columns(m: Matrix, cols: Sequence[int]) -> Matrix:
     """The submatrix of the given increasing columns."""
-    moves = {c: i for i, c in enumerate(cols)}
-    return Matrix(m.field, _move_columns(m.field, m.rows, m.cols, moves, len(cols)), len(cols))
-
-
-def _move_columns(field: FieldSpec, rows: Iterable, ncols: int, moves: dict, width: int) -> list:
-    """Rows of ``ncols`` columns as rows of ``width`` columns: column c goes
-    to ``moves[c]``, and columns not in ``moves`` are dropped."""
-    if field.characteristic == 2:
-        # Bit b of a row holds column ncols - 1 - b.
-        bits = {ncols - 1 - c: 1 << (width - 1 - t) for c, t in moves.items()}
-        out = []
-        for row in rows:
+    width = len(cols)
+    if m.field.characteristic == 2:
+        # Bit b of a row holds column m.cols - 1 - b.
+        bits = {m.cols - 1 - c: 1 << (width - 1 - t) for t, c in enumerate(cols)}
+        rows = []
+        for row in m.rows:
             v = 0
             while row:
                 top = row.bit_length() - 1
                 v |= bits.get(top, 0)
                 row ^= 1 << top
-            out.append(v)
-        return out
-    return [{moves[c]: x for c, x in row.items() if c in moves} for row in rows]
+            rows.append(v)
+    else:
+        moves = {c: t for t, c in enumerate(cols)}
+        rows = [{moves[c]: x for c, x in row.items() if c in moves} for row in m.rows]
+    return Matrix(m.field, rows, width)
 
 
 # -- row kernels ------------------------------------------------------------
@@ -461,19 +464,6 @@ def column_space(m: Matrix) -> Subspace:
     return Subspace._spanned(m.field, len(m.rows), _table_rows(m.field, transpose(m).rows))
 
 
-def embed(sub: Subspace, positions: Sequence[int], ambient_dim: int) -> Subspace:
-    """Image of ``sub`` under the coordinate inclusion ``c -> positions[c]``.
-
-    Positions are increasing, so relabelling the columns of the RREF rows
-    keeps them reduced.
-    """
-    f = sub.field
-    rows = _move_columns(f, sub.table.values(), len(positions), dict(enumerate(positions)), ambient_dim)
-    if f.characteristic == 2:
-        return Subspace(f, ambient_dim, {r.bit_length() - 1: r for r in rows})
-    return Subspace(f, ambient_dim, {positions[c]: r for c, r in zip(sub.table, rows)})
-
-
 def meet(a: Subspace, b: Subspace) -> Subspace:
     """Largest subspace contained in both operands (Zassenhaus block trick).
 
@@ -504,6 +494,87 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
     if len(table) == small.dim:
         return small
     return Subspace(f, n, table)
+
+
+def restrict(sub: Subspace, keep: int) -> Subspace:
+    """``sub`` meet the coordinate subspace on the columns of ``keep``.
+
+    ``keep`` is a 0/1 row held as a GF(2) row is: column c is bit
+    ``ambient_dim - 1 - c``.  ``sub``'s rows are first eliminated on the
+    columns outside ``keep``, each row that keeps an entry there becoming a
+    pivot of that elimination.  These steps are invertible, so the rows
+    left with no entry outside ``keep`` span the intersection.  Those that
+    no step changed are rows of ``sub``'s RREF and stay as they are; the
+    changed ones are reduced into them, which gives the RREF of the
+    intersection.  When no row has an entry outside ``keep``, ``sub``
+    itself is returned.
+    """
+    f, n = sub.field, sub.ambient_dim
+    out = (1 << n) - 1 & ~keep
+    p = f.characteristic
+    if p == 2:
+        split = _restrict_gf2(sub.table, out)
+    else:
+        outside = {c for c in range(n) if out >> (n - 1 - c) & 1}
+        split = _restrict_sparse(sub.table, outside, p)
+    if split is None:
+        return sub
+    kept, changed = split
+    return Subspace(f, n, _eliminate(f, kept, changed))
+
+
+def _restrict_gf2(table: dict[int, int], out: int) -> tuple[dict, list] | None:
+    """The rows of a pivot table with no bit in ``out`` once the others are
+    eliminated on ``out``, highest bit first: those no step changed, as a
+    pivot table, and the changed ones.  None when no row has a bit there."""
+    pivots: dict[int, int] = {}
+    kept, changed = {}, []
+    for lead, row in table.items():
+        rest = row & out
+        if not rest:
+            kept[lead] = row
+            continue
+        while rest:
+            bit = rest.bit_length() - 1
+            prow = pivots.get(bit)
+            if prow is None:
+                pivots[bit] = row
+                break
+            row ^= prow
+            rest = row & out
+        else:
+            changed.append(row)
+    return (kept, changed) if pivots else None
+
+
+def _restrict_sparse(table: dict[int, dict], outside: set, p: int) -> tuple[dict, list] | None:
+    """:func:`_restrict_gf2` on sparse rows, lowest outside column first:
+    residues mod p, or integer rows when p is 0 (over Q)."""
+    pivots: dict[int, dict] = {}
+    kept, changed = {}, []
+    for lead, row in table.items():
+        hits = [c for c in row if c in outside]
+        if not hits:
+            kept[lead] = row
+            continue
+        while hits:
+            c = min(hits)
+            prow = pivots.get(c)
+            if prow is None:
+                if p:
+                    inv = pow(row[c], -1, p)
+                    pivots[c] = {j: v * inv % p for j, v in row.items()}
+                else:
+                    pivots[c] = _primitive(row, c)
+                break
+            if p:
+                row = _axpy(dict(row), row[c], prow, p)
+            else:
+                row = _combine(dict(row), prow[c], row[c], prow)
+            hits = [c for c in row if c in outside]
+        else:
+            changed.append(row)
+    return (kept, changed) if pivots else None
 
 
 def join(a: Subspace, b: Subspace) -> Subspace:

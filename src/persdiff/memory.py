@@ -1,36 +1,48 @@
 """Cycle and boundary presheaves on opens, and blanket-union subspaces.
 
-Cycles over an open are the meet of the per-point cycle subspaces; by
-monotonicity it suffices to meet over the minimal elements.  The empty
-open produces the top subobject (the colimit cycles), which makes a pair
-with empty death open the "never dies" pair.  The memory of a pair is the
-meet of birth-side cycles with death-side boundaries; unions over iterated
-blankets of a pair feed the finite-difference calculus.
+Cycles and pair memories are cut from the colimit cycles by cell
+supports.  The support S_n(U) of an open is the set of n-cells present at
+every point of U: the AND of the presence-table class rows of U's
+minimal elements (presence only grows along the order), and every n-cell
+on the empty open.  A chain is a cycle at every point of U exactly when
+it is a cycle supported on S_n(U), so Z(U) = Z ∩ span S_n(U) for the
+colimit cycles Z; the empty open gets Z itself, the top subobject, which
+makes a pair with empty death open the "never dies" pair.  Boundaries
+over an open are the meet of the per-point boundaries over its minimal
+elements.  The memory of a pair (U, V) is Z(U) ∩ B(V), and every
+boundary is a cycle (∂∂ = 0), so it is B(V) ∩ span S_n(U): one
+restriction, no meet.  ``FilteredComplex.colimit_cycles`` refuses a
+complex that fails validation, so the identity is never applied where it
+does not hold.  Unions over iterated blankets of a pair feed the
+finite-difference calculus.
 
-Results are memoized on the complex in two layers.  The ``open``,
+Results are memoized on the complex.  The ``support``, ``open``,
 ``memory`` and ``union`` layers are keyed by degree and the opens' mask
 bytes (``UpSet.key``), plus the kind on an open and the blanket degree
-and whether the mode is FULL on a union, and answer a repeated query in
-one lookup.  Below them, each meet and each union join runs once per
-distinct set of operand subspaces (``_fold``).  Per-point subspaces come
-from the complex's per-degree presence tables through ``cycles_at`` and
-``boundaries_at``, by element index: one object per presence class.
-So opens whose minimal elements have the same
-presence, and pairs and blankets with the same memories, reach one meet
-or one join; so do FULL and PRINCIPAL mode.  The meet and join layers are keyed by
-the set of the operands' ``id``s, and each entry holds its operands, so
-an id in a standing key belongs to a live object and is never reused.
-A union with no non-zero blanket memory is the degree's one zero
-(``FilteredComplex.zero``), the object the empty presence classes hold,
-so an empty union builds no subspace.  A union reads
-its blankets' memories straight from the ``memory`` layer.
+and whether the mode is FULL on a union: an open's support, the cycles
+or boundaries on an open, a pair's memory and a union, each found again
+in one lookup.  Below them, cycles
+are built once per distinct support (``FilteredComplex.cycles_on_support``,
+keyed by the support's bytes), a memory once per pair of cycle and
+boundary subspaces (``cut``), and a boundary meet or a union join once
+per distinct set of operand subspaces (``_fold``).  Per-point boundaries
+come from the complex's presence tables through ``boundaries_at``, by
+element index: one object per presence class.  So opens with the same
+support, and pairs and blankets with the same memories, share one
+subspace and reach one meet or one join; so do FULL and PRINCIPAL mode.
+The ``cut``, meet and join layers are keyed by the operands' ``id``s,
+and each entry holds its operands, so an id in a standing key belongs to
+a live object and is never reused.  A union with no non-zero blanket
+memory is the degree's one zero (``FilteredComplex.zero``), so an empty
+union builds no subspace.  A union reads its blankets' memories straight
+from the ``memory`` layer.
 """
 from __future__ import annotations
 
 from functools import reduce
 
 from .complexes import FilteredComplex
-from .linalg import Matrix, Subspace, complement_basis, join, meet, quotient_dim
+from .linalg import Matrix, Subspace, complement_basis, join, meet, quotient_dim, restrict
 from .posets import (
     BlanketMode,
     PairOpen,
@@ -59,34 +71,53 @@ def _fold(k: FilteredComplex, layer: str, op, subs: list[Subspace]) -> Subspace:
     return hit[1]
 
 
+def _support(k: FilteredComplex, n: int, u: UpSet) -> int:
+    """S_n(u), the n-cells present at every point of the open, as a row of
+    the presence table: the AND of its minimal elements' class rows, and
+    every n-cell on the empty open."""
+    cache = k.memo["support"]
+    key = (n, u.key)
+    keep = cache.get(key)
+    if keep is None:
+        table = k.presence_table(n)
+        rows, classes = table.rows, table.classes
+        keep = (1 << k.ambient_dim(n)) - 1
+        for i in min_elements(k.poset, u):
+            keep &= rows[classes[i]]
+        cache[key] = keep
+    return keep
+
+
 def cycles_on_open(k: FilteredComplex, n: int, u: UpSet) -> Subspace:
-    """Cycles that have appeared by every point of the open."""
-    return _on_open(k, n, u, False)
+    """Cycles that have appeared by every point of the open: Z ∩ span S_n(u),
+    one subspace per support."""
+    cache = k.memo["open"]
+    key = (n, u.key, False)
+    sub = cache.get(key)
+    if sub is None:
+        sub = cache[key] = k.cycles_on_support(n, _support(k, n, u))
+    return sub
 
 
 def boundaries_on_open(k: FilteredComplex, n: int, v: UpSet) -> Subspace:
-    """Boundaries that have appeared by every point of the open."""
-    return _on_open(k, n, v, True)
-
-
-def _on_open(k: FilteredComplex, n: int, u: UpSet, boundaries: bool) -> Subspace:
-    """Meet of the per-point cycles (or boundaries) over the open's minimal
-    elements; the colimit cycles on the empty open."""
+    """Boundaries that have appeared by every point of the open: the meet
+    of the per-point boundaries over its minimal elements, and the colimit
+    cycles on the empty open."""
     cache = k.memo["open"]
-    key = (n, u.key, boundaries)
+    key = (n, v.key, True)
     sub = cache.get(key)
     if sub is None:
-        if u.is_empty:
+        if v.is_empty:
             sub = k.colimit_cycles(n)
         else:
-            at = k.boundaries_at if boundaries else k.cycles_at
-            sub = _fold(k, "meet", meet, [at(n, i) for i in sorted(min_elements(k.poset, u))])
+            sub = _fold(k, "meet", meet, [k.boundaries_at(n, i) for i in sorted(min_elements(k.poset, v))])
         cache[key] = sub
     return sub
 
 
 def homological_memory(k: FilteredComplex, n: int, pair: PairOpen) -> Subspace:
-    """Cycles appearing by the birth open that bound by the death open."""
+    """Cycles appearing by the birth open that bound by the death open:
+    Z(birth) ∩ B(death), which is B(death) ∩ span S_n(birth)."""
     birth, death = pair
     cache = k.memo["memory"]
     key = (n, birth.key, death.key)
@@ -95,10 +126,23 @@ def homological_memory(k: FilteredComplex, n: int, pair: PairOpen) -> Subspace:
         if death.bits & ~birth.bits:
             make_pair(k.poset, birth, death)  # raises InvalidPair
         sub = cycles_on_open(k, n, birth)
-        if not death.is_empty:
-            sub = _fold(k, "meet", meet, [sub, boundaries_on_open(k, n, death)])
+        if sub.dim and not death.is_empty:
+            sub = _cut(k, sub, boundaries_on_open(k, n, death), _support(k, n, birth))
         cache[key] = sub
     return sub
+
+
+def _cut(k: FilteredComplex, z: Subspace, b: Subspace, keep: int) -> Subspace:
+    """``z`` ∩ ``b`` for the cycles ``z`` on the support ``keep``: ``b``
+    restricted to ``keep``, once per pair of operands; ``z`` itself when it
+    lies inside ``b``.  The entry holds the operands its key names."""
+    cache = k.memo["cut"]
+    key = (id(z), id(b))
+    hit = cache.get(key)
+    if hit is None:
+        sub = restrict(b, keep)
+        hit = cache[key] = (z, b, z if sub.dim == z.dim else sub)
+    return hit[2]
 
 
 def blanket_union(

@@ -32,6 +32,13 @@ TRIANGLE_CELLS = [
 ]
 
 
+def cells_present(k, n, x):
+    """Indices of the n-cells present at element index ``x``, read from the
+    presence table."""
+    table = k.presence_table(n)
+    return table.cells[table.classes[x]]
+
+
 def build_triangle(field=None):
     return FilteredComplex.build(field or GF2, FinitePoset.chain(3), TRIANGLE_CELLS)
 

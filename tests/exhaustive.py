@@ -1,8 +1,10 @@
 """Brute-force reference computations backing the frozen expected values.
 
 Everything here enumerates: spans over small prime fields, all up-sets of
-small posets, meets over every point of an open.  Slow but unarguable.
+small posets, random complexes on every poset with at most four elements,
+meets over every point of an open.  Slow but unarguable.
 """
+import random
 from itertools import product
 
 import numpy as np
@@ -63,6 +65,50 @@ def all_up_sets(leq: np.ndarray) -> list[frozenset]:
         if all(int(j) in s for i in s for j in np.nonzero(leq[i])[0]):
             out.append(frozenset(s))
     return out
+
+
+# Candidate simplices, faces first: two triangles sharing the edge bc.
+SIMPLICES = ("a", "b", "c", "d", "ab", "ac", "bc", "bd", "cd", "abc", "bcd")
+
+
+def random_cells(rng, p, ups):
+    """A valid complex: each simplex is present on a random non-empty up-set
+    inside those of its faces, or left out."""
+    from persdiff.posets import UpSet, min_elements
+
+    presence = {}
+    cells = []
+    for s in SIMPLICES:
+        faces = [s[:i] + s[i + 1:] for i in range(len(s))] if len(s) > 1 else []
+        if any(f not in presence for f in faces) or rng.random() < 0.25:
+            continue
+        room = frozenset(range(p.n)).intersection(*(presence[f] for f in faces))
+        options = [u for u in ups if u and u <= room]
+        if not options:
+            continue
+        presence[s] = u = rng.choice(options)
+        births = sorted(min_elements(p, UpSet(u)))
+        cells.append({"id": s, "vertices": list(s), "births": births})
+    return cells
+
+
+def small_complexes(field=None):
+    """Three random complexes (over GF(2) unless ``field`` is given) on every
+    poset with at most four elements, each with its order matrix and cell
+    records."""
+    from persdiff.complexes import FilteredComplex
+    from persdiff.fields import FieldSpec
+    from persdiff.posets import FinitePoset
+
+    rng = random.Random(4)
+    posets = list(all_posets())
+    assert len(posets) == 1 + 3 + 19 + 219
+    for leq in posets:
+        p = FinitePoset([str(i) for i in range(len(leq))], leq)
+        ups = all_up_sets(leq)
+        for _ in range(3):
+            cells = random_cells(rng, p, ups)
+            yield leq, cells, FilteredComplex.build(field or FieldSpec.gf(2), p, cells)
 
 
 def meet_over_all_points(k, n, members) -> object:

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import persdiff
 from persdiff.cli import build_parser, main
 from persdiff.complexes import MAX_DIM
-from persdiff.diagrams import compute_diagram
+from persdiff.diagrams import MAX_DIAGRAM_ROWS, compute_diagram
 from persdiff.io import load_complex
 from persdiff.posets import MAX_BLANKET_PAIRS, FinitePoset, diagram_pair_count
 from persdiff.verify import MAX_RANK_CHECKS, MAX_SAMPLES
@@ -124,6 +124,33 @@ class TestDiagram:
     def test_invalid_input_rejected(self, capsys):
         code, _, _ = run(capsys, "diagram", DATA / "edge_before_vertex.json")
         assert code == 2
+
+    def test_diagram_row_count_is_bounded(self, capsys, tmp_path):
+        """With --all the 3-cell 2,048-chain would write 4,196,352 rows, two
+        degrees of its 2,098,176 principal pairs: refused before the walk.
+        Without --all it is written as before."""
+        path = tmp_path / "chain2048.json"
+        doc = {
+            "format_version": 1,
+            "field": "gf2",
+            "poset": {"kind": "grid", "shape": [2048]},
+            "cells": LONG_CHAIN_CELLS,
+        }
+        path.write_text(json.dumps(doc))
+        for extra in ((), ("--csv",), ("--degree", 0)):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "diagram", path, "--all", *extra)
+            assert time.perf_counter() - start < 1
+            assert (code, out) == (3, "")
+            rows = 2_098_176 * (1 if extra and extra[0] == "--degree" else 2)
+            assert err == (
+                f"error: the diagram with zero multiplicities would have {rows} rows; "
+                f"at most {MAX_DIAGRAM_ROWS} are supported\n"
+            )
+        code, out, _ = run(capsys, "diagram", path, "--csv")
+        assert (code, out) == (0, "degree,birth,death,multiplicity\n0,0,inf,1\n0,1024,2047,1\n")
+        # The 3-cell 1,024-chain, two degrees, stays inside it.
+        assert diagram_pair_count(FinitePoset.chain(1024)) * 2 == 1_049_600 <= MAX_DIAGRAM_ROWS
 
 
 class TestBarcode:
@@ -705,6 +732,19 @@ class TestBareIntegers:
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(_doc(poset, births)))
         assert run(capsys, "blankets", path, "--birth", birth, "--death", "inf", "--steps", 0) == (0, out, "")
+
+    @pytest.mark.parametrize("birth", ["007", "1"])
+    def test_blanket_open_names_a_label_as_written(self, capsys, tmp_path, birth):
+        """On an ungraded poset a generator is a label, leading zeros and
+        all: "007" names "007", not "7", and "1" still names "1"."""
+        path = tmp_path / "doc.json"
+        poset = {"kind": "explicit", "elements": ["007", "1"], "covers": [["007", "1"]]}
+        path.write_text(json.dumps(_doc(poset, ["007"])))
+        assert run(capsys, "blankets", path, "--birth", birth, "--death", "inf", "--steps", 0) == (
+            0,
+            f"['{birth}'] inf\n",
+            "",
+        )
 
     def test_blanket_open_is_not_an_index(self, capsys, tmp_path):
         path = tmp_path / "doc.json"

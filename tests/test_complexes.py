@@ -9,7 +9,7 @@ from persdiff.fields import FieldSpec
 from persdiff.linalg import contains, matmul
 from persdiff.posets import FinitePoset
 
-from conftest import GF2, QQ, build_triangle
+from conftest import GF2, QQ, build_triangle, cells_present
 from corpus import random_filtration
 
 
@@ -143,15 +143,15 @@ class TestBoundaryMatrix:
 
 class TestPresence:
     def test_below_all_births(self, two_param):
-        assert two_param.cells_present(1, two_param.poset.resolve((0, 0))) == ()
+        assert cells_present(two_param, 1, two_param.poset.resolve((0, 0))) == ()
 
     def test_above_all_births(self, triangle):
-        assert triangle.cells_present(1, 2) == (0, 1, 2)
+        assert cells_present(triangle, 1, 2) == (0, 1, 2)
 
     def test_triangle_at_one(self, triangle):
-        assert triangle.cells_present(0, 1) == (0, 1, 2)
-        assert triangle.cells_present(1, 1) == (0, 1, 2)
-        assert triangle.cells_present(2, 1) == ()
+        assert cells_present(triangle, 0, 1) == (0, 1, 2)
+        assert cells_present(triangle, 1, 1) == (0, 1, 2)
+        assert cells_present(triangle, 2, 1) == ()
 
 
 class TestPointSubspaces:
@@ -189,7 +189,7 @@ class TestStructuralProperties:
                 for x in range(p.n):
                     for y in range(p.n):
                         if p.leq(x, y):
-                            assert set(k.cells_present(n, x)) <= set(k.cells_present(n, y))
+                            assert set(cells_present(k, n, x)) <= set(cells_present(k, n, y))
                             assert contains(k.cycles_at(n, y), k.cycles_at(n, x))
                             assert contains(k.boundaries_at(n, y), k.boundaries_at(n, x))
 

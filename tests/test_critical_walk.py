@@ -15,34 +15,11 @@ from persdiff.calculus import pair_group_rank
 from persdiff.complexes import FilteredComplex
 from persdiff.diagrams import DiagramEntry, compute_diagram, open_repr
 from persdiff.io import load_complex
-from persdiff.posets import BlanketMode, FinitePoset, UpSet, enumerate_diagram_pairs, min_elements
+from persdiff.posets import BlanketMode, FinitePoset, enumerate_diagram_pairs
 
-from conftest import GF2, build_long_chain
+from conftest import GF2, build_long_chain, cells_present
 from corpus import random_filtration
-from exhaustive import all_posets, all_up_sets
-
-# Candidate simplices, faces first: two triangles sharing the edge bc.
-SIMPLICES = ("a", "b", "c", "d", "ab", "ac", "bc", "bd", "cd", "abc", "bcd")
-
-
-def random_cells(rng, p, ups):
-    """A valid complex: each simplex is present on a random non-empty up-set
-    inside those of its faces, or left out."""
-    presence = {}
-    cells = []
-    for s in SIMPLICES:
-        faces = [s[:i] + s[i + 1:] for i in range(len(s))] if len(s) > 1 else []
-        if any(f not in presence for f in faces) or rng.random() < 0.25:
-            continue
-        room = frozenset(range(p.n)).intersection(*(presence[f] for f in faces))
-        options = [u for u in ups if u and u <= room]
-        if not options:
-            continue
-        presence[s] = u = rng.choice(options)
-        births = sorted(min_elements(p, UpSet(u)))
-        cells.append({"id": s, "vertices": list(s), "births": births})
-    return cells
-
+from exhaustive import small_complexes
 
 def reference_diagram(k, mode, include_zero):
     p = k.poset
@@ -73,20 +50,6 @@ def reference_twins(leq, present):
     return out
 
 
-def small_complexes():
-    """Three random complexes on every poset with at most four elements,
-    each with its order matrix and cell records."""
-    rng = random.Random(4)
-    posets = list(all_posets())
-    assert len(posets) == 1 + 3 + 19 + 219
-    for leq in posets:
-        p = FinitePoset([str(i) for i in range(len(leq))], leq)
-        ups = all_up_sets(leq)
-        for _ in range(3):
-            cells = random_cells(rng, p, ups)
-            yield leq, cells, FilteredComplex.build(GF2, p, cells)
-
-
 def test_presence_table_matches_births_on_every_small_poset():
     """Classes, cells present, presence masks and twins, in every degree,
     against presence read off the cells' births."""
@@ -96,14 +59,15 @@ def test_presence_table_matches_births_on_every_small_poset():
             table = k.presence_table(n)
             present = reference_presence(k, n, leq)
             for x in range(size):
-                assert k.cells_present(n, x) == present[x]
+                assert cells_present(k, n, x) == present[x]
                 for y in range(size):
                     assert (table.classes[x] == table.classes[y]) == (present[x] == present[y])
             assert table.twins == reference_twins(leq, present)
             assert table.masks == [
                 sum(1 << x for x in range(size) if j in present[x]) for j in range(k.ambient_dim(n))
             ]
-            assert len(table.subspaces) == 2 * len(table.cells) == 2 * len(set(present))
+            assert len(table.boundaries) == len(table.cells) == len(table.rows) == len(set(present))
+            assert table.rows == [sum(1 << (k.ambient_dim(n) - 1 - j) for j in cells) for cells in table.cells]
 
 
 def test_walk_equals_full_enumeration_on_every_small_poset():

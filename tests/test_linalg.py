@@ -15,12 +15,12 @@ from persdiff.linalg import (
     column_space,
     complement_basis,
     contains,
-    embed,
     join,
     kernel,
     matmul,
     meet,
     quotient_dim,
+    restrict,
     select_columns,
     transpose,
 )
@@ -561,31 +561,50 @@ def test_complement_basis_keeps_rows_that_raise_the_rank(case):
     assert [_snapshot(big), _snapshot(small)] == before
 
 
+def _coordinate(field, keep: int, ambient: int) -> Subspace:
+    """The span of the unit vectors on the columns of ``keep``, column 0
+    the highest bit."""
+    one = field.one()
+    rows = [[one if c == j else 0 for c in range(ambient)] for j in range(ambient) if keep >> (ambient - 1 - j) & 1]
+    return Subspace.from_array(field, rows, ambient)
+
+
+@settings(max_examples=200)
 @given(
-    st.sampled_from(KERNEL_FIELDS).flatmap(
-        lambda f: st.tuples(st.just(f), st.integers(0, 7)).flatmap(
-            lambda t: st.tuples(
-                subspace_case(t[0], t[1]),
-                st.lists(st.booleans(), min_size=t[1] + 2, max_size=t[1] + 2),
-            )
+    st.sampled_from([GF2, GF5, QQ]).flatmap(
+        lambda f: st.integers(0, 7).flatmap(
+            lambda n: st.tuples(subspace_case(f, n), st.integers(0, (1 << n) - 1))
         )
     )
 )
-def test_embed_matches_dense_scatter(case):
-    (sub, _), keep = case
-    field, k = sub.field, sub.ambient_dim
-    # Spread k columns increasingly over an ambient space with gaps.
-    positions, ambient = [], 0
-    for c in range(k):
-        ambient += 1 + keep[c]
-        positions.append(ambient - 1)
-    ambient += keep[k] + keep[k + 1]
-    scattered = dense_zeros(field, sub.dim, ambient)
-    scattered[:, positions] = dense(sub.basis)
-    got = embed(sub, positions, ambient)
-    _assert_rows_match_basis(got)
-    assert got == Subspace.from_array(field, scattered, ambient)
-    assert got.basis.tolist() == scattered.tolist()
+def test_restrict_matches_meet_with_coordinate_subspace(case):
+    """``restrict`` against ``meet`` with the coordinate subspace on the
+    kept columns, and against the dense Zassenhaus reference; ``sub``
+    itself when every row lies inside the kept columns."""
+    (sub, a), keep = case
+    field, n = sub.field, sub.ambient_dim
+    before = _snapshot(sub)
+    for kept in (keep, 0, (1 << n) - 1):
+        coordinate = _coordinate(field, kept, n)
+        got = restrict(sub, kept)
+        _assert_rows_match_basis(got)
+        assert got == meet(sub, coordinate)
+        assert got.basis.tolist() == _dense_meet(field, a, dense(coordinate.basis)).tolist()
+        if contains(coordinate, sub):
+            assert got is sub
+    assert restrict(sub, 0).dim == 0
+    assert _snapshot(sub) == before
+
+
+@pytest.mark.parametrize("field", [GF2, GF5, QQ], ids=lambda f: f.token())
+def test_restrict_on_zero_and_full_operands(field):
+    for n in range(5):
+        zero, full = Subspace.zero(field, n), Subspace.full(field, n)
+        for keep in range(1 << n):
+            assert restrict(zero, keep) is zero
+            assert restrict(full, keep) == _coordinate(field, keep, n)
+        assert restrict(full, (1 << n) - 1) is full
+        assert restrict(full, 0) == zero
 
 
 @given(kernel_input())
@@ -665,10 +684,8 @@ def test_rational_subspaces_hold_primitive_integer_rows(arrays, gaps):
     n = a.shape[1]
     sa, sb = Subspace.from_array(QQ, a, n), Subspace.from_array(QQ, b, n)
     m = _matrix(QQ, a)
-    positions = [c + sum(gaps[: c + 1]) for c in range(n)]
-    ambient = n + sum(gaps)
-    scattered = dense_zeros(QQ, sa.dim, ambient)
-    scattered[:, positions] = _dense_span(QQ, a)
+    keep = sum(1 << (n - 1 - c) for c in range(n) if not gaps[c])
+    coordinate = _coordinate(QQ, keep, n)
     cases = [
         (sa, _dense_span(QQ, a)),
         (sb, _dense_span(QQ, b)),
@@ -677,7 +694,7 @@ def test_rational_subspaces_hold_primitive_integer_rows(arrays, gaps):
         (join(sa, sb), _dense_span(QQ, np.vstack([a, b]))),
         (kernel(m), _dense_kernel(a)),
         (column_space(m), _dense_span(QQ, a.T.copy())),
-        (embed(sa, positions, ambient), scattered),
+        (restrict(sa, keep), _dense_meet(QQ, a, dense(coordinate.basis))),
     ]
     for s, want in cases:
         _assert_integer_rref(s, want)

@@ -3,10 +3,10 @@ from functools import reduce
 
 import pytest
 
-from persdiff.complexes import FilteredComplex
+from persdiff.complexes import FilteredComplex, InvalidComplex
 from persdiff.diagrams import compute_diagram
 from persdiff.fields import FieldSpec
-from persdiff.linalg import Subspace, contains, join, meet
+from persdiff.linalg import Subspace, contains, join, kernel, meet, select_columns
 from persdiff.memory import (
     blanket_union,
     boundaries_on_open,
@@ -27,9 +27,9 @@ from persdiff.posets import (
     principal_up_set,
 )
 
-from conftest import GF2, GF5, QQ, build_long_chain, build_two_param
+from conftest import GF2, GF5, QQ, build_long_chain, build_two_param, cells_present
 from corpus import random_filtration
-from exhaustive import meet_over_all_points
+from exhaustive import all_up_sets, meet_over_all_points, small_complexes
 
 
 def principal_pair(k, b, d):
@@ -78,30 +78,119 @@ class TestBoundariesOnOpen:
         assert got.basis.tolist() == [[1, 1, 1]]
 
 
-    def test_diagram_reads_points_through_cycles_at_and_boundaries_at(
+    def test_diagram_reads_points_through_cycles_on_support_and_boundaries_at(
         self, two_param, monkeypatch
     ):
-        """Every class subspace the diagram fills is asked for through the
-        public accessors, which the benchmark's point-subspace counter wraps."""
-        seen = set()
-        for name, boundaries in (("cycles_at", False), ("boundaries_at", True)):
-            original = getattr(FilteredComplex, name)
+        """Every per-point subspace the diagram builds is asked for through
+        one named entry: the cycles on each support through
+        ``cycles_on_support``, cut from the one colimit kernel per degree,
+        and each class's boundaries through ``boundaries_at``, which the
+        benchmark's point-subspace counter wraps."""
+        import persdiff.complexes as complexes
 
-            def counted(self, n, x, original=original, boundaries=boundaries):
-                degree = n + boundaries
-                seen.add((degree, self.presence_table(degree).classes[x], boundaries))
-                return original(self, n, x)
+        supports, classes, kernels = set(), set(), []
+        original_cycles = FilteredComplex.cycles_on_support
+        original_boundaries = FilteredComplex.boundaries_at
+        original_kernel = complexes.kernel
 
-            monkeypatch.setattr(FilteredComplex, name, counted)
+        def cycles(self, n, keep):
+            supports.add((n, keep.to_bytes((keep.bit_length() + 7) // 8, "little")))
+            return original_cycles(self, n, keep)
+
+        def boundaries(self, n, x):
+            classes.add((n + 1, self.presence_table(n + 1).classes[x]))
+            return original_boundaries(self, n, x)
+
+        monkeypatch.setattr(FilteredComplex, "cycles_on_support", cycles)
+        monkeypatch.setattr(FilteredComplex, "boundaries_at", boundaries)
+        monkeypatch.setattr(complexes, "kernel", lambda m: kernels.append(m) or original_kernel(m))
         compute_diagram(two_param)
         filled = {
-            (degree, slot // 2, bool(slot % 2))
+            (degree, c)
             for degree, table in two_param.memo["presence_table"].items()
-            for slot, sub in enumerate(table.subspaces)
+            for c, sub in enumerate(table.boundaries)
             if sub is not None
         }
-        assert {b for _, _, b in seen} == {False, True}
-        assert seen == filled
+        assert supports and supports == set(two_param.memo["cycles"])
+        assert classes and classes == filled
+        assert len(kernels) == len(two_param.memo["colimit"]) == two_param.max_dim + 1
+
+
+def point_cycles(k, n, x):
+    """Cycles at element index ``x`` built from the definition: the kernel
+    of the boundary on the n-cells born at or below ``x``, each kernel row
+    written back into colimit coordinates."""
+    present = [j for j, c in enumerate(k.cells_of_dim(n)) if any(k.poset.leq(b, x) for b in c.births)]
+    width = k.ambient_dim(n)
+    rows = []
+    for row in kernel(select_columns(k.boundary_matrix(n), present)).basis.tolist():
+        dense = [0] * width
+        for j, v in zip(present, row):
+            dense[j] = v
+        rows.append(dense)
+    return Subspace.from_array(k.field, rows, width)
+
+
+def check_support_identity(k, opens):
+    """Cycles at points, cycles on opens and pair memories cut by supports,
+    each against the meets they replace, over every open in ``opens`` and
+    every pair of them."""
+    p = k.poset
+    fresh = FilteredComplex(k.field, p, list(k.all_cells()))
+    for n in range(max(k.max_dim, 0) + 1):
+        for x in range(p.n):
+            assert k.cycles_at(n, x) == point_cycles(fresh, n, x)
+        for u in opens:
+            assert cycles_on_open(k, n, u) == meet_over_all_points(fresh, n, u.members)
+        for u in opens:
+            for v in opens:
+                if v.bits & ~u.bits:
+                    continue
+                pair = PairOpen(u, v)
+                want = meet(cycles_on_open(fresh, n, u), boundaries_on_open(fresh, n, v))
+                assert homological_memory(k, n, pair) == want, (n, u, v)
+
+
+class TestSupportIdentity:
+    """Z(U) = Z ∩ span S(U), and Z(U) ∩ B(V) = B(V) ∩ span S(U)."""
+
+    @pytest.mark.parametrize("field", [GF2, QQ], ids=lambda f: f.token())
+    def test_every_open_of_every_small_poset(self, field):
+        for leq, _, k in small_complexes(field):
+            opens = [k.poset.closure(sorted(u)) if u else EMPTY_OPEN for u in all_up_sets(leq)]
+            check_support_identity(k, opens)
+
+    @pytest.mark.parametrize("field", [GF2, GF5, QQ], ids=lambda f: f.token())
+    def test_random_filtrations(self, field):
+        rng = random.Random(89)
+        for _ in range(3):
+            k = random_filtration(rng, shape=(3, 2), field=field, max_cells=16)
+            pairs = enumerate_diagram_pairs(k.poset)
+            opens = {u.key: u for pair in pairs for u in pair}
+            opens.update((u.key, u) for u in (k.poset.closure(rng.sample(range(k.poset.n), 2)) for _ in range(6)))
+            check_support_identity(k, list(opens.values()))
+
+    def test_boundary_that_does_not_square_to_zero_is_refused(self):
+        """With ∂∂ ≠ 0 a boundary need not be a cycle, and a support would
+        cut a different memory than the meet: the memory entry points raise
+        instead."""
+        p = FinitePoset.chain(2)
+        cells = [
+            {"id": "v", "vertices": ["v"], "births": [0]},
+            {"id": "e", "dim": 1, "faces": [["v", 1]], "births": [0]},
+            {"id": "t", "dim": 2, "faces": [["e", 1]], "births": [0]},
+        ]
+        k = FilteredComplex.build(QQ, p, cells)
+        pair = make_pair(p, principal_up_set(p, 0), principal_up_set(p, 1))
+        for call in (
+            lambda: homological_memory(k, 1, pair),
+            lambda: cycles_on_open(k, 1, pair.birth),
+            lambda: blanket_union(k, 1, pair, 1),
+            lambda: k.cycles_at(1, 0),
+            lambda: compute_diagram(k),
+        ):
+            with pytest.raises(InvalidComplex, match="boundary-squared"):
+                call()
 
 
 class TestHomologicalMemory:
@@ -318,6 +407,10 @@ class TestSharedSubspaces:
 
     @pytest.mark.parametrize("build", [build_long_chain, build_two_param])
     def test_one_subspace_per_presence_tuple(self, build, monkeypatch):
+        """Elements with the same cells present share one cycle and one
+        boundary subspace.  The cycles of a degree are all cut from its one
+        colimit kernel; the boundaries take one column space per non-empty
+        class."""
         import persdiff.complexes as complexes
 
         k = build()
@@ -331,15 +424,18 @@ class TestSharedSubspaces:
 
             monkeypatch.setattr(complexes, name, counted)
         for n in range(k.max_dim + 2):
-            for boundaries, at, name in ((False, k.cycles_at, "kernel"), (True, k.boundaries_at, "column_space")):
+            for boundaries, at in ((False, k.cycles_at), (True, k.boundaries_at)):
                 made.clear()
                 by_presence = {}
                 for x in range(k.poset.n):
                     sub = at(n, x)
-                    first = by_presence.setdefault(k.cells_present(n + boundaries, x), sub)
+                    first = by_presence.setdefault(cells_present(k, n + boundaries, x), sub)
                     assert first is sub
-                # The empty tuple gives the zero subspace and needs no kernel.
-                assert made == [name] * len([cols for cols in by_presence if cols])
+                if boundaries:
+                    # The empty tuple gives the zero subspace and needs no column space.
+                    assert made == ["column_space"] * len([cols for cols in by_presence if cols])
+                else:
+                    assert made == ["kernel"]
 
     @pytest.mark.parametrize("field", [GF2, GF5, QQ], ids=lambda f: f.token())
     def test_memories_and_unions_equal_plain_lattice_ops(self, field):

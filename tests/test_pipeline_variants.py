@@ -11,7 +11,7 @@ from persdiff.fields import FieldSpec
 from persdiff.memory import lifespan_rank
 from persdiff.posets import BlanketMode, FinitePoset, enumerate_diagram_pairs
 
-from conftest import GF2, QQ, build_triangle, corner_grid_poset
+from conftest import GF2, QQ, build_triangle, cells_present, corner_grid_poset
 
 
 def test_filtration_over_explicit_plane_poset():
@@ -85,10 +85,10 @@ def test_multi_grade_birth_lives_on_the_union_open():
         [{"id": "w", "vertices": ["w"], "births": [[0, 1], [1, 0]]}],
     )
     assert k.validate() == []
-    assert k.cells_present(0, p.resolve((0, 0))) == ()
-    assert k.cells_present(0, p.resolve((0, 1))) == (0,)
-    assert k.cells_present(0, p.resolve((1, 0))) == (0,)
-    assert k.cells_present(0, p.resolve((1, 1))) == (0,)
+    assert cells_present(k, 0, p.resolve((0, 0))) == ()
+    assert cells_present(k, 0, p.resolve((0, 1))) == (0,)
+    assert cells_present(k, 0, p.resolve((1, 0))) == (0,)
+    assert cells_present(k, 0, p.resolve((1, 1))) == (0,)
     assert compute_diagram(k, degrees=[0]) == []
     for gen in ((0, 1), (1, 0)):
         principal = make_pair(p, principal_up_set(p, gen), EMPTY_OPEN)
