@@ -55,7 +55,95 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _dump(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(doc, indent=2, sort_keys=True)`` and a newline, byte for
+    byte.  The standard library gives up its C encoder once ``indent`` is
+    set, so documents of strings, ints, floats, None, bools, lists,
+    tuples and dicts with string keys are written here; anything else
+    goes to ``json.dumps`` whole."""
+    out: list[str] = []
+    try:
+        _write(doc, "\n", out)
+    except _NotWritten:
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    out.append("\n")
+    return "".join(out)
+
+
+class _NotWritten(Exception):
+    pass
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _write(o, newline: str, out: list) -> None:
+    """Append ``o`` as indented JSON; ``newline`` is a newline and the
+    indent of the line ``o`` starts on."""
+    if isinstance(o, str):
+        out.append(_quote(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_float(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in o:
+            # Exact ints and strings inline; bools are not ``int`` by type.
+            kind = type(item)
+            if kind is int:
+                out.append(sep + int.__repr__(item))
+            elif kind is str:
+                out.append(sep + _quote(item))
+            else:
+                out.append(sep)
+                _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        try:
+            keys = sorted(o)
+        except TypeError:
+            raise _NotWritten from None
+        for key in keys:
+            if not isinstance(key, str):
+                raise _NotWritten
+            value = o[key]
+            kind = type(value)
+            if kind is int:
+                out.append(sep + _quote(key) + ": " + int.__repr__(value))
+            elif kind is str:
+                out.append(sep + _quote(key) + ": " + _quote(value))
+            else:
+                out.append(sep + _quote(key) + ": ")
+                _write(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise _NotWritten
+
+
+def _float(x: float) -> str:
+    """A float as ``json`` writes it."""
+    if x != x:
+        return "NaN"
+    if x in (float("inf"), float("-inf")):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
 
 
 def _blanket_mode(token: str) -> BlanketMode:

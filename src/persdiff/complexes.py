@@ -291,10 +291,16 @@ class FilteredComplex:
 
     def presence_table(self, n: int) -> PresenceTable:
         """Where the n-cells are present; built once per degree, its classes
-        in one pass over the transposed presence masks."""
+        in one pass over the transposed presence masks, or with no pass at
+        all in a degree without cells."""
         table = self.memo["presence_table"].get(n)
         if table is None:
             p, width = self.poset, self.ambient_dim(n)
+            if not width:
+                # One class, present nowhere, and every lower cover a twin.
+                table = PresenceTable([], [0] * p.n, [0], [()], list(p.lower_covers), [None])
+                self.memo["presence_table"][n] = table
+                return table
             masks = [reduce(int.__or__, [p.principal[b].bits for b in c.births]) for c in self.cells_of_dim(n)]
             # Per element (the transpose lists the highest first), its n-cells
             # as one int, cell 0 the highest bit; keyed on bytes, as opens are.

@@ -16,6 +16,26 @@ complex that fails validation, so the identity is never applied where it
 does not hold.  Unions over iterated blankets of a pair feed the
 finite-difference calculus.
 
+A degree-1 union walks the memoized covers of the birth open U and of
+the death open V (``blankets_of_open`` and ``cover_points``), never a
+list of blanket pairs.  Each cover comes with one point m: the element a
+FULL cover adds, or the element whose principal up-set a PRINCIPAL cover
+is.  Supports shrink and boundaries meet pointwise, and presence only
+grows along the order, so in both modes a blanket's memory needs only
+the pair's own support and boundaries and that point:
+
+* a cover W of U has S(W) = S(U) ∧ S_m (for W = up(m) that is S_m,
+  which lies inside S(U));
+* a cover of V has boundaries B(V) ∩ B_m, which is B_m alone when the
+  cover is up(m): every PRINCIPAL cover, and a FULL one whose point lies
+  below all of V, as on the empty open or down a chain.
+
+No cover open has its minimal elements worked out.  A blanket memory is
+read from the ``memory`` layer when it is there (on chains every blanket
+of a principal pair is another principal pair), and built and stored
+under the blanket's key when not.  Every blanket memory lies inside the
+pair's, so a pair whose memory is known to be zero has a zero union.
+
 Results are memoized on the complex.  The ``support``, ``open``,
 ``memory`` and ``union`` layers are keyed by degree and the opens' mask
 bytes (``UpSet.key``), plus the kind on an open and the blanket degree
@@ -47,10 +67,11 @@ from .posets import (
     BlanketMode,
     PairOpen,
     UpSet,
+    blankets_of_open,
+    cover_points,
     degree_blankets,
     make_pair,
     min_elements,
-    pair_blankets,
 )
 
 
@@ -159,22 +180,81 @@ def blanket_union(
     """
     if d == 0:
         return homological_memory(k, n, pair)
-    p = k.poset
     cache = k.memo["union"]
     key = (n, pair.birth.key, pair.death.key, d, mode is BlanketMode.FULL)
     sub = cache.get(key)
     if sub is None:
-        blankets = pair_blankets(p, pair, mode) if d == 1 else degree_blankets(p, pair, d, mode)
-        known = k.memo["memory"]
-        memories = []
-        for w in blankets:
-            m = known.get((n, w.birth.key, w.death.key))
-            if m is None:
-                m = homological_memory(k, n, w)
-            if m.dim:
-                memories.append(m)
+        if d == 1:
+            memories = _cover_memories(k, n, pair.birth, pair.death, mode)
+        else:
+            known = k.memo["memory"]
+            memories = []
+            for w in degree_blankets(k.poset, pair, d, mode):
+                m = known.get((n, w.birth.key, w.death.key))
+                if m is None:
+                    m = homological_memory(k, n, w)
+                if m.dim:
+                    memories.append(m)
         sub = cache[key] = _fold(k, "join", join, memories) if memories else k.zero(n)
     return sub
+
+
+def _cover_memories(k: FilteredComplex, n: int, birth: UpSet, death: UpSet, mode: BlanketMode) -> list[Subspace]:
+    """The non-zero memories of the degree-1 blankets of (birth, death),
+    walked from the memoized covers of each open.
+
+    Each blanket's memory is looked up in the ``memory`` layer first; a
+    miss is built from the pair's own support and boundaries plus the
+    cover's point, and stored under the blanket's key.  Every blanket
+    memory lies inside the pair's, so a pair with zero memory has none to
+    walk.
+    """
+    if death.bits & ~birth.bits:
+        make_pair(k.poset, birth, death)  # raises InvalidPair
+    known = k.memo["memory"]
+    own = known.get((n, birth.key, death.key))
+    if own is not None and not own.dim:
+        return []
+    p = k.poset
+    support = _support(k, n, birth)
+    out = []
+    grown = blankets_of_open(p, birth, mode)
+    if grown:
+        table = k.presence_table(n)
+        rows, classes = table.rows, table.classes
+        b = None if death.is_empty else boundaries_on_open(k, n, death)
+        for w, m in zip(grown, cover_points(p, birth, mode)):
+            key = (n, w.key, death.key)
+            sub = known.get(key)
+            if sub is None:
+                # S(w) = S(birth) ∧ S_m.
+                keep = support & rows[classes[m]]
+                sub = k.cycles_on_support(n, keep)
+                if sub.dim and b is not None:
+                    sub = _cut(k, sub, b, keep)
+                known[key] = sub
+            if sub.dim:
+                out.append(sub)
+    shrunk = blankets_of_open(p, death, mode)
+    if shrunk:
+        z = cycles_on_open(k, n, birth)
+        for v, m in zip(shrunk, cover_points(p, death, mode)):
+            if v.bits & ~birth.bits or (mode is BlanketMode.PRINCIPAL and v.bits == birth.bits):
+                continue
+            key = (n, birth.key, v.key)
+            sub = known.get(key)
+            if sub is None:
+                sub = z
+                if sub.dim:
+                    # B(v) = B(death) ∩ B_m, which is B_m when v = up(m).
+                    b = k.boundaries_at(n, m)
+                    if v.bits != p.principal[m].bits:
+                        b = _fold(k, "meet", meet, [boundaries_on_open(k, n, death), b])
+                    sub = _cut(k, sub, b, support)
+                known[key] = sub
+            if sub.dim:
+                out.append(sub)
+    return out
 
 
 def lifespan_rank(

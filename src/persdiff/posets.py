@@ -19,8 +19,19 @@ ints and bools, so an equal open built anywhere finds the same entry.
 Masks are never keys: Python hashes an int to its value mod 2^61 - 1, so
 the up-sets 2^n - 2^i of an n-chain share about 61 hashes.
 
+Sparse masks (antichains such as minimal elements, and the points that
+covers add) are listed by walking their set bits, highest first, one
+step per member (``_set_bits``); only dense member lists, such as whole
+up-sets, are read off the mask's binary string (``_indices``).
+
 The order itself is those masks and nothing else.  Grids build both kinds
-straight from their grade vectors.  Cover lists build the up-sets by
+from axis strides: the lex index of a grade vector g is the sum of
+g_a * stride_a, so the elements whose axis-a coordinate lies at or above
+(at or below) g_a form one pattern of bits spaced stride_a apart, and an
+up-set (down-set) mask is the product of its axis patterns, which never
+carries because the patterns occupy disjoint mixed-radix digits.  A grid
+element's lower covers are the indices one stride below it on each axis
+where its coordinate is positive.  Cover lists build the up-sets by
 closure, and an explicit order matrix is read row by row into up-set
 masks and checked to be a partial order; their down-sets are the
 transpose.  Empty posets, and posets larger than :data:`MAX_ELEMENTS`,
@@ -119,8 +130,22 @@ class UpSet:
 
 
 def _indices(bits: int) -> list[int]:
-    """Positions of the set bits of a mask, ascending."""
+    """Positions of the set bits of a dense mask, ascending, read off its
+    binary string."""
     return [i for i, digit in enumerate(bin(bits)[:1:-1]) if digit == "1"]
+
+
+def _set_bits(bits: int) -> list[int]:
+    """Positions of the set bits of a sparse mask, ascending: one step per
+    set bit, so a few members of a wide mask cost a few steps, not a
+    scan of every position."""
+    out = []
+    while bits:
+        top = bits.bit_length() - 1
+        out.append(top)
+        bits ^= 1 << top
+    out.reverse()
+    return out
 
 
 # Sorted-member lists compare like these strings: position i is "1" for
@@ -252,9 +277,11 @@ class FinitePoset:
             raise InvalidPoset(f"bad grid shape {shape!r}")
         _check_size(math.prod(shape))
         vectors = tuple(_iter_product(*(range(s) for s in shape)))
-        labels = tuple(",".join(str(c) for c in v) for v in vectors)
+        labels = tuple([",".join(map(str, v)) for v in vectors])
+        up, down, lower = _grid_masks(shape)
         p = cls.__new__(cls)
-        p._setup(labels, _product_masks(vectors, True), vectors, _product_masks(vectors, False))
+        p._setup(labels, up, vectors, down)
+        p.lower_covers = lower
         return p
 
     @classmethod
@@ -293,7 +320,8 @@ class FinitePoset:
     @cached_property
     def lower_covers(self) -> tuple[int, ...]:
         """Per element index, the mask of the elements it covers: the
-        maximal elements strictly below it."""
+        maximal elements strictly below it.  ``grid`` sets it from its axis
+        strides."""
         return tuple(_extremes(down ^ 1 << i, self._down, False) for i, down in enumerate(self._down))
 
     def is_chain(self) -> bool:
@@ -378,6 +406,35 @@ def _product_masks(grades: Sequence[tuple], up: bool) -> list[int]:
     return masks
 
 
+def _grid_masks(shape: tuple[int, ...]) -> tuple[list[int], list[int], tuple[int, ...]]:
+    """Up-set masks, down-set masks and lower-cover masks of the product
+    order on a box of the given shape, its elements in lex order.
+
+    On an axis of stride t and size s, the elements at or above value v
+    (ignoring the other axes) are the bits w * t for v <= w < s; those at
+    or below v the bits w * t for w <= v.  A mask is the product of one
+    such pattern per axis: the patterns occupy disjoint mixed-radix
+    digits, so the product never carries.  The lower covers of an element
+    lie one stride below it on each axis where its coordinate is positive.
+    """
+    strides = [math.prod(shape[a + 1:]) for a in range(len(shape))]
+    up, down = [1], [1]
+    for size, t in zip(shape, strides):
+        full = sum(1 << w * t for w in range(size))
+        above = [full >> v * t << v * t for v in range(size)]
+        below = [full & (1 << (v + 1) * t) - 1 for v in range(size)]
+        # Lex order: earlier axes vary slowest.
+        up = [m * pattern for m in up for pattern in above]
+        down = [m * pattern for m in down for pattern in below]
+    n = len(up)
+    lower = [0] * n
+    for size, t in zip(shape, strides):
+        for i in range(t, n):
+            if i // t % size:
+                lower[i] |= 1 << i - t
+    return up, down, tuple(lower)
+
+
 def _checked_grades(labels: tuple, up: list[int], grades) -> tuple | None:
     """Grade vectors as int tuples, required to give the order ``up``."""
     if grades is None:
@@ -425,33 +482,44 @@ def _extremes(bits: int, strict_side: list[int], lowest_first: bool) -> int:
 
 def min_elements(p: FinitePoset, u: UpSet) -> frozenset:
     """Elements of the open with nothing strictly below them in the open."""
-    return frozenset(_indices(_extremes(u.bits, p._up, True)))
+    return frozenset(_set_bits(_extremes(u.bits, p._up, True)))
 
 
-def blankets_of_open(p: FinitePoset, u: UpSet, mode: BlanketMode = BlanketMode.FULL) -> list[UpSet]:
+def blankets_of_open(p: FinitePoset, u: UpSet, mode: BlanketMode = BlanketMode.FULL) -> tuple[UpSet, ...]:
     """Blankets (covers) of an open, by size and then sorted members; never
-    the open itself."""
+    the open itself.  The tuple is the memoized one."""
+    return _covers(p, u, mode)[0]
+
+
+def cover_points(p: FinitePoset, u: UpSet, mode: BlanketMode = BlanketMode.FULL) -> tuple[int, ...]:
+    """Per blanket of the open, in the order of :func:`blankets_of_open`,
+    the element it adds (FULL) or is the principal up-set of (PRINCIPAL)."""
+    return _covers(p, u, mode)[1]
+
+
+def _covers(p: FinitePoset, u: UpSet, mode: BlanketMode) -> tuple[tuple[UpSet, ...], tuple[int, ...]]:
+    """The blankets of an open and their points, built once per open and mode."""
     key = (u.key, mode is BlanketMode.FULL)
     cache = p.memo["blankets"]
-    out = cache.get(key)
-    if out is None:
+    hit = cache.get(key)
+    if hit is None:
         outside = (1 << p.n) - 1 & ~u.bits
         if mode is BlanketMode.FULL:
             # Add one maximal element of the complement: same sizes, and
             # ascending added elements are ascending sorted members.
-            added = _extremes(outside, p._down, False)
-            out = tuple(UpSet(bits=u.bits | 1 << m) for m in _indices(added))
+            points = _set_bits(_extremes(outside, p._down, False))
+            opens = [UpSet(bits=u.bits | 1 << m) for m in points]
         else:
             # up(i) contains u iff i lies below every minimal element of u,
             # strictly iff also i is not in u; the smallest come from maximal i.
             below = outside
-            for m in _indices(_extremes(u.bits, p._up, True)):
+            for m in _set_bits(_extremes(u.bits, p._up, True)):
                 below &= p._down[m]
-            tops = _indices(_extremes(below, p._down, False))
-            out = [p.principal[i] for i in tops]
-            out = tuple(sorted(out, key=lambda w: (w.bits.bit_count(), _lex_key(w.bits))))
-        cache[key] = out
-    return list(out)
+            tops = _set_bits(_extremes(below, p._down, False))
+            points = sorted(tops, key=lambda i: (p._up[i].bit_count(), _lex_key(p._up[i])))
+            opens = [p.principal[i] for i in points]
+        hit = cache[key] = (tuple(opens), tuple(points))
+    return hit
 
 
 def make_pair(p: FinitePoset, birth: UpSet, death: UpSet) -> PairOpen:
@@ -498,7 +566,7 @@ def pair_blankets(p: FinitePoset, x: PairOpen, mode: BlanketMode = BlanketMode.F
         principal = mode is BlanketMode.PRINCIPAL
         grown = blankets_of_open(p, birth, mode)
         if principal:
-            grown.sort(key=lambda w: _lex_key(w.bits))
+            grown = sorted(grown, key=lambda w: _lex_key(w.bits))
         # The indices below the birth's largest element.
         below_top = (1 << max(birth.bits.bit_length() - 1, 0)) - 1
         cut = 0

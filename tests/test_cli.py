@@ -928,3 +928,28 @@ print(json.dumps({"clean": clean, "out": out}))
         code, out = result["out"][".".join(case)]
         assert code == 0
         assert out.encode() == golden_path(*case).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        [],
+        {"entries": []},
+        {"b": [1, (2, (3, (), [])), {}], "a": [[[]]]},
+        {"birth": ("x\"y", "tab\there", "back\\slash", "nul\x00"), "death": "inf"},
+        {"label": "gréve", "other": ["∃", "\U0001d11e", "ÿĀ"]},
+        {"z": -3, "y": 2**70, "x": True, "w": False, "v": None, "u": 0.5},
+        [float("nan"), float("inf"), float("-inf"), -0.0, 1e300],
+        {"nested": {"deeper": {"deepest": [{"a": 1}, {"b": (2,)}]}}},
+        {1: "int keys go to json.dumps"},
+        "a bare string",
+        7,
+    ],
+)
+def test_dump_equals_json_dumps(doc):
+    """``cli._dump`` writes JSON itself; its bytes must be those of
+    ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline."""
+    from persdiff.cli import _dump
+
+    assert _dump(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"

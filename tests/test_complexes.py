@@ -225,3 +225,18 @@ class TestBuildErrors:
             FilteredComplex.build(
                 GF2, FinitePoset.chain(2), [{"id": "a", "faces": [], "births": [0]}]
             )
+
+
+@pytest.mark.parametrize("shape", [(1,), (5,), (3, 3), (2, 3, 2)])
+def test_a_degree_without_cells_has_one_class_and_all_covers_twins(shape):
+    """A degree with no cells gets its table without a per-element pass:
+    one class with no cells, every element in it, every lower cover a twin,
+    and the degree's zero as that class's boundaries."""
+    p = FinitePoset.grid(shape)
+    births = [(0,) * len(shape)]
+    k = FilteredComplex.build(GF2, p, [{"id": "a", "vertices": ["a"], "births": births}])
+    table = k.presence_table(1)
+    assert table.masks == [] and table.rows == [0] and table.cells == [()]
+    assert table.classes == [0] * p.n
+    assert table.twins == list(p.lower_covers)
+    assert all(k.boundaries_at(0, x) is k.zero(0) for x in range(p.n))

@@ -13,7 +13,16 @@ import numpy as np
 import pytest
 
 from persdiff.linalg import bit_transpose
-from persdiff.posets import FinitePoset, InvalidPoset, UnknownElement
+from persdiff.posets import (
+    FinitePoset,
+    InvalidPoset,
+    UnknownElement,
+    _extremes,
+    _grid_masks,
+    _indices,
+    _product_masks,
+    _set_bits,
+)
 
 from dense_reference import reference_cover_order, reference_order, reference_product_order
 
@@ -123,6 +132,29 @@ def test_grid_down_masks_are_the_transpose_of_the_up_masks(shape):
     p = FinitePoset.grid(shape)
     assert p._down == bit_transpose(p._up[::-1], p.n)[::-1]
     assert all(p.leq(j, i) == bool(p._down[i] >> j & 1) for i in range(p.n) for j in range(p.n))
+
+
+@pytest.mark.parametrize("shape", [(1,), (30,), (4, 4), (8, 8), (5, 3, 4), (2, 1, 3)])
+def test_stride_built_grids_match_the_product_masks_and_extremes(shape):
+    """Grids build their masks and lower covers from axis strides; they must
+    be the masks of the grade vectors' product order, and the maximal
+    elements strictly below each element."""
+    vectors = list(product(*(range(s) for s in shape)))
+    up, down, lower = _grid_masks(shape)
+    assert up == _product_masks(vectors, True)
+    assert down == _product_masks(vectors, False)
+    assert lower == tuple(_extremes(d ^ 1 << i, down, False) for i, d in enumerate(down))
+    p = FinitePoset.grid(shape)
+    assert (p._up, p._down, p.lower_covers) == (up, down, lower)
+
+
+def test_set_bit_walk_equals_the_string_scan():
+    rng = random.Random(107)
+    sparse = sum(1 << i for i in rng.sample(range(4096), 12))
+    dense = sum(1 << i for i in range(4096) if rng.random() < 0.7)
+    cases = [0, 1, 1 << 4095, 1 << 63, sparse, sparse | 1 << 4095, dense, (1 << 4096) - 1, (1 << 64) - 1]
+    for bits in cases:
+        assert _set_bits(bits) == _indices(bits) == sorted(i for i in range(4097) if bits >> i & 1)
 
 
 def test_random_covers_with_and_without_grades():

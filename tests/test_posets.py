@@ -239,8 +239,8 @@ class TestBlanketsOfOpen:
 
     def test_top_open_has_none(self):
         p = FinitePoset.chain(3)
-        assert blankets_of_open(p, p.top()) == []
-        assert blankets_of_open(p, p.top(), BlanketMode.PRINCIPAL) == []
+        assert blankets_of_open(p, p.top()) == ()
+        assert blankets_of_open(p, p.top(), BlanketMode.PRINCIPAL) == ()
 
     def test_offset_grid_both_modes(self):
         p = offset_grid_poset()
