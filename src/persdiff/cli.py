@@ -2,7 +2,9 @@
 
 Subcommands: ``validate``, ``diagram``, ``barcode``, ``blankets``,
 ``verify``.  Exit codes: 0 success, 1 verification counterexamples,
-2 validation failure, 3 parse/usage error.
+2 validation failure, 3 parse/usage error.  ``diagram`` writes its rows
+as the walk yields them, after every refusal it can meet; the other
+documents are written whole by ``json.dumps``.
 """
 from __future__ import annotations
 
@@ -18,10 +20,10 @@ from .diagrams import (
     barcode_svg,
     barcode_text,
     compute_barcode,
-    compute_diagram,
-    diagram_csv,
-    diagram_document,
+    diagram_entries,
     open_repr,
+    write_diagram_csv,
+    write_diagram_json,
 )
 from .fields import InvalidField
 from .io import InputError, load_complex
@@ -54,96 +56,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _dump(doc) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)`` and a newline, byte for
-    byte.  The standard library gives up its C encoder once ``indent`` is
-    set, so documents of strings, ints, floats, None, bools, lists,
-    tuples and dicts with string keys are written here; anything else
-    goes to ``json.dumps`` whole."""
-    out: list[str] = []
-    try:
-        _write(doc, "\n", out)
-    except _NotWritten:
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    out.append("\n")
-    return "".join(out)
-
-
-class _NotWritten(Exception):
-    pass
-
-
-_quote = json.encoder.encode_basestring_ascii
-
-
-def _write(o, newline: str, out: list) -> None:
-    """Append ``o`` as indented JSON; ``newline`` is a newline and the
-    indent of the line ``o`` starts on."""
-    if isinstance(o, str):
-        out.append(_quote(o))
-    elif o is None:
-        out.append("null")
-    elif o is True:
-        out.append("true")
-    elif o is False:
-        out.append("false")
-    elif isinstance(o, int):
-        out.append(int.__repr__(o))
-    elif isinstance(o, float):
-        out.append(_float(o))
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in o:
-            # Exact ints and strings inline; bools are not ``int`` by type.
-            kind = type(item)
-            if kind is int:
-                out.append(sep + int.__repr__(item))
-            elif kind is str:
-                out.append(sep + _quote(item))
-            else:
-                out.append(sep)
-                _write(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
-    elif isinstance(o, dict):
-        if not o:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        try:
-            keys = sorted(o)
-        except TypeError:
-            raise _NotWritten from None
-        for key in keys:
-            if not isinstance(key, str):
-                raise _NotWritten
-            value = o[key]
-            kind = type(value)
-            if kind is int:
-                out.append(sep + _quote(key) + ": " + int.__repr__(value))
-            elif kind is str:
-                out.append(sep + _quote(key) + ": " + _quote(value))
-            else:
-                out.append(sep + _quote(key) + ": ")
-                _write(value, inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
-    else:
-        raise _NotWritten
-
-
-def _float(x: float) -> str:
-    """A float as ``json`` writes it."""
-    if x != x:
-        return "NaN"
-    if x in (float("inf"), float("-inf")):
-        return "Infinity" if x > 0 else "-Infinity"
-    return float.__repr__(x)
+def _print_json(doc) -> None:
+    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _blanket_mode(token: str) -> BlanketMode:
@@ -209,7 +123,7 @@ def _cmd_validate(args, k) -> int:
                 {"kind": v.kind, "detail": v.detail, "cells": list(v.cells)} for v in violations
             ],
         }
-        sys.stdout.write(_dump(doc))
+        _print_json(doc)
     else:
         for v in violations:
             sys.stdout.write(str(v) + "\n")
@@ -228,11 +142,12 @@ def _require_valid(k) -> None:
 def _cmd_diagram(args, k) -> int:
     _require_valid(k)
     degrees = None if args.degree is None else [args.degree]
-    entries = compute_diagram(k, degrees=degrees, mode=args.mode, include_zero=args.all)
+    # Refusals raise here, before the first byte is written.
+    entries = diagram_entries(k, degrees=degrees, mode=args.mode, include_zero=args.all)
     if args.csv:
-        sys.stdout.write(diagram_csv(entries))
+        write_diagram_csv(sys.stdout, entries)
     else:
-        sys.stdout.write(_dump(diagram_document(k, entries, args.mode)))
+        write_diagram_json(sys.stdout, k, entries, args.mode)
     return EXIT_OK
 
 
@@ -250,7 +165,7 @@ def _cmd_barcode(args, k) -> int:
         except OSError as exc:
             raise _UsageError(f"cannot write {args.svg}: {exc}") from None
     if args.json:
-        sys.stdout.write(_dump(barcode_document(k, bars)))
+        _print_json(barcode_document(k, bars))
     else:
         sys.stdout.write(barcode_text(bars))
     return EXIT_OK
@@ -280,7 +195,7 @@ def _cmd_blankets(args, k) -> int:
             "mode": args.mode.value,
             "pairs": pairs,
         }
-        sys.stdout.write(_dump(doc))
+        _print_json(doc)
     else:
         for y in pairs:
             sys.stdout.write(f"{y['birth']} {y['death']}\n")
@@ -295,7 +210,7 @@ def _cmd_verify(args, k) -> int:
         k, samples=args.samples, seed=args.seed, include_oracle=args.oracle
     )
     if args.json:
-        sys.stdout.write(_dump(report.as_json()))
+        _print_json(report.as_json())
     else:
         sys.stdout.write(report.as_text())
     return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLES

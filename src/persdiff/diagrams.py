@@ -5,8 +5,10 @@ opens (the grade for principal opens) with the pair-group multiplicity.
 Barcodes are the 1-parameter specialization.  Diagrams, barcodes and the
 oracle-keyed chain diagram all read one walk, ``_multiplicities``, over
 the degrees and the principal pairs in the order of
-``enumerate_diagram_pairs``.  Diagrams are written as JSON or CSV;
-nothing here reads one back.
+``enumerate_diagram_pairs``.  ``diagram_entries`` yields a diagram's
+entries as the walk reaches them, and ``write_diagram_json`` and
+``write_diagram_csv`` write each as it comes, so no diagram is held
+whole on its way out; nothing here reads one back.
 
 The walk evaluates the multiplicity only where it can be non-zero.  The
 multiplicity of a pair is ``dim mem(pair) - dim of the join of mem(b)``
@@ -60,7 +62,11 @@ the lifespan rank on every pair, and its oracle check reads this walk.
 """
 from __future__ import annotations
 
+import csv
+import functools
+import json
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .calculus import pair_group_rank
@@ -80,9 +86,10 @@ from .posets import (
 INF = "inf"
 
 # Most rows a diagram with zero multiplicities may have: every principal
-# pair in every degree is a row, and each costs about 1.6 KiB until the
-# output is written.  The 3-cell 1,024-chain (1,049,600 rows, about 22 s
-# and 1.6 GiB) passes; the 2,048-chain (4,196,352 rows) is refused.
+# pair in every degree is a row.  Rows are written as the walk reaches
+# them, so the bound limits run time and output size, not memory.  The
+# 3-cell 1,024-chain (1,049,600 rows: 5-7 s, 18 MiB peak RSS and
+# 138 MB of JSON) passes; the 2,048-chain (4,196,352 rows) is refused.
 MAX_DIAGRAM_ROWS = 1_500_000
 
 
@@ -151,17 +158,19 @@ def _multiplicities(k: FilteredComplex, degrees, mode: BlanketMode, include_zero
                     yield n, x, y, mult
 
 
-def compute_diagram(
+def diagram_entries(
     k: FilteredComplex,
     degrees=None,
     mode: BlanketMode = BlanketMode.FULL,
     include_zero: bool = False,
-) -> list[DiagramEntry]:
-    """Pair-group multiplicities over the enumerated principal pairs.
+) -> Iterator[DiagramEntry]:
+    """Pair-group multiplicities over the enumerated principal pairs, each
+    entry yielded as the walk reaches it.
 
-    With ``include_zero`` every principal pair of every degree is a row;
-    more than :data:`MAX_DIAGRAM_ROWS` of them raise :class:`TooManyRows`
-    before the walk starts.
+    The complex is checked and, with ``include_zero``, the rows counted
+    when this is called, not when the first entry is read: every
+    principal pair of every degree is then a row, and more than
+    :data:`MAX_DIAGRAM_ROWS` of them raise :class:`TooManyRows`.
     """
     k.require_valid()
     p = k.poset
@@ -172,10 +181,20 @@ def compute_diagram(
                 f"the diagram with zero multiplicities would have {rows} rows; "
                 f"at most {MAX_DIAGRAM_ROWS} are supported"
             )
-    return [
+    return (
         DiagramEntry(n, (element_repr(p, x),), INF if y is None else (element_repr(p, y),), mult)
         for n, x, y, mult in _multiplicities(k, degrees, mode, include_zero)
-    ]
+    )
+
+
+def compute_diagram(
+    k: FilteredComplex,
+    degrees=None,
+    mode: BlanketMode = BlanketMode.FULL,
+    include_zero: bool = False,
+) -> list[DiagramEntry]:
+    """The entries of :func:`diagram_entries` as a list."""
+    return list(diagram_entries(k, degrees, mode, include_zero))
 
 
 def chain_diagram_counter(
@@ -189,24 +208,36 @@ def chain_diagram_counter(
     return bars
 
 
-def entry_to_json(e: DiagramEntry) -> dict:
-    """JSON form of an entry; ``json`` writes its tuples as lists."""
-    return {
-        "degree": e.degree,
-        "birth": e.birth,
-        "death": e.death,
-        "multiplicity": e.multiplicity,
-    }
+def _json(o, newline: str) -> str:
+    """An int, a string or a tuple of these as ``json.dumps(o, indent=2)``
+    writes it on a line that ``newline`` ends and indents."""
+    if type(o) is int:
+        return str(o)
+    if type(o) is not tuple:
+        return json.dumps(o)
+    if not o:
+        return "[]"
+    inner = newline + "  "
+    return "[" + ",".join(inner + _json(c, inner) for c in o) + newline + "]"
 
 
-def diagram_document(k: FilteredComplex, entries, mode: BlanketMode) -> dict:
-    return {
-        "format_version": 1,
-        "kind": "diagram",
-        "field": k.field.token(),
-        "mode": mode.value,
-        "entries": [entry_to_json(e) for e in entries],
-    }
+def write_diagram_json(out, k: FilteredComplex, entries, mode: BlanketMode) -> None:
+    """Write the diagram document, entry by entry, as the bytes of
+    ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline."""
+    line = "\n      "
+    # One text per open: the same opens recur across the rows.
+    text = functools.cache(lambda o: _json(o, line))
+    entry = '{\n      "birth": %s,\n      "death": %s,\n      "degree": %d,\n      "multiplicity": %d\n    }'
+    out.write('{\n  "entries": [')
+    sep = "\n    "
+    for e in entries:
+        out.write(sep + entry % (text(e.birth), text(e.death), e.degree, e.multiplicity))
+        sep = ",\n    "
+    out.write(
+        ("]" if sep == "\n    " else "\n  ]")
+        + f',\n  "field": {json.dumps(k.field.token())},\n  "format_version": 1,'
+        + f'\n  "kind": "diagram",\n  "mode": {json.dumps(mode.value)}\n}}\n'
+    )
 
 
 def _flat_repr(x) -> str:
@@ -215,13 +246,13 @@ def _flat_repr(x) -> str:
     return str(x)
 
 
-def diagram_csv(entries) -> str:
-    lines = ["degree,birth,death,multiplicity"]
-    for e in entries:
-        birth = ";".join(_flat_repr(x) for x in e.birth)
-        death = INF if e.death == INF else ";".join(_flat_repr(x) for x in e.death)
-        lines.append(f"{e.degree},{birth},{death},{e.multiplicity}")
-    return "\n".join(lines) + "\n"
+def write_diagram_csv(out, entries) -> None:
+    """Write ``degree,birth,death,multiplicity`` rows, quoting a field only
+    where it holds a comma, a double quote or a newline."""
+    text = functools.cache(lambda o: INF if o == INF else ";".join(map(_flat_repr, o)))
+    rows = csv.writer(out, lineterminator="\n")
+    rows.writerow(("degree", "birth", "death", "multiplicity"))
+    rows.writerows((e.degree, text(e.birth), text(e.death), e.multiplicity) for e in entries)
 
 
 # -- barcodes (chains only) ---------------------------------------------------

@@ -1,5 +1,7 @@
 import contextlib
 import copy
+import csv
+import dataclasses
 import io
 import json
 import os
@@ -7,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -17,7 +20,7 @@ from persdiff.cli import build_parser, main
 from persdiff.complexes import MAX_DIM
 from persdiff.diagrams import MAX_DIAGRAM_ROWS, compute_diagram
 from persdiff.io import load_complex
-from persdiff.posets import MAX_BLANKET_PAIRS, FinitePoset, diagram_pair_count
+from persdiff.posets import MAX_BLANKET_PAIRS, BlanketMode, FinitePoset, diagram_pair_count
 from persdiff.verify import MAX_RANK_CHECKS, MAX_SAMPLES
 
 from conftest import LONG_CHAIN_CELLS
@@ -105,15 +108,65 @@ class TestDiagram:
         entries = compute_diagram(load_complex(DATA / "triangle.json"))
         assert [e.multiplicity for e in entries] == [2, 1, 1]
         # Serializing the computed entries reproduces the document.
-        from persdiff.diagrams import entry_to_json
-
-        assert json.loads(json.dumps([entry_to_json(e) for e in entries])) == doc["entries"]
+        assert json.loads(json.dumps([dataclasses.asdict(e) for e in entries])) == doc["entries"]
 
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "diagram", DATA / "triangle.json", "--csv")
         lines = out.strip().splitlines()
         assert lines[0] == "degree,birth,death,multiplicity"
         assert "0,0,1,2" in lines
+
+    def test_csv_grid_rows_have_four_fields(self, capsys):
+        """A grade vector holds commas, so its field is quoted."""
+        code, out, _ = run(capsys, "diagram", DATA / "two_param.json", "--csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[1] == ["0", "(0,0)", "(0,1)", "1"]
+        assert all(len(row) == 4 for row in rows)
+        assert out.splitlines()[1] == '0,"(0,0)","(0,1)",1'
+
+    def test_csv_labels_round_trip(self, capsys, tmp_path):
+        labels = ["a,b", 'say "hi"', "two\nlines"]
+        doc = _doc(_labelled_chain(*labels), [labels[0]])
+        doc["cells"] += [
+            {"id": "w", "vertices": ["w"], "births": [labels[1]]},
+            {"id": "vw", "vertices": ["v", "w"], "births": [labels[2]]},
+        ]
+        code, out, _ = _run_doc(capsys, tmp_path, doc, "--csv", "--all")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        entries = compute_diagram(load_complex(tmp_path / "doc.json"), include_zero=True)
+        assert rows == [["degree", "birth", "death", "multiplicity"]] + [
+            [str(e.degree), e.birth[0], "inf" if e.death == "inf" else e.death[0], str(e.multiplicity)]
+            for e in entries
+        ]
+        assert {row[1] for row in rows[1:]} == set(labels)
+        assert ["0", labels[1], labels[2], "1"] in rows
+
+    @pytest.mark.parametrize("extra", [(), ("--csv",)])
+    def test_diagram_rows_stream(self, tmp_path, extra):
+        """``diagram --all`` writes each row as the walk reaches it: on the
+        3-cell 128-chain (16,512 rows) the traced peak stays under 1 MiB,
+        where a document held whole takes about 20 MiB (4.6 MiB as CSV)."""
+
+        class Discard(io.TextIOBase):
+            def write(self, text):
+                return len(text)
+
+        path = tmp_path / "chain128.json"
+        cells = copy.deepcopy(LONG_CHAIN_CELLS)
+        cells[1]["births"], cells[2]["births"] = [64], [127]
+        doc = {"format_version": 1, "field": "gf2", "poset": {"kind": "grid", "shape": [128]}, "cells": cells}
+        path.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(Discard()):
+                code = main(["diagram", str(path), "--all", *extra])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2**20
 
     def test_all_includes_zeros(self, capsys):
         _, out_default, _ = run(capsys, "diagram", DATA / "triangle.json", "--degree", 1)
@@ -930,26 +983,78 @@ print(json.dumps({"clean": clean, "out": out}))
         assert out.encode() == golden_path(*case).read_bytes()
 
 
+def _hollow_triangle(poset, low, mid, high, field="gf2"):
+    """Vertices a, b, c and edge ab at ``low``, edges ac and bc at ``mid``,
+    and the 2-cell at ``high``: classes in degrees 0 and 1."""
+    cells = [{"id": v, "vertices": [v], "births": [low]} for v in "abc"]
+    cells += [
+        {"id": "ab", "vertices": ["a", "b"], "births": [low]},
+        {"id": "ac", "vertices": ["a", "c"], "births": [mid]},
+        {"id": "bc", "vertices": ["b", "c"], "births": [mid]},
+        {"id": "abc", "vertices": ["a", "b", "c"], "births": [high]},
+    ]
+    return {"format_version": 1, "field": field, "poset": poset, "cells": cells}
+
+
+def _labelled_chain(*labels):
+    covers = [[lo, hi] for lo, hi in zip(labels, labels[1:])]
+    return {"kind": "explicit", "elements": list(labels), "covers": covers}
+
+
 @pytest.mark.parametrize(
     "doc",
     [
-        {},
-        [],
-        {"entries": []},
-        {"b": [1, (2, (3, (), [])), {}], "a": [[[]]]},
-        {"birth": ("x\"y", "tab\there", "back\\slash", "nul\x00"), "death": "inf"},
-        {"label": "gréve", "other": ["∃", "\U0001d11e", "ÿĀ"]},
-        {"z": -3, "y": 2**70, "x": True, "w": False, "v": None, "u": 0.5},
-        [float("nan"), float("inf"), float("-inf"), -0.0, 1e300],
-        {"nested": {"deeper": {"deepest": [{"a": 1}, {"b": (2,)}]}}},
-        {1: "int keys go to json.dumps"},
-        "a bare string",
-        7,
+        _hollow_triangle({"kind": "grid", "shape": [4]}, 0, 1, 3),
+        _hollow_triangle({"kind": "grid", "shape": [3, 3]}, [0, 0], [1, 0], [2, 2], "rational"),
+        _hollow_triangle({"kind": "grid", "shape": [2, 2, 2]}, [0, 0, 0], [0, 1, 0], [1, 1, 1], "gf:5"),
+        _hollow_triangle(
+            dict(_labelled_chain("p", "q", "r"), grades={"p": [-3], "q": [7], "r": [2**70]}), "p", "q", "r"
+        ),
+        _hollow_triangle(
+            {
+                "kind": "explicit",
+                "elements": ["bot", "left", "right", "top"],
+                "covers": [["bot", "left"], ["bot", "right"], ["left", "top"], ["right", "top"]],
+                "grades": {"bot": [0, 0], "left": [1, 0], "right": [0, 1], "top": [1, 1]},
+            },
+            "bot",
+            "left",
+            "top",
+        ),
+        _hollow_triangle(_labelled_chain('x"y', "back\\slash", "tab\there"), 'x"y', "back\\slash", "tab\there"),
+        _hollow_triangle(_labelled_chain("grève", "∃", "\U0001d11e"), "grève", "∃", "\U0001d11e"),
+        _hollow_triangle(_labelled_chain("a,b", "line\nbreak", "nul\x00"), "a,b", "line\nbreak", "nul\x00"),
+        _hollow_triangle(_labelled_chain("lo", "mid", "hi", "top"), "lo", "hi", "top", "gf:3"),
+        # No cells, and one element whose grade vector is empty.
+        _doc({"kind": "explicit", "elements": ["x"], "grades": {"x": []}}, ["x"]) | {"cells": []},
     ],
 )
-def test_dump_equals_json_dumps(doc):
-    """``cli._dump`` writes JSON itself; its bytes must be those of
-    ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline."""
-    from persdiff.cli import _dump
-
-    assert _dump(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def test_dump_equals_json_dumps(capsys, tmp_path, doc):
+    """``diagram`` writes its JSON an entry at a time; its bytes must be
+    those of ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline
+    for the same entries: grades as ints and vectors, labels that need
+    escaping or are not ASCII, empty entry lists and ``--all``."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    k = load_complex(path)
+    for argv, degrees, mode, include_zero in [
+        ((), None, BlanketMode.FULL, False),
+        (("--all",), None, BlanketMode.FULL, True),
+        (("--mode", "principal", "--all"), None, BlanketMode.PRINCIPAL, True),
+        (("--degree", 1), [1], BlanketMode.FULL, False),
+        (("--degree", 7, "--all"), [7], BlanketMode.FULL, True),
+        (("--degree", 7), [7], BlanketMode.FULL, False),
+    ]:
+        entries = compute_diagram(k, degrees=degrees, mode=mode, include_zero=include_zero)
+        expected = {
+            "format_version": 1,
+            "kind": "diagram",
+            "field": k.field.token(),
+            "mode": mode.value,
+            "entries": [dataclasses.asdict(e) for e in entries],
+        }
+        code, out, _ = run(capsys, "diagram", path, *argv)
+        assert code == 0
+        assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+        # Only a degree above the complex's gives no entries, once it has cells.
+        assert entries or 7 in argv or not doc["cells"]
