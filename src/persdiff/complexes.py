@@ -115,18 +115,18 @@ class FilteredComplex:
 
     ``memo`` holds every derived result, here and in :mod:`persdiff.memory`:
     one dict per named layer.  Per-point state is the ``presence_table``
-    layer, keyed by degree: a :class:`PresenceTable`, read by element
-    index, whose classes hold their boundary subspaces, so elements with
-    the same cells present share one subspace object; the empty classes of
-    a degree share its one zero with the empty blanket unions.  The
-    ``cycles`` layer holds the cycles on each support, keyed by degree and
-    the support's bytes, so elements and opens with the same support share
-    one object.  The ``boundary``, ``colimit`` and ``zero`` layers are
-    keyed by degree.  The layers over opens in :mod:`persdiff.memory` are
-    keyed by the opens' mask bytes (``UpSet.key``) next to ints and bools,
-    and its cut, meet and join layers by the ``id``s of operand subspaces
-    their entries hold; every other key is built from ints, bools and
-    bytes.
+    layer, keyed by degree: a :class:`PresenceTable`, read by element index,
+    whose classes hold their boundary subspaces, so elements with the same
+    cells present share one subspace object; the empty classes of a degree
+    share its one zero with the empty blanket unions.  The ``cycles`` layer
+    holds the cycles on each support, keyed by degree and the support's
+    bytes, so elements and opens with the same support share one object, and
+    no open keeps its own.  The ``boundary``, ``colimit`` and ``zero``
+    layers are keyed by degree.  The layers over opens in
+    :mod:`persdiff.memory` are keyed by the opens' mask bytes
+    (``UpSet.key``) next to ints and bools, and its cut, meet and join
+    layers by the ``id``s of operand subspaces their entries hold; every
+    other key is built from ints, bools and bytes.
     """
 
     def __init__(self, field: FieldSpec, poset: FinitePoset, cells: Sequence[Cell]):

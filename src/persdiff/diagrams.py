@@ -62,7 +62,6 @@ the lifespan rank on every pair, and its oracle check reads this walk.
 """
 from __future__ import annotations
 
-import csv
 import functools
 import json
 from collections import Counter
@@ -71,7 +70,7 @@ from dataclasses import dataclass
 
 from .calculus import pair_group_rank
 from .complexes import FilteredComplex
-from .memory import cycles_on_open, homological_memory
+from .memory import homological_memory
 from .oracle import chain_positions
 from .posets import (
     EMPTY_OPEN,
@@ -141,7 +140,7 @@ def _multiplicities(k: FilteredComplex, degrees, mode: BlanketMode, include_zero
         death_twins = k.presence_table(n + 1).twins
         for x in births:
             birth = principal[x]
-            critical = not birth_twins[x] and cycles_on_open(k, n, birth).dim
+            critical = not birth_twins[x] and k.cycles_at(n, x).dim
             if not (critical or include_zero):
                 continue
             above = birth.bits ^ 1 << x
@@ -246,13 +245,21 @@ def _flat_repr(x) -> str:
     return str(x)
 
 
+def _csv_field(s: str) -> str:
+    """``s`` as a CSV field: quoted, its quotes doubled, when it holds a
+    comma, a double quote, a line feed or a carriage return."""
+    if any(c in s for c in ',"\n\r'):
+        return '"' + s.replace('"', '""') + '"'
+    return s
+
+
 def write_diagram_csv(out, entries) -> None:
-    """Write ``degree,birth,death,multiplicity`` rows, quoting a field only
-    where it holds a comma, a double quote or a newline."""
-    text = functools.cache(lambda o: INF if o == INF else ";".join(map(_flat_repr, o)))
-    rows = csv.writer(out, lineterminator="\n")
-    rows.writerow(("degree", "birth", "death", "multiplicity"))
-    rows.writerows((e.degree, text(e.birth), text(e.death), e.multiplicity) for e in entries)
+    """Write ``degree,birth,death,multiplicity`` rows, each ended by a line
+    feed, with the quoting of :func:`_csv_field` on every Python version."""
+    text = functools.cache(lambda o: _csv_field(INF if o == INF else ";".join(map(_flat_repr, o))))
+    out.write("degree,birth,death,multiplicity\n")
+    for e in entries:
+        out.write(f"{e.degree},{text(e.birth)},{text(e.death)},{e.multiplicity}\n")
 
 
 # -- barcodes (chains only) ---------------------------------------------------

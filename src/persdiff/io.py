@@ -1,18 +1,21 @@
 """JSON input documents: field, poset, and cell records.
 
-One document describes a multifiltered complex (``format_version`` 1).
+One document describes a multifiltered complex (``format_version``, the
+integer 1).
 Grid posets are declared by shape; explicit posets by labels and covering
 relations, transitively closed at load.  Births name poset elements by
 grade scalar/vector or by label; a bare integer is a grade scalar on a
 graded poset and a label on an ungraded one (``posets.named_element``).  Shapes, grades and cell dimensions must
 be JSON integers.  Posets with more than ``posets.MAX_ELEMENTS`` elements
 are refused before their order is built, and so are integer literals and
-rational coefficients with more than ``fields.MAX_DIGITS`` digits.  Every
-malformed document raises :class:`InputError`.
+rational coefficients with more than ``fields.MAX_DIGITS`` digits, and
+strings holding a lone surrogate, which no text output could write.
+Every malformed document raises :class:`InputError`.
 """
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 from .complexes import FilteredComplex
@@ -21,6 +24,11 @@ from .posets import FinitePoset, InvalidPoset, UnknownElement
 
 
 FORMAT_VERSION = 1
+# JSON may escape a lone UTF-16 surrogate ("\ud800"), and ``json.loads``
+# keeps it as a code point that no text output can encode.  Only such an
+# escape puts one in a document read from UTF-8.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 class InputError(ValueError):
@@ -63,7 +71,7 @@ def parse_document(doc, field_override: str | None = None) -> FilteredComplex:
     if not isinstance(doc, dict):
         raise InputError("input document must be a JSON object")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise InputError(f"unsupported format_version {version!r} (expected {FORMAT_VERSION})")
     token = field_override or doc.get("field", "gf2")
     try:
@@ -95,4 +103,22 @@ def load_complex(path, field_override: str | None = None) -> FilteredComplex:
     except ValueError:
         # The decoder refuses integer literals over the interpreter's limit.
         raise InputError(f"integer literal in {path} has more than {MAX_DIGITS} digits") from None
+    if _SURROGATE_ESCAPE.search(text):
+        _refuse_lone_surrogates(doc, path)
     return parse_document(doc, field_override=field_override)
+
+
+def _refuse_lone_surrogates(doc, path) -> None:
+    """Raise :class:`InputError` when a key or string value of the parsed
+    document holds a lone surrogate; the walk keeps its own stack, since
+    the document may nest as deep as the decoder allows."""
+    stack = [doc]
+    while stack:
+        o = stack.pop()
+        if isinstance(o, dict):
+            stack += o
+            stack += o.values()
+        elif isinstance(o, list):
+            stack += o
+        elif isinstance(o, str) and (m := _SURROGATE.search(o)):
+            raise InputError(f"a string in {path} holds the lone surrogate {ascii(m.group())[1:-1]}")

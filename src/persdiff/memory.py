@@ -16,9 +16,10 @@ complex that fails validation, so the identity is never applied where it
 does not hold.  Unions over iterated blankets of a pair feed the
 finite-difference calculus.
 
-A degree-1 union walks the memoized covers of the birth open U and of
-the death open V (``blankets_of_open`` and ``cover_points``), never a
-list of blanket pairs.  Each cover comes with one point m: the element a
+A degree-1 union walks the memoized covers of the birth open U
+(``blankets_of_open`` and ``cover_points``) and the covers of the death
+open V that give blankets of the pair (``death_covers``), never a list
+of blanket pairs.  Each cover comes with one point m: the element a
 FULL cover adds, or the element whose principal up-set a PRINCIPAL cover
 is.  Supports shrink and boundaries meet pointwise, and presence only
 grows along the order, so in both modes a blanket's memory needs only
@@ -38,12 +39,12 @@ pair's, so a pair whose memory is known to be zero has a zero union.
 
 Results are memoized on the complex.  The ``support``, ``open``,
 ``memory`` and ``union`` layers are keyed by degree and the opens' mask
-bytes (``UpSet.key``), plus the kind on an open and the blanket degree
-and whether the mode is FULL on a union: an open's support, the cycles
-or boundaries on an open, a pair's memory and a union, each found again
-in one lookup.  Below them, cycles
-are built once per distinct support (``FilteredComplex.cycles_on_support``,
-keyed by the support's bytes), a memory once per pair of cycle and
+bytes (``UpSet.key``), plus the blanket degree and whether the mode is
+FULL on a union: an open's support, the boundaries on an open, a pair's
+memory and a union, each found again in one lookup.  Cycles have no
+layer over opens: the cycles on an open are those on its support, built
+once per distinct support (``FilteredComplex.cycles_on_support``, keyed
+by the support's bytes).  A memory is built once per pair of cycle and
 boundary subspaces (``cut``), and a boundary meet or a union join once
 per distinct set of operand subspaces (``_fold``).  Per-point boundaries
 come from the complex's presence tables through ``boundaries_at``, by
@@ -69,6 +70,7 @@ from .posets import (
     UpSet,
     blankets_of_open,
     cover_points,
+    death_covers,
     degree_blankets,
     make_pair,
     min_elements,
@@ -112,12 +114,7 @@ def _support(k: FilteredComplex, n: int, u: UpSet) -> int:
 def cycles_on_open(k: FilteredComplex, n: int, u: UpSet) -> Subspace:
     """Cycles that have appeared by every point of the open: Z ∩ span S_n(u),
     one subspace per support."""
-    cache = k.memo["open"]
-    key = (n, u.key, False)
-    sub = cache.get(key)
-    if sub is None:
-        sub = cache[key] = k.cycles_on_support(n, _support(k, n, u))
-    return sub
+    return k.cycles_on_support(n, _support(k, n, u))
 
 
 def boundaries_on_open(k: FilteredComplex, n: int, v: UpSet) -> Subspace:
@@ -125,7 +122,7 @@ def boundaries_on_open(k: FilteredComplex, n: int, v: UpSet) -> Subspace:
     of the per-point boundaries over its minimal elements, and the colimit
     cycles on the empty open."""
     cache = k.memo["open"]
-    key = (n, v.key, True)
+    key = (n, v.key)
     sub = cache.get(key)
     if sub is None:
         if v.is_empty:
@@ -146,9 +143,10 @@ def homological_memory(k: FilteredComplex, n: int, pair: PairOpen) -> Subspace:
     if sub is None:
         if death.bits & ~birth.bits:
             make_pair(k.poset, birth, death)  # raises InvalidPair
-        sub = cycles_on_open(k, n, birth)
+        keep = _support(k, n, birth)
+        sub = k.cycles_on_support(n, keep)
         if sub.dim and not death.is_empty:
-            sub = _cut(k, sub, boundaries_on_open(k, n, death), _support(k, n, birth))
+            sub = _cut(k, sub, boundaries_on_open(k, n, death), keep)
         cache[key] = sub
     return sub
 
@@ -235,12 +233,10 @@ def _cover_memories(k: FilteredComplex, n: int, birth: UpSet, death: UpSet, mode
                 known[key] = sub
             if sub.dim:
                 out.append(sub)
-    shrunk = blankets_of_open(p, death, mode)
+    shrunk = death_covers(p, birth, death, mode)
     if shrunk:
-        z = cycles_on_open(k, n, birth)
-        for v, m in zip(shrunk, cover_points(p, death, mode)):
-            if v.bits & ~birth.bits or (mode is BlanketMode.PRINCIPAL and v.bits == birth.bits):
-                continue
+        z = k.cycles_on_support(n, support)
+        for v, m in shrunk:
             key = (n, birth.key, v.key)
             sub = known.get(key)
             if sub is None:

@@ -522,6 +522,18 @@ def _covers(p: FinitePoset, u: UpSet, mode: BlanketMode) -> tuple[tuple[UpSet, .
     return hit
 
 
+def death_covers(p: FinitePoset, birth: UpSet, death: UpSet, mode: BlanketMode) -> list[tuple[UpSet, int]]:
+    """The covers of the death open that give blankets of the pair, each
+    with its :func:`cover_points` point, in cover order: those inside the
+    birth open that, in PRINCIPAL mode, are not the birth open itself, so
+    a principal pair's blankets are strict pairs only."""
+    principal = mode is BlanketMode.PRINCIPAL
+    return [
+        (v, m) for v, m in zip(*_covers(p, death, mode))
+        if not v.bits & ~birth.bits and not (principal and v.bits == birth.bits)
+    ]
+
+
 def make_pair(p: FinitePoset, birth: UpSet, death: UpSet) -> PairOpen:
     """Validated pair of nested opens."""
     if death.bits & ~birth.bits:
@@ -543,9 +555,7 @@ def describe_open(p: FinitePoset, u: UpSet) -> str:
 def pair_blankets(p: FinitePoset, x: PairOpen, mode: BlanketMode = BlanketMode.FULL) -> list[PairOpen]:
     """Blankets of a pair: cover one coordinate, keep the other.
 
-    Death-side covers must stay inside the birth open.  In PRINCIPAL mode
-    a death-side cover equal to the birth open is dropped, so the blanket
-    set of a principal pair consists of strict pairs only.  Sorted by
+    The death-side covers are those of :func:`death_covers`.  Sorted by
     birth members, then death size and death members.
 
     The list is merged in that order rather than sorted.  Death-side
@@ -563,9 +573,8 @@ def pair_blankets(p: FinitePoset, x: PairOpen, mode: BlanketMode = BlanketMode.F
     cache = p.memo["pair_blankets"]
     out = cache.get(key)
     if out is None:
-        principal = mode is BlanketMode.PRINCIPAL
         grown = blankets_of_open(p, birth, mode)
-        if principal:
+        if mode is BlanketMode.PRINCIPAL:
             grown = sorted(grown, key=lambda w: _lex_key(w.bits))
         # The indices below the birth's largest element.
         below_top = (1 << max(birth.bits.bit_length() - 1, 0)) - 1
@@ -573,11 +582,8 @@ def pair_blankets(p: FinitePoset, x: PairOpen, mode: BlanketMode = BlanketMode.F
         while cut < len(grown) and (grown[cut].bits ^ birth.bits) & below_top:
             cut += 1
         out = [PairOpen(w, death) for w in grown[:cut]]
-        for z in blankets_of_open(p, death, mode):
-            if z.bits & ~birth.bits or (principal and z.bits == birth.bits):
-                continue
-            out.append(PairOpen(birth, z))
-        out.extend([PairOpen(w, death) for w in grown[cut:]])
+        out += [PairOpen(birth, v) for v, _ in death_covers(p, birth, death, mode)]
+        out += [PairOpen(w, death) for w in grown[cut:]]
         out = cache[key] = tuple(out)
     return list(out)
 

@@ -30,6 +30,7 @@ from .posets import (
     BlanketMode,
     GradedPair,
     blankets_of_open,
+    death_covers,
     describe_open,
     diagram_pair_count,
     enumerate_diagram_pairs,
@@ -108,10 +109,10 @@ def _blanket_mode_disagreements(p, pairs) -> list:
     (birth, V), since W strictly contains the birth, so the blanket sets
     agree exactly when the birth open's covers agree and the covers of the
     death open that each mode keeps agree: FULL keeps those inside the
-    birth open, PRINCIPAL also drops the birth open itself.  When both
-    modes give the death open the same covers, the kept ones differ
-    exactly when the birth open is one of them.  Cover sets are compared
-    once per open."""
+    birth open, PRINCIPAL also drops the birth open itself
+    (``death_covers``).  When both modes give the death open the same
+    covers, the kept ones differ exactly when the birth open is one of
+    them.  Cover sets are compared once per open."""
     same = {}
 
     def covers(u):
@@ -123,11 +124,7 @@ def _blanket_mode_disagreements(p, pairs) -> list:
         return hit
 
     def kept(pair, mode):
-        birth = pair.birth
-        return {
-            v.key for v in blankets_of_open(p, pair.death, mode)
-            if not v.bits & ~birth.bits and not (mode is BlanketMode.PRINCIPAL and v.bits == birth.bits)
-        }
+        return {v.key for v, _ in death_covers(p, pair.birth, pair.death, mode)}
 
     differ = []
     for x in pairs:

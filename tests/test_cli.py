@@ -548,6 +548,13 @@ class TestUsage:
         path.write_text(json.dumps({"format_version": 2, "poset": {"kind": "grid", "shape": [2]}}))
         assert run(capsys, "validate", path)[0] == 3
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_format_version_is_the_integer_one(self, capsys, tmp_path, version):
+        """``true`` and ``1.0`` compare equal to 1 but are not the integer 1."""
+        code, out, err = _run_doc(capsys, tmp_path, _triangle_with(format_version=version))
+        assert (code, out) == (3, "")
+        assert err == f"error: unsupported format_version {version!r} (expected 1)\n"
+
     def test_explicit_ungraded_poset_document(self, capsys, tmp_path):
         doc = {
             "format_version": 1,
@@ -815,6 +822,42 @@ class TestNoTraceback:
         code, out, err = run(capsys, "diagram", path)
         assert (code, out) == (3, "")
         assert err.startswith("error: cannot read")
+
+    @pytest.mark.parametrize(
+        "label, cell",
+        [("\ud800", "v"), ("a\udfff", "v"), ("b", "\udc00"), ("\ude00\ud83d", "v"), ("\U0001f600", "v")],
+    )
+    def test_lone_surrogate(self, tmp_path, label, cell):
+        """JSON may escape a lone surrogate, which no text output can encode:
+        the document is refused with one error line, where ``diagram --csv``,
+        ``barcode`` and text ``verify`` once crashed writing stdout (exit 1).
+        An escaped surrogate pair, as ``json.dumps`` writes an astral
+        character, is that character, and is accepted.
+        Run in a subprocess: an in-process ``StringIO`` takes surrogates."""
+        path = tmp_path / "doc.json"
+        doc = _doc(_labelled_chain(label, "z"), [label])
+        doc["cells"][0]["id"] = cell
+        path.write_text(json.dumps(doc))
+        assert "\\u" in path.read_text()
+        env = dict(os.environ, PYTHONPATH=str(Path(persdiff.__file__).parents[1]), PYTHONIOENCODING="utf-8")
+        for argv in (["diagram", "--csv"], ["barcode"], ["verify", "--samples", "5"]):
+            done = subprocess.run(
+                [sys.executable, "-m", "persdiff", argv[0], str(path), *argv[1:]], env=env, capture_output=True
+            )
+            if label == "\U0001f600":
+                assert done.returncode == 0 and label.encode() in done.stdout, argv
+            else:
+                lone = next(c for c in label + cell if 0xD800 <= ord(c) <= 0xDFFF)
+                assert (done.returncode, done.stdout) == (3, b""), argv
+                assert done.stderr.decode() == f"error: a string in {path} holds the lone surrogate {ascii(lone)[1:-1]}\n"
+
+    def test_lone_surrogate_deep_in_a_document(self, capsys, tmp_path):
+        """The search for a lone surrogate does not recurse, so a document
+        nested as deep as the decoder allows gets the same one error line."""
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 900 + '"\\ud800"' + "]" * 900)
+        code, out, err = run(capsys, "diagram", path)
+        assert (code, out, err) == (3, "", f"error: a string in {path} holds the lone surrogate \\ud800\n")
 
     def test_deeply_nested_json(self, capsys, tmp_path):
         path = tmp_path / "deep.json"

@@ -22,10 +22,12 @@ from persdiff.linalg import Subspace, join
 from persdiff.memory import blanket_union, homological_memory, lifespan_rank
 from persdiff.posets import (
     BlanketMode,
+    FinitePoset,
     PairOpen,
     UpSet,
     blankets_of_open,
     cover_points,
+    death_covers,
     describe_open,
     enumerate_diagram_pairs,
     pair_blankets,
@@ -34,7 +36,7 @@ from persdiff.verify import run_verification
 
 from conftest import GF2, QQ, build_two_param
 from corpus import random_filtration
-from exhaustive import all_up_sets, small_complexes
+from exhaustive import all_posets, all_up_sets, small_complexes
 
 DATA = Path(__file__).parent / "data"
 FIXTURES = ("two_param", "triangle", "corner_grid", "torsion_chain", "offset_grid")
@@ -71,7 +73,11 @@ def test_cover_unions_equal_pair_list_unions_on_every_small_poset(field):
 
 def test_cover_points_name_what_each_cover_adds():
     """Per cover, the point is the element a FULL cover adds and the
-    minimal element of a PRINCIPAL cover."""
+    minimal element of a PRINCIPAL cover.  ``death_covers`` gives, with
+    those points, the covers of the death open that lie inside the birth
+    open and, in PRINCIPAL mode, are not the birth open: checked against
+    the covers found from every open, on every nested pair of opens of
+    every poset with at most four elements."""
     rng = random.Random(19)
     for _ in range(3):
         p = random_filtration(rng, shape=(3, 3), field=GF2, max_cells=10).poset
@@ -82,6 +88,30 @@ def test_cover_points_name_what_each_cover_adds():
                 principal = blankets_of_open(p, u, BlanketMode.PRINCIPAL)
                 points = cover_points(p, u, BlanketMode.PRINCIPAL)
                 assert [w for w in principal] == [p.principal[i] for i in points]
+
+    def in_cover_order(covers):
+        return sorted(covers, key=lambda c: (len(c[0].members), sorted(c[0].members)))
+
+    for leq in all_posets():
+        p = FinitePoset([str(i) for i in range(len(leq))], leq)
+        opens = [UpSet(u) for u in all_up_sets(leq)]
+        for death in opens:
+            # FULL: opens one element larger, with that element; PRINCIPAL:
+            # the minimal principal up-sets strictly containing the open.
+            grown = [
+                (v, (v.bits ^ death.bits).bit_length() - 1)
+                for v in opens
+                if death.members < v.members and len(v.members) == len(death.members) + 1
+            ]
+            above = [(p.principal[i], i) for i in range(p.n) if death.members < p.principal[i].members]
+            least = [(u, i) for u, i in above if not any(w.members < u.members for w, _ in above)]
+            for birth in opens:
+                if not death.members <= birth.members:
+                    continue
+                inside = [(v, m) for v, m in grown if v.members <= birth.members]
+                assert death_covers(p, birth, death, BlanketMode.FULL) == in_cover_order(inside)
+                inside = [(v, i) for v, i in least if v.members <= birth.members and v != birth]
+                assert death_covers(p, birth, death, BlanketMode.PRINCIPAL) == in_cover_order(inside)
 
 
 def test_cover_unions_build_no_pair_blanket_list():
