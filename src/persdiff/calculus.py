@@ -41,10 +41,6 @@ def arr_zero() -> GroupSquare:
     return GroupSquare(0, 0, 0, 0)
 
 
-def identity_square(a: int) -> GroupSquare:
-    return GroupSquare(a, a, 0, 0)
-
-
 def arr_add(s: GroupSquare, t: GroupSquare) -> GroupSquare:
     return GroupSquare(s.src + t.src, s.dst + t.dst, s.top + t.top, s.bottom + t.bottom)
 
@@ -55,13 +51,6 @@ def arr_sub(s: GroupSquare, t: GroupSquare) -> GroupSquare:
 
 def arr_inv(s: GroupSquare) -> GroupSquare:
     return GroupSquare(-s.src, -s.dst, -s.top, -s.bottom)
-
-
-def compose_squares(s: GroupSquare, t: GroupSquare) -> GroupSquare:
-    """Pasting along a shared middle object: tops add, bottoms add."""
-    if s.dst != t.src:
-        raise ValueError("squares are not composable")
-    return GroupSquare(s.src, t.dst, s.top + t.top, s.bottom + t.bottom)
 
 
 @dataclass(frozen=True)
@@ -113,15 +102,6 @@ def derivative_mor(F: IntegerFunctor, ca: ChangeAction, m: tuple, dm: tuple) -> 
     return arr_sub(F.on_morphism(x, y), F.on_morphism(ca.act(x, dx), ca.act(y, dy)))
 
 
-def neg_derivative_obj(F: IntegerFunctor, ca: ChangeAction, x, d) -> GroupObj:
-    """Derivative under the addition action: the negated difference."""
-    return -derivative_obj(F, ca, x, d)
-
-
-def neg_derivative_mor(F: IntegerFunctor, ca: ChangeAction, m: tuple, dm: tuple) -> GroupSquare:
-    return arr_inv(derivative_mor(F, ca, m, dm))
-
-
 @dataclass
 class LawReport:
     """Outcome of sampling one equational law."""
@@ -139,22 +119,6 @@ class LawReport:
             return f"ok {self.name}: {self.checked} samples"
         head = self.counterexamples[0]
         return f"FAIL {self.name}: {len(self.counterexamples)}/{self.checked} counterexamples, first {head!r}"
-
-
-def check_action_laws(ca: ChangeAction, objects: Iterable, delta_pairs: Iterable[tuple]) -> LawReport:
-    """Unit and compatibility laws of a monoid action, by sampling."""
-    report = LawReport("action-laws")
-    objects = list(objects)
-    for x in objects:
-        report.checked += 1
-        if ca.act(x, ca.zero) != x:
-            report.counterexamples.append(("unit", x))
-    for x in objects:
-        for a, b in delta_pairs:
-            report.checked += 1
-            if ca.act(ca.act(x, a), b) != ca.act(x, ca.add(a, b)):
-                report.counterexamples.append(("compatibility", x, a, b))
-    return report
 
 
 def check_cad1(f, df, dom: ChangeAction, cod: ChangeAction, samples: Iterable[tuple]) -> LawReport:

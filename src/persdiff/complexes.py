@@ -34,12 +34,10 @@ from .fields import FieldSpec
 from .linalg import (
     Matrix,
     Subspace,
-    bit_transpose,
     column_space,
     kernel,
     matmul,
     restrict,
-    select_columns,
 )
 from .posets import FinitePoset, as_int, named_element
 
@@ -121,8 +119,8 @@ class FilteredComplex:
     share its one zero with the empty blanket unions.  The ``cycles`` layer
     holds the cycles on each support, keyed by degree and the support's
     bytes, so elements and opens with the same support share one object, and
-    no open keeps its own.  The ``boundary``, ``colimit`` and ``zero``
-    layers are keyed by degree.  The layers over opens in
+    no open keeps its own.  The ``faces``, ``boundary``, ``colimit`` and
+    ``zero`` layers are keyed by degree.  The layers over opens in
     :mod:`persdiff.memory` are keyed by the opens' mask bytes
     (``UpSet.key``) next to ints and bools, and its cut, meet and join
     layers by the ``id``s of operand subspaces their entries hold; every
@@ -182,6 +180,15 @@ class FilteredComplex:
         for n in sorted(self._by_dim):
             yield from self._by_dim[n]
 
+    def _faces(self, n: int) -> list:
+        """Per n-cell, its :meth:`_face_entries`, worked out once for both
+        ``validate`` and ``boundary_matrix``."""
+        cache = self.memo["faces"]
+        faces = cache.get(n)
+        if faces is None:
+            faces = cache[n] = [self._face_entries(cell) for cell in self.cells_of_dim(n)]
+        return faces
+
     def _face_entries(self, cell: Cell) -> list[tuple[int, object]] | None:
         """(row index, coefficient) pairs of the boundary of one cell; None
         when a face does not resolve, as any face a generic 0-cell lists."""
@@ -190,13 +197,14 @@ class FilteredComplex:
             if cell.dim == 0:
                 return []
             verts = sorted(cell.vertices)
+            signs = (f.coerce(1), f.neg(f.coerce(1)))
             entries = []
             for i in range(len(verts)):
                 face_key = (cell.dim - 1, frozenset(verts[:i] + verts[i + 1 :]))
                 row = self._simplex_index.get(face_key)
                 if row is None:
                     return None
-                entries.append((row, f.coerce(1) if i % 2 == 0 else f.neg(f.coerce(1))))
+                entries.append((row, signs[i % 2]))
             return entries
         entries = []
         for fid, coeff in cell.faces:
@@ -219,39 +227,39 @@ class FilteredComplex:
                 out.append(Violation("duplicate-id", f"cell id {cell.id!r} appears twice", (cell.id,)))
             seen.add(cell.id)
         structural_ok = not out
-        for cell in self.all_cells():
-            if cell.vertices is not None:
-                if len(set(cell.vertices)) != cell.dim + 1:
+        for n in sorted(self._by_dim):
+            masks = self.presence_table(n - 1).masks if n else []
+            for cell, entries in zip(self._by_dim[n], self._faces(n)):
+                if cell.vertices is not None and len(set(cell.vertices)) != n + 1:
                     out.append(
                         Violation(
                             "bad-simplex",
-                            f"cell {cell.id!r} needs {cell.dim + 1} distinct vertices",
+                            f"cell {cell.id!r} needs {n + 1} distinct vertices",
                             (cell.id,),
                         )
                     )
                     structural_ok = False
                     continue
-            entries = self._face_entries(cell)
-            if entries is None:
-                out.append(
-                    Violation("unknown-face", f"cell {cell.id!r} references a missing face", (cell.id,))
-                )
-                structural_ok = False
-                continue
-            for row, _ in entries:
-                face = self._by_dim[cell.dim - 1][row]
-                present = self.presence_table(cell.dim - 1).masks[row]
-                for b in cell.births:
-                    if not present >> b & 1:
-                        out.append(
-                            Violation(
-                                "birth-order",
-                                f"cell {cell.id!r} is born at {self.poset.labels[b]} "
-                                f"before its face {face.id!r}",
-                                (cell.id, face.id),
+                if entries is None:
+                    out.append(
+                        Violation("unknown-face", f"cell {cell.id!r} references a missing face", (cell.id,))
+                    )
+                    structural_ok = False
+                    continue
+                for row, _ in entries:
+                    present = masks[row]
+                    for b in cell.births:
+                        if not present >> b & 1:
+                            face = self._by_dim[n - 1][row]
+                            out.append(
+                                Violation(
+                                    "birth-order",
+                                    f"cell {cell.id!r} is born at {self.poset.labels[b]} "
+                                    f"before its face {face.id!r}",
+                                    (cell.id, face.id),
+                                )
                             )
-                        )
-                        break
+                            break
         if structural_ok:
             for n in sorted(self._by_dim):
                 if n >= 1 and (n + 1) in self._by_dim:
@@ -281,8 +289,7 @@ class FilteredComplex:
         cols = self.cells_of_dim(n)
         rows = self.ambient_dim(n - 1) if n >= 1 else 0
         entries = []
-        for j, cell in enumerate(cols):
-            faces = self._face_entries(cell)
+        for j, (cell, faces) in enumerate(zip(cols, self._faces(n))):
             if faces is None:
                 raise InvalidComplex(f"cell {cell.id!r} references a missing face")
             entries.extend([(row, j, coeff) for row, coeff in faces])
@@ -290,9 +297,9 @@ class FilteredComplex:
         return m
 
     def presence_table(self, n: int) -> PresenceTable:
-        """Where the n-cells are present; built once per degree, its classes
-        in one pass over the transposed presence masks, or with no pass at
-        all in a degree without cells."""
+        """Where the n-cells are present; built once per degree by splitting
+        one class of every element by each cell's presence mask, or with no
+        pass at all in a degree without cells."""
         table = self.memo["presence_table"].get(n)
         if table is None:
             p, width = self.poset, self.ambient_dim(n)
@@ -301,21 +308,33 @@ class FilteredComplex:
                 table = PresenceTable([], [0] * p.n, [0], [()], list(p.lower_covers), [None])
                 self.memo["presence_table"][n] = table
                 return table
-            masks = [reduce(int.__or__, [p.principal[b].bits for b in c.births]) for c in self.cells_of_dim(n)]
-            # Per element (the transpose lists the highest first), its n-cells
-            # as one int, cell 0 the highest bit; keyed on bytes, as opens are.
-            index: dict[bytes, int] = {}
-            classes, rows, cells, members = [], [], [], []
-            for x, row in enumerate(bit_transpose(masks, p.n)[::-1]):
-                c = index.setdefault(row.to_bytes((row.bit_length() + 7) // 8, "little"), len(cells))
-                if c == len(cells):
-                    rows.append(row)
-                    cells.append(tuple([j for j, d in enumerate(format(row, f"0{width}b")) if d == "1"]))
-                    members.append(0)
-                members[c] |= 1 << x
-                classes.append(c)
-            twins = [covers & members[c] for covers, c in zip(p.lower_covers, classes)]
-            table = PresenceTable(masks, classes, rows, cells, twins, [None] * len(cells))
+            up = p._up
+            masks = [reduce(int.__or__, [up[b] for b in c.births]) for c in self.cells_of_dim(n)]
+            # (members, row of present cells): cell j is bit width - 1 - j.
+            split = [((1 << p.n) - 1, 0)]
+            for j, mask in enumerate(masks):
+                bit = 1 << width - 1 - j
+                parts = []
+                for members, row in split:
+                    inside = members & mask
+                    if inside:
+                        parts.append((inside, row | bit))
+                    if inside != members:
+                        parts.append((members ^ inside, row))
+                split = parts
+            # Classes numbered by their lowest element.
+            split.sort(key=lambda part: part[0] & -part[0])
+            classes, twins, lower = [0] * p.n, [0] * p.n, p.lower_covers
+            for c, (members, _) in enumerate(split):
+                rest = members
+                while rest:
+                    x = rest.bit_length() - 1
+                    rest ^= 1 << x
+                    classes[x] = c
+                    twins[x] = lower[x] & members
+            rows = [row for _, row in split]
+            cells = [tuple([j for j in range(width) if row >> width - 1 - j & 1]) for row in rows]
+            table = PresenceTable(masks, classes, rows, cells, twins, [None] * len(rows))
             self.memo["presence_table"][n] = table
         return table
 
@@ -368,8 +387,18 @@ class FilteredComplex:
         c = table.classes[x]
         sub = table.boundaries[c]
         if sub is None:
-            cols = table.cells[c]
-            sub = column_space(select_columns(self.boundary_matrix(n + 1), cols)) if cols else self.zero(n)
+            keep = table.rows[c]
+            if keep:
+                # The boundary with the columns of absent cells zeroed.
+                m = self.boundary_matrix(n + 1)
+                if self.field.characteristic == 2:
+                    rows = [row & keep for row in m.rows]
+                else:
+                    top = m.cols - 1
+                    rows = [{j: v for j, v in row.items() if keep >> top - j & 1} for row in m.rows]
+                sub = column_space(Matrix(self.field, rows, m.cols))
+            else:
+                sub = self.zero(n)
             table.boundaries[c] = sub
         return sub
 

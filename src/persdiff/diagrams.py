@@ -10,13 +10,18 @@ entries as the walk reaches them, and ``write_diagram_json`` and
 ``write_diagram_csv`` write each as it comes, so no diagram is held
 whole on its way out; nothing here reads one back.
 
-The walk evaluates the multiplicity only where it can be non-zero.  The
-multiplicity of a pair is ``dim mem(pair) - dim of the join of mem(b)``
-over its degree-1 blankets b, so it is zero as soon as one blanket has
-the pair's whole memory.  Every blanket enlarges the birth open (fewer
-cycles survive on it) or the death open (fewer boundaries), so each
-mem(b) lies inside mem(pair): a pair with zero memory has multiplicity
-zero, and so does every pair born on an open that carries no cycles.
+The multiplicity of a pair is the blanket-shift derivative of the union
+rank at (0, 1): ``dim mem(pair) - dim of the join of mem(b)`` over its
+degree-1 blankets b.  ``persdiff.calculus.pair_group_rank`` computes it
+through the calculus and the memoized blanket unions; that is the route
+``verify`` checks against the lifespan rank.  The walk computes the same
+number straight from the memories and builds no union.  It evaluates the
+multiplicity only where it can be non-zero: it is zero as soon as one
+blanket has the pair's whole memory.  Every blanket enlarges the birth
+open (fewer cycles survive on it) or the death open (fewer boundaries),
+so each mem(b) lies inside mem(pair): a pair with zero memory has
+multiplicity zero, and so does every pair born on an open that carries
+no cycles.
 
 Two more rules read only the order and where cells are present.  Call two
 elements twins in degree n when the same n-cells are present at both;
@@ -53,12 +58,25 @@ Presence only grows along the order, so when some element strictly below
 x (or y) is a twin of it, so is some lower cover, and testing the covers
 suffices.  Births where (a) does not hold, and deaths where (b) does
 not hold, are critical; in FULL mode neither test depends on the other
-end of the pair.  The walk evaluates only critical births and, for each, its
-critical deaths and the empty death (which no rule prunes); the pairs of
-other births are never built.  On grids the critical elements are the
-usual grid of critical values.
-``pair_group_rank`` itself stays unpruned; ``verify`` checks it against
-the lifespan rank on every pair, and its oracle check reads this walk.
+end of the pair.  On grids the critical elements are the usual grid of
+critical values.
+
+A birth is evaluated once per degree.  A twin birth is skipped before
+its cycles are read, and so is one without cycles; the pairs of such
+births are never built.  For a critical birth x the walk builds, once,
+its cover state (``persdiff.memory.birth_covers``): the support and
+cycles of up x and of each of its covers.  It then visits only the
+deaths that rule (b) keeps, and the empty death, which no rule prunes.
+In FULL mode they are one mask per degree, the elements with no
+(n+1)-twin lower cover; in PRINCIPAL mode each death is tested against
+the birth.  A kept death reads the pair's memory through
+``homological_memory``.  When that is not zero, the blanket memories come
+one at a time from ``persdiff.memory.cover_memories``, birth side first,
+the same function the degree-1 blanket union reads.  They are joined as
+they come, and the join stops once it has the whole memory.  The
+multiplicity is the memory's dimension less the join's.  ``verify``
+compares ``pair_group_rank`` with the lifespan rank on every pair, and
+its oracle check reads this walk; the tests compare the two routes.
 """
 from __future__ import annotations
 
@@ -68,9 +86,9 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .calculus import pair_group_rank
 from .complexes import FilteredComplex
-from .memory import homological_memory
+from .linalg import join
+from .memory import birth_covers, cover_memories, homological_memory
 from .oracle import chain_positions
 from .posets import (
     EMPTY_OPEN,
@@ -138,21 +156,35 @@ def _multiplicities(k: FilteredComplex, degrees, mode: BlanketMode, include_zero
     for n in degrees:
         birth_twins = k.presence_table(n).twins
         death_twins = k.presence_table(n + 1).twins
+        # The deaths rule (b) keeps in FULL mode: no (n+1)-twin lower cover.
+        kept = sum([1 << y for y, twins in enumerate(death_twins) if not twins]) if full else 0
         for x in births:
-            birth = principal[x]
-            critical = not birth_twins[x] and k.cycles_at(n, x).dim
-            if not (critical or include_zero):
+            if birth_twins[x] or not k.cycles_at(n, x).dim:
+                if include_zero:
+                    for y in diagram_order(p, principal[x].bits ^ 1 << x):
+                        yield n, x, y, 0
+                    yield n, x, None, 0
                 continue
+            birth = principal[x]
             above = birth.bits ^ 1 << x
-            # Lower covers of a death that rule (b) may use: any in FULL
-            # mode, those strictly above x in PRINCIPAL mode.
-            reach = -1 if full else above
-            for y in diagram_order(p, above) + [None]:
+            covers = birth_covers(k, n, birth, mode)
+            deaths = diagram_order(p, above if include_zero or not full else above & kept)
+            for y in deaths + [None]:
                 mult = 0
-                if critical and (y is None or not death_twins[y] & reach):
-                    pair = PairOpen(birth, EMPTY_OPEN if y is None else principal[y])
-                    if homological_memory(k, n, pair).dim:
-                        mult = pair_group_rank(k, n, pair, mode)
+                # In PRINCIPAL mode rule (b) may use only the lower covers
+                # of the death that lie strictly above the birth.
+                if y is None or (kept >> y & 1 if full else not death_twins[y] & above):
+                    death = EMPTY_OPEN if y is None else principal[y]
+                    mult = homological_memory(k, n, PairOpen(birth, death)).dim
+                    if mult:
+                        b = None if y is None else k.boundaries_at(n, y)
+                        union = None
+                        for sub in cover_memories(k, n, covers, death, b):
+                            union = sub if union is None else join(union, sub)
+                            if union.dim == mult:
+                                break
+                        if union is not None:
+                            mult -= union.dim
                 if mult or include_zero:
                     yield n, x, y, mult
 

@@ -16,14 +16,18 @@ complex that fails validation, so the identity is never applied where it
 does not hold.  Unions over iterated blankets of a pair feed the
 finite-difference calculus.
 
-A degree-1 union walks the memoized covers of the birth open U
-(``blankets_of_open`` and ``cover_points``) and the covers of the death
-open V that give blankets of the pair (``death_covers``), never a list
-of blanket pairs.  Each cover comes with one point m: the element a
-FULL cover adds, or the element whose principal up-set a PRINCIPAL cover
-is.  Supports shrink and boundaries meet pointwise, and presence only
-grows along the order, so in both modes a blanket's memory needs only
-the pair's own support and boundaries and that point:
+A pair's degree-1 blanket memories have one definition,
+``cover_memories``, which both ``blanket_union(d=1)`` and the diagram
+walk read.  It takes the birth open's cover state (``birth_covers``:
+the open's support and cycles, and each cover's support and cycles,
+from the memoized ``cover_points``), the death open's boundaries, and
+the covers of the death open that give blankets of the pair
+(``death_covers``); it builds no list of blanket pairs.  Each cover comes
+with one point m: the element a FULL cover adds, or the element whose
+principal up-set a PRINCIPAL cover is.  Supports shrink and boundaries
+meet pointwise, and presence only grows along the order, so in both
+modes a blanket's memory needs only the pair's own support and
+boundaries and that point:
 
 * a cover W of U has S(W) = S(U) ∧ S_m (for W = up(m) that is S_m,
   which lies inside S(U));
@@ -31,20 +35,22 @@ the pair's own support and boundaries and that point:
   cover is up(m): every PRINCIPAL cover, and a FULL one whose point lies
   below all of V, as on the empty open or down a chain.
 
-No cover open has its minimal elements worked out.  A blanket memory is
-read from the ``memory`` layer when it is there (on chains every blanket
-of a principal pair is another principal pair), and built and stored
-under the blanket's key when not.  Every blanket memory lies inside the
-pair's, so a pair whose memory is known to be zero has a zero union.
+No cover open has its minimal elements worked out, and no blanket
+memory goes into the ``memory`` layer: the memories are yielded one at a
+time, birth side first, so a caller that only needs to know whether
+they reach the pair's memory stops early.  Every blanket memory lies
+inside the pair's, so a pair whose memory is known to be zero has a zero
+union.
 
 Results are memoized on the complex.  The ``support``, ``open``,
 ``memory`` and ``union`` layers are keyed by degree and the opens' mask
 bytes (``UpSet.key``), plus the blanket degree and whether the mode is
-FULL on a union: an open's support, the boundaries on an open, a pair's
-memory and a union, each found again in one lookup.  Cycles have no
-layer over opens: the cycles on an open are those on its support, built
-once per distinct support (``FilteredComplex.cycles_on_support``, keyed
-by the support's bytes).  A memory is built once per pair of cycle and
+FULL on a union: an open's support with the cycles on it, the boundaries
+on an open, a pair's memory and a union, each found again in one lookup.
+Cycles have no layer over opens: the cycles on an open are those on its
+support, built once per distinct support
+(``FilteredComplex.cycles_on_support``, keyed by the support's bytes).
+A memory, a pair's or a blanket's, is built once per pair of cycle and
 boundary subspaces (``cut``), and a boundary meet or a union join once
 per distinct set of operand subspaces (``_fold``).  Per-point boundaries
 come from the complex's presence tables through ``boundaries_at``, by
@@ -55,11 +61,11 @@ The ``cut``, meet and join layers are keyed by the operands' ``id``s,
 and each entry holds its operands, so an id in a standing key belongs to
 a live object and is never reused.  A union with no non-zero blanket
 memory is the degree's one zero (``FilteredComplex.zero``), so an empty
-union builds no subspace.  A union reads its blankets' memories straight
-from the ``memory`` layer.
+union builds no subspace.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import reduce
 
 from .complexes import FilteredComplex
@@ -68,7 +74,6 @@ from .posets import (
     BlanketMode,
     PairOpen,
     UpSet,
-    blankets_of_open,
     cover_points,
     death_covers,
     degree_blankets,
@@ -94,27 +99,27 @@ def _fold(k: FilteredComplex, layer: str, op, subs: list[Subspace]) -> Subspace:
     return hit[1]
 
 
-def _support(k: FilteredComplex, n: int, u: UpSet) -> int:
+def _support(k: FilteredComplex, n: int, u: UpSet) -> tuple[int, Subspace]:
     """S_n(u), the n-cells present at every point of the open, as a row of
     the presence table: the AND of its minimal elements' class rows, and
-    every n-cell on the empty open."""
+    every n-cell on the empty open; with the cycles on it."""
     cache = k.memo["support"]
     key = (n, u.key)
-    keep = cache.get(key)
-    if keep is None:
+    hit = cache.get(key)
+    if hit is None:
         table = k.presence_table(n)
         rows, classes = table.rows, table.classes
         keep = (1 << k.ambient_dim(n)) - 1
         for i in min_elements(k.poset, u):
             keep &= rows[classes[i]]
-        cache[key] = keep
-    return keep
+        hit = cache[key] = (keep, k.cycles_on_support(n, keep))
+    return hit
 
 
 def cycles_on_open(k: FilteredComplex, n: int, u: UpSet) -> Subspace:
     """Cycles that have appeared by every point of the open: Z ∩ span S_n(u),
     one subspace per support."""
-    return k.cycles_on_support(n, _support(k, n, u))
+    return _support(k, n, u)[1]
 
 
 def boundaries_on_open(k: FilteredComplex, n: int, v: UpSet) -> Subspace:
@@ -143,9 +148,8 @@ def homological_memory(k: FilteredComplex, n: int, pair: PairOpen) -> Subspace:
     if sub is None:
         if death.bits & ~birth.bits:
             make_pair(k.poset, birth, death)  # raises InvalidPair
-        keep = _support(k, n, birth)
-        sub = k.cycles_on_support(n, keep)
-        if sub.dim and not death.is_empty:
+        keep, sub = _support(k, n, birth)
+        if sub.dim and death.bits:
             sub = _cut(k, sub, boundaries_on_open(k, n, death), keep)
         cache[key] = sub
     return sub
@@ -179,13 +183,20 @@ def blanket_union(
     if d == 0:
         return homological_memory(k, n, pair)
     cache = k.memo["union"]
-    key = (n, pair.birth.key, pair.death.key, d, mode is BlanketMode.FULL)
+    birth, death = pair
+    key = (n, birth.key, death.key, d, mode is BlanketMode.FULL)
     sub = cache.get(key)
     if sub is None:
+        known = k.memo["memory"]
         if d == 1:
-            memories = _cover_memories(k, n, pair.birth, pair.death, mode)
+            if death.bits & ~birth.bits:
+                make_pair(k.poset, birth, death)  # raises InvalidPair
+            own = known.get((n, birth.key, death.key))
+            memories = []
+            if own is None or own.dim:
+                b = None if death.is_empty else boundaries_on_open(k, n, death)
+                memories = list(cover_memories(k, n, birth_covers(k, n, birth, mode), death, b))
         else:
-            known = k.memo["memory"]
             memories = []
             for w in degree_blankets(k.poset, pair, d, mode):
                 m = known.get((n, w.birth.key, w.death.key))
@@ -197,60 +208,48 @@ def blanket_union(
     return sub
 
 
-def _cover_memories(k: FilteredComplex, n: int, birth: UpSet, death: UpSet, mode: BlanketMode) -> list[Subspace]:
-    """The non-zero memories of the degree-1 blankets of (birth, death),
-    walked from the memoized covers of each open.
+def birth_covers(k: FilteredComplex, n: int, birth: UpSet, mode: BlanketMode) -> tuple:
+    """The birth side of every degree-1 blanket of a pair with this birth
+    open, in degree n: the open and the mode, the open's support S and
+    cycles, and per cover of the open, in cover order, the cover's support
+    S ∧ S_m and its cycles."""
+    support, z = _support(k, n, birth)
+    table = k.presence_table(n)
+    rows, classes = table.rows, table.classes
+    grown = []
+    for m in cover_points(k.poset, birth, mode):
+        keep = support & rows[classes[m]]
+        grown.append((keep, k.cycles_on_support(n, keep)))
+    return birth, mode, support, z, grown
 
-    Each blanket's memory is looked up in the ``memory`` layer first; a
-    miss is built from the pair's own support and boundaries plus the
-    cover's point, and stored under the blanket's key.  Every blanket
-    memory lies inside the pair's, so a pair with zero memory has none to
-    walk.
+
+def cover_memories(k: FilteredComplex, n: int, covers: tuple, death: UpSet, b: Subspace | None) -> Iterator[Subspace]:
+    """The non-zero memories of the degree-1 blankets of a pair, birth
+    side first, each built as it is asked for.
+
+    ``covers`` is the birth open's :func:`birth_covers`, and ``b`` the
+    death open's boundaries (None on the empty open).  A birth-side
+    blanket (W, V) has the memory B(V) ∩ span S(W), or Z(W) when V is
+    empty.  The death-side ones come from the death open's
+    :func:`death_covers`: (U, V') has Z(U) ∩ B(V'), with
+    B(V') = B(V) ∩ B_m for the cover's point m, which is B_m alone when
+    V' = up(m).
     """
-    if death.bits & ~birth.bits:
-        make_pair(k.poset, birth, death)  # raises InvalidPair
-    known = k.memo["memory"]
-    own = known.get((n, birth.key, death.key))
-    if own is not None and not own.dim:
-        return []
-    p = k.poset
-    support = _support(k, n, birth)
-    out = []
-    grown = blankets_of_open(p, birth, mode)
-    if grown:
-        table = k.presence_table(n)
-        rows, classes = table.rows, table.classes
-        b = None if death.is_empty else boundaries_on_open(k, n, death)
-        for w, m in zip(grown, cover_points(p, birth, mode)):
-            key = (n, w.key, death.key)
-            sub = known.get(key)
-            if sub is None:
-                # S(w) = S(birth) ∧ S_m.
-                keep = support & rows[classes[m]]
-                sub = k.cycles_on_support(n, keep)
-                if sub.dim and b is not None:
-                    sub = _cut(k, sub, b, keep)
-                known[key] = sub
+    birth, mode, support, z, grown = covers
+    for keep, sub in grown:
+        if sub.dim and b is not None:
+            sub = _cut(k, sub, b, keep)
+        if sub.dim:
+            yield sub
+    if z.dim:
+        principal = k.poset.principal
+        for v, m in death_covers(k.poset, birth, death, mode):
+            bm = k.boundaries_at(n, m)
+            if v.bits != principal[m].bits:
+                bm = _fold(k, "meet", meet, [b, bm])
+            sub = _cut(k, z, bm, support)
             if sub.dim:
-                out.append(sub)
-    shrunk = death_covers(p, birth, death, mode)
-    if shrunk:
-        z = k.cycles_on_support(n, support)
-        for v, m in shrunk:
-            key = (n, birth.key, v.key)
-            sub = known.get(key)
-            if sub is None:
-                sub = z
-                if sub.dim:
-                    # B(v) = B(death) ∩ B_m, which is B_m when v = up(m).
-                    b = k.boundaries_at(n, m)
-                    if v.bits != p.principal[m].bits:
-                        b = _fold(k, "meet", meet, [boundaries_on_open(k, n, death), b])
-                    sub = _cut(k, sub, b, support)
-                known[key] = sub
-            if sub.dim:
-                out.append(sub)
-    return out
+                yield sub
 
 
 def lifespan_rank(

@@ -95,7 +95,8 @@ class BlanketMode(Enum):
 class UpSet:
     """An upward closed subset, stored as an int bitmask over element indices.
 
-    Built from element indices, or from a mask as ``UpSet(bits=mask)``.
+    Built from element indices, or from a mask as ``UpSet(bits=mask)``,
+    or ``UpSet.of(mask)``, which reads no member list.
     ``key`` is the mask's little-endian bytes: the memo key for the open,
     and what it hashes, which spreads masks the int hash collides.
     """
@@ -107,6 +108,14 @@ class UpSet:
             bits |= 1 << i
         self.bits = bits
         self.key = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
+
+    @classmethod
+    def of(cls, bits: int) -> "UpSet":
+        """The open of a mask, built without reading a member list."""
+        u = cls.__new__(cls)
+        u.bits = bits
+        u.key = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
+        return u
 
     @property
     def members(self) -> frozenset:
@@ -205,14 +214,17 @@ class FinitePoset:
         _check_size(len(labels))
         self._setup(labels, _order_masks(leq, len(labels)), grades, check_order=True)
 
-    def _setup(self, labels: tuple, up: list[int], grades, down=None, check_order: bool = False) -> None:
+    def _setup(self, labels: tuple | None, up: list[int], grades, down=None, check_order: bool = False) -> None:
         """Finish construction from the up-set masks.  ``check_order`` asks for
         the partial-order checks, which grids and cover closures pass by
         construction.  A grid also passes its down-set masks, built from its
-        grade vectors like the up-sets, so its grades need no check."""
-        n = len(labels)
-        if len(set(labels)) != n:
-            raise InvalidPoset("duplicate element labels")
+        grade vectors like the up-sets, so its grades need no check, and no
+        labels: they are written from the grades on first use."""
+        n = len(up)
+        if labels is not None:
+            if len(set(labels)) != n:
+                raise InvalidPoset("duplicate element labels")
+            self.labels = labels
         from_grades = down is not None
         if not from_grades:
             # Reversing the rows, and then the columns, turns the low-bit-first
@@ -227,16 +239,17 @@ class FinitePoset:
             # the up-sets of its members.
             if any(reduce(operator.or_, map(up.__getitem__, _indices(bits))) != bits for bits in up):
                 raise InvalidPoset("leq is not transitive")
-        self.labels = labels
         self.grades = grades if from_grades else _checked_grades(labels, up, grades)
         self.n = n
         self._up = up
         self._down = down
-        self._index = {lab: i for i, lab in enumerate(labels)}
         self._grade_index = {g: i for i, g in enumerate(self.grades)} if self.grades else {}
+        # Whether index order is grade order, as on grids, so that
+        # ``diagram_order`` need not sort.
+        self.grade_ordered = from_grades
         # Per element index, its principal up-set.
-        self.principal = [UpSet(bits=bits) for bits in up]
-        # Blankets and pair blankets: one dict per named layer.
+        self.principal = list(map(UpSet.of, up))
+        # Cover points, blankets and pair blankets: one dict per named layer.
         self.memo: defaultdict[str, dict] = defaultdict(dict)
 
     # -- constructors ---------------------------------------------------
@@ -277,10 +290,9 @@ class FinitePoset:
             raise InvalidPoset(f"bad grid shape {shape!r}")
         _check_size(math.prod(shape))
         vectors = tuple(_iter_product(*(range(s) for s in shape)))
-        labels = tuple([",".join(map(str, v)) for v in vectors])
         up, down, lower = _grid_masks(shape)
         p = cls.__new__(cls)
-        p._setup(labels, up, vectors, down)
+        p._setup(None, up, vectors, down)
         p.lower_covers = lower
         return p
 
@@ -290,6 +302,16 @@ class FinitePoset:
 
     # -- lookups ---------------------------------------------------------
 
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """Per element index, its label: a grid's are its grades, comma-joined.
+        Other posets set theirs when they are built."""
+        return tuple([",".join(map(str, v)) for v in self.grades])
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {lab: i for i, lab in enumerate(self.labels)}
+
     def resolve(self, x) -> int:
         """Element index from an index, a label, or a grade vector."""
         if isinstance(x, str):
@@ -297,6 +319,12 @@ class FinitePoset:
                 return self._index[x]
             raise UnknownElement(f"unknown element label {x!r}")
         if isinstance(x, (tuple, list)):
+            # Plain int coordinates need no conversion: one lookup.  Bools,
+            # floats and other numbers take the checked way.
+            if all(type(c) is int for c in x):
+                i = self._grade_index.get(tuple(x))
+                if i is not None:
+                    return i
             key = tuple(as_int(c) for c in x)
             if key in self._grade_index:
                 return self._grade_index[key]
@@ -335,10 +363,10 @@ class FinitePoset:
         bits = 0
         for x in members:
             bits |= self._up[self.resolve(x)]
-        return UpSet(bits=bits)
+        return UpSet.of(bits)
 
     def top(self) -> UpSet:
-        return UpSet(bits=(1 << self.n) - 1)
+        return UpSet.of((1 << self.n) - 1)
 
 
 def _check_size(n: int) -> None:
@@ -429,8 +457,10 @@ def _grid_masks(shape: tuple[int, ...]) -> tuple[list[int], list[int], tuple[int
     n = len(up)
     lower = [0] * n
     for size, t in zip(shape, strides):
-        for i in range(t, n):
-            if i // t % size:
+        # Coordinate v > 0 on this axis: the last size - 1 strides of
+        # every block of t * size indices.
+        for start in range(t, n, t * size):
+            for i in range(start, start + (size - 1) * t):
                 lower[i] |= 1 << i - t
     return up, down, tuple(lower)
 
@@ -482,7 +512,12 @@ def _extremes(bits: int, strict_side: list[int], lowest_first: bool) -> int:
 
 def min_elements(p: FinitePoset, u: UpSet) -> frozenset:
     """Elements of the open with nothing strictly below them in the open."""
-    return frozenset(_set_bits(_extremes(u.bits, p._up, True)))
+    bits = u.bits
+    low = (bits & -bits).bit_length() - 1
+    if bits and p._up[low] == bits:
+        # A principal up-set: its lowest index is its one minimal element.
+        return frozenset((low,))
+    return frozenset(_set_bits(_extremes(bits, p._up, True)))
 
 
 def blankets_of_open(p: FinitePoset, u: UpSet, mode: BlanketMode = BlanketMode.FULL) -> tuple[UpSet, ...]:
@@ -493,22 +528,17 @@ def blankets_of_open(p: FinitePoset, u: UpSet, mode: BlanketMode = BlanketMode.F
 
 def cover_points(p: FinitePoset, u: UpSet, mode: BlanketMode = BlanketMode.FULL) -> tuple[int, ...]:
     """Per blanket of the open, in the order of :func:`blankets_of_open`,
-    the element it adds (FULL) or is the principal up-set of (PRINCIPAL)."""
-    return _covers(p, u, mode)[1]
-
-
-def _covers(p: FinitePoset, u: UpSet, mode: BlanketMode) -> tuple[tuple[UpSet, ...], tuple[int, ...]]:
-    """The blankets of an open and their points, built once per open and mode."""
+    the element it adds (FULL) or is the principal up-set of (PRINCIPAL);
+    worked out once per open and mode, without building the blankets."""
     key = (u.key, mode is BlanketMode.FULL)
-    cache = p.memo["blankets"]
-    hit = cache.get(key)
-    if hit is None:
+    cache = p.memo["cover_points"]
+    points = cache.get(key)
+    if points is None:
         outside = (1 << p.n) - 1 & ~u.bits
         if mode is BlanketMode.FULL:
             # Add one maximal element of the complement: same sizes, and
             # ascending added elements are ascending sorted members.
             points = _set_bits(_extremes(outside, p._down, False))
-            opens = [UpSet(bits=u.bits | 1 << m) for m in points]
         else:
             # up(i) contains u iff i lies below every minimal element of u,
             # strictly iff also i is not in u; the smallest come from maximal i.
@@ -517,8 +547,22 @@ def _covers(p: FinitePoset, u: UpSet, mode: BlanketMode) -> tuple[tuple[UpSet, .
                 below &= p._down[m]
             tops = _set_bits(_extremes(below, p._down, False))
             points = sorted(tops, key=lambda i: (p._up[i].bit_count(), _lex_key(p._up[i])))
+        points = cache[key] = tuple(points)
+    return points
+
+
+def _covers(p: FinitePoset, u: UpSet, mode: BlanketMode) -> tuple[tuple[UpSet, ...], tuple[int, ...]]:
+    """The blankets of an open and their points, built once per open and mode."""
+    key = (u.key, mode is BlanketMode.FULL)
+    cache = p.memo["blankets"]
+    hit = cache.get(key)
+    if hit is None:
+        points = cover_points(p, u, mode)
+        if mode is BlanketMode.FULL:
+            opens = [UpSet.of(u.bits | 1 << m) for m in points]
+        else:
             opens = [p.principal[i] for i in points]
-        hit = cache[key] = (tuple(opens), tuple(points))
+        hit = cache[key] = (tuple(opens), points)
     return hit
 
 
@@ -612,8 +656,9 @@ def degree_blankets(p: FinitePoset, x: PairOpen, n: int, mode: BlanketMode = Bla
 def diagram_order(p: FinitePoset, bits: int) -> list[int]:
     """The elements of a mask in diagram order: by grade (lexicographic),
     else by index."""
-    members = _indices(bits)
-    return sorted(members, key=p.grades.__getitem__) if p.grades else members
+    # A sparse mask is walked bit by bit, a dense one read off its string.
+    members = _set_bits(bits) if bits.bit_count() << 3 < bits.bit_length() else _indices(bits)
+    return sorted(members, key=p.grades.__getitem__) if p.grades and not p.grade_ordered else members
 
 
 def diagram_pair_count(p: FinitePoset) -> int:

@@ -1,25 +1,35 @@
 """The critical-pair walk behind ``diagram`` against full enumeration.
 
-Every poset with at most four elements, each with small random complexes
-over GF(2) whose cells have arbitrary up-sets of presence (so several
-births per cell): in both blanket modes, with and without zero entries,
-``compute_diagram`` must list exactly what ``pair_group_rank`` gives over
-``enumerate_diagram_pairs``, entry for entry and in the same order.  On
-the same complexes, the presence table the walk reads must match presence
-read off the cells' births.
+The walk computes each multiplicity itself and never calls
+``pair_group_rank``, so it is held to it here.  Every poset with at most
+four elements, each with small random complexes over GF(2) whose cells
+have arbitrary up-sets of presence (so several births per cell): in both
+blanket modes, with and without zero entries, ``compute_diagram`` must
+list exactly what ``pair_group_rank`` gives over
+``enumerate_diagram_pairs``, entry for entry and in the same order; so
+must the walk on the graded fixtures and on random grids and chains over
+GF(2), GF(5) and Q.  On the small complexes, the presence table the walk
+reads must match presence read off the cells' births.
 """
 import json
 import random
+from pathlib import Path
+
+import pytest
 
 from persdiff.calculus import pair_group_rank
 from persdiff.complexes import FilteredComplex
-from persdiff.diagrams import DiagramEntry, compute_diagram, open_repr
+from persdiff.diagrams import DiagramEntry, _multiplicities, compute_diagram, open_repr
 from persdiff.io import load_complex
-from persdiff.posets import BlanketMode, FinitePoset, enumerate_diagram_pairs
+from persdiff.posets import EMPTY_OPEN, BlanketMode, FinitePoset, enumerate_diagram_pairs
 
-from conftest import GF2, build_long_chain, cells_present
-from corpus import random_filtration
+from conftest import GF2, GF5, QQ, build_long_chain, cells_present
+from corpus import random_chain_filtration, random_filtration
 from exhaustive import small_complexes
+
+DATA = Path(__file__).parent / "data"
+FIXTURES = ("two_param", "triangle", "corner_grid", "torsion_chain", "offset_grid")
+
 
 def reference_diagram(k, mode, include_zero):
     p = k.poset
@@ -77,6 +87,35 @@ def test_walk_equals_full_enumeration_on_every_small_poset():
             for include_zero in (False, True):
                 got = compute_diagram(k, mode=mode, include_zero=include_zero)
                 assert got == reference_diagram(fresh, mode, include_zero), (leq, cells)
+
+
+@pytest.mark.parametrize("field", [GF2, GF5, QQ], ids=lambda f: f.token())
+def test_walk_equals_pair_group_rank_on_every_principal_pair(field):
+    """Every principal pair in every degree, in both modes: with zeros the
+    walk yields every pair in ``enumerate_diagram_pairs`` order with
+    ``pair_group_rank``'s value on a complex that has not seen the walk,
+    and without zeros exactly the non-zero ones of those."""
+    rng = random.Random(26)
+    complexes = [load_complex(DATA / f"{name}.json", field.token()) for name in FIXTURES]
+    complexes += [random_filtration(rng, shape=shape, field=field) for shape in ((3, 3), (4, 3), (2, 2, 2))]
+    complexes += [random_chain_filtration(rng, grades=7, field=field) for _ in range(2)]
+    for k in complexes:
+        p = k.poset
+        fresh = FilteredComplex(field, p, list(k.all_cells()))
+        pairs = enumerate_diagram_pairs(p)
+        for mode in BlanketMode:
+            want = [
+                (n, pair, pair_group_rank(fresh, n, pair, mode))
+                for n in range(max(k.max_dim, 0) + 1)
+                for pair in pairs
+            ]
+            got = [
+                (n, (p.principal[x], EMPTY_OPEN if y is None else p.principal[y]), mult)
+                for n, x, y, mult in _multiplicities(k, None, mode, True)
+            ]
+            assert got == want, (k.poset.labels, mode)
+            nonzero = [(n, x, y, mult) for n, x, y, mult in _multiplicities(k, None, mode, True) if mult]
+            assert list(_multiplicities(k, None, mode, False)) == nonzero
 
 
 def test_walk_resolves_no_element(tmp_path, monkeypatch):
