@@ -36,6 +36,7 @@ from .linalg import (
     Subspace,
     column_space,
     kernel,
+    mask_columns,
     matmul,
     restrict,
 )
@@ -84,15 +85,13 @@ class PresenceTable(NamedTuple):
     of the elements where it is present.  Elements with the same n-cells
     present form a class: ``classes`` maps element index to class, ``rows``
     class to its present cells as one row (cell 0 the highest bit, as a
-    GF(2) row holds column 0), ``cells`` class to n-cell indices, and
-    ``twins`` element to the mask of its lower covers in its class.  The
-    degree-(n-1) boundaries at a point depend only on its class c:
-    ``boundaries[c]`` once built."""
+    GF(2) row holds column 0), and ``twins`` element to the mask of its
+    lower covers in its class.  The degree-(n-1) boundaries at a point
+    depend only on its class c: ``boundaries[c]`` once built."""
 
     masks: list[int]
     classes: list[int]
     rows: list[int]
-    cells: list[tuple[int, ...]]
     twins: list[int]
     boundaries: list
 
@@ -297,44 +296,30 @@ class FilteredComplex:
         return m
 
     def presence_table(self, n: int) -> PresenceTable:
-        """Where the n-cells are present; built once per degree by splitting
-        one class of every element by each cell's presence mask, or with no
-        pass at all in a degree without cells."""
+        """Where the n-cells are present; built once per degree in one pass
+        over the elements, or with no pass at all in a degree without cells."""
         table = self.memo["presence_table"].get(n)
         if table is None:
-            p, width = self.poset, self.ambient_dim(n)
-            if not width:
+            p = self.poset
+            if not self.ambient_dim(n):
                 # One class, present nowhere, and every lower cover a twin.
-                table = PresenceTable([], [0] * p.n, [0], [()], list(p.lower_covers), [None])
+                table = PresenceTable([], [0] * p.n, [0], list(p.lower_covers), [None])
                 self.memo["presence_table"][n] = table
                 return table
-            up = p._up
+            size, up = p.n, p._up
             masks = [reduce(int.__or__, [up[b] for b in c.births]) for c in self.cells_of_dim(n)]
-            # (members, row of present cells): cell j is bit width - 1 - j.
-            split = [((1 << p.n) - 1, 0)]
-            for j, mask in enumerate(masks):
-                bit = 1 << width - 1 - j
-                parts = []
-                for members, row in split:
-                    inside = members & mask
-                    if inside:
-                        parts.append((inside, row | bit))
-                    if inside != members:
-                        parts.append((members ^ inside, row))
-                split = parts
-            # Classes numbered by their lowest element.
-            split.sort(key=lambda part: part[0] & -part[0])
-            classes, twins, lower = [0] * p.n, [0] * p.n, p.lower_covers
-            for c, (members, _) in enumerate(split):
-                rest = members
-                while rest:
-                    x = rest.bit_length() - 1
-                    rest ^= 1 << x
-                    classes[x] = c
-                    twins[x] = lower[x] & members
-            rows = [row for _, row in split]
-            cells = [tuple([j for j in range(width) if row >> width - 1 - j & 1]) for row in rows]
-            table = PresenceTable(masks, classes, rows, cells, twins, [None] * len(rows))
+            # The masks as binary strings, element 0 last: element x's column
+            # reads its present cells, cell 0 first, which is its row in
+            # binary.  Classes are numbered by their lowest element.
+            flat = "".join([format(mask, f"0{size}b") for mask in masks])
+            index: dict[str, int] = {}
+            classes = [index.setdefault(flat[i::size], len(index)) for i in range(size - 1, -1, -1)]
+            members = [0] * len(index)
+            for x, c in enumerate(classes):
+                members[c] |= 1 << x
+            twins = [covers & members[c] for covers, c in zip(p.lower_covers, classes)]
+            rows = [int(row, 2) for row in index]
+            table = PresenceTable(masks, classes, rows, twins, [None] * len(rows))
             self.memo["presence_table"][n] = table
         return table
 
@@ -388,17 +373,7 @@ class FilteredComplex:
         sub = table.boundaries[c]
         if sub is None:
             keep = table.rows[c]
-            if keep:
-                # The boundary with the columns of absent cells zeroed.
-                m = self.boundary_matrix(n + 1)
-                if self.field.characteristic == 2:
-                    rows = [row & keep for row in m.rows]
-                else:
-                    top = m.cols - 1
-                    rows = [{j: v for j, v in row.items() if keep >> top - j & 1} for row in m.rows]
-                sub = column_space(Matrix(self.field, rows, m.cols))
-            else:
-                sub = self.zero(n)
+            sub = column_space(mask_columns(self.boundary_matrix(n + 1), keep)) if keep else self.zero(n)
             table.boundaries[c] = sub
         return sub
 

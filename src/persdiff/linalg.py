@@ -173,6 +173,17 @@ def select_columns(m: Matrix, cols: Sequence[int]) -> Matrix:
     return Matrix(m.field, rows, width)
 
 
+def mask_columns(m: Matrix, keep: int) -> Matrix:
+    """``m`` with the columns outside ``keep`` zeroed; ``keep`` flags
+    columns as a GF(2) row holds them, column 0 the highest bit."""
+    if m.field.characteristic == 2:
+        rows = [row & keep for row in m.rows]
+    else:
+        top = m.cols - 1
+        rows = [{c: x for c, x in row.items() if keep >> top - c & 1} for row in m.rows]
+    return Matrix(m.field, rows, m.cols)
+
+
 # -- row kernels ------------------------------------------------------------
 #
 # A pivot table maps each pivot to its row: the leading bit over GF(2), the

@@ -95,8 +95,7 @@ class BlanketMode(Enum):
 class UpSet:
     """An upward closed subset, stored as an int bitmask over element indices.
 
-    Built from element indices, or from a mask as ``UpSet(bits=mask)``,
-    or ``UpSet.of(mask)``, which reads no member list.
+    Built from element indices, or from a mask as ``UpSet(bits=mask)``.
     ``key`` is the mask's little-endian bytes: the memo key for the open,
     and what it hashes, which spreads masks the int hash collides.
     """
@@ -108,14 +107,6 @@ class UpSet:
             bits |= 1 << i
         self.bits = bits
         self.key = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
-
-    @classmethod
-    def of(cls, bits: int) -> "UpSet":
-        """The open of a mask, built without reading a member list."""
-        u = cls.__new__(cls)
-        u.bits = bits
-        u.key = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
-        return u
 
     @property
     def members(self) -> frozenset:
@@ -248,7 +239,7 @@ class FinitePoset:
         # ``diagram_order`` need not sort.
         self.grade_ordered = from_grades
         # Per element index, its principal up-set.
-        self.principal = list(map(UpSet.of, up))
+        self.principal = [UpSet(bits=bits) for bits in up]
         # Cover points, blankets and pair blankets: one dict per named layer.
         self.memo: defaultdict[str, dict] = defaultdict(dict)
 
@@ -319,12 +310,6 @@ class FinitePoset:
                 return self._index[x]
             raise UnknownElement(f"unknown element label {x!r}")
         if isinstance(x, (tuple, list)):
-            # Plain int coordinates need no conversion: one lookup.  Bools,
-            # floats and other numbers take the checked way.
-            if all(type(c) is int for c in x):
-                i = self._grade_index.get(tuple(x))
-                if i is not None:
-                    return i
             key = tuple(as_int(c) for c in x)
             if key in self._grade_index:
                 return self._grade_index[key]
@@ -363,10 +348,10 @@ class FinitePoset:
         bits = 0
         for x in members:
             bits |= self._up[self.resolve(x)]
-        return UpSet.of(bits)
+        return UpSet(bits=bits)
 
     def top(self) -> UpSet:
-        return UpSet.of((1 << self.n) - 1)
+        return UpSet(bits=(1 << self.n) - 1)
 
 
 def _check_size(n: int) -> None:
@@ -559,7 +544,7 @@ def _covers(p: FinitePoset, u: UpSet, mode: BlanketMode) -> tuple[tuple[UpSet, .
     if hit is None:
         points = cover_points(p, u, mode)
         if mode is BlanketMode.FULL:
-            opens = [UpSet.of(u.bits | 1 << m) for m in points]
+            opens = [UpSet(bits=u.bits | 1 << m) for m in points]
         else:
             opens = [p.principal[i] for i in points]
         hit = cache[key] = (tuple(opens), points)

@@ -34,9 +34,10 @@ TRIANGLE_CELLS = [
 
 def cells_present(k, n, x):
     """Indices of the n-cells present at element index ``x``, read from the
-    presence table."""
+    presence table's row for its class (cell 0 the highest bit)."""
     table = k.presence_table(n)
-    return table.cells[table.classes[x]]
+    row, width = table.rows[table.classes[x]], k.ambient_dim(n)
+    return tuple(j for j in range(width) if row >> width - 1 - j & 1)
 
 
 def build_triangle(field=None):

@@ -236,7 +236,7 @@ def test_a_degree_without_cells_has_one_class_and_all_covers_twins(shape):
     births = [(0,) * len(shape)]
     k = FilteredComplex.build(GF2, p, [{"id": "a", "vertices": ["a"], "births": births}])
     table = k.presence_table(1)
-    assert table.masks == [] and table.rows == [0] and table.cells == [()]
+    assert table.masks == [] and table.rows == [0]
     assert table.classes == [0] * p.n
     assert table.twins == list(p.lower_covers)
     assert all(k.boundaries_at(0, x) is k.zero(0) for x in range(p.n))

@@ -17,6 +17,7 @@ from persdiff.linalg import (
     contains,
     join,
     kernel,
+    mask_columns,
     matmul,
     meet,
     quotient_dim,
@@ -712,8 +713,8 @@ def test_rational_subspaces_hold_primitive_integer_rows(arrays, gaps):
 
 @given(st.sampled_from(KERNEL_FIELDS).flatmap(lambda f: st.tuples(kernel_input(f), st.lists(st.booleans(), max_size=9))))
 def test_row_form_ops_match_dense_arrays(case):
-    """``from_entries``, ``transpose``, ``select_columns`` and ``matmul`` on
-    rows agree with the same operation on dense arrays."""
+    """``from_entries``, ``transpose``, ``select_columns``, ``mask_columns``
+    and ``matmul`` on rows agree with the same operation on dense arrays."""
     (field, a), keep = case
     m = _matrix(field, a)
     nrows, ncols = a.shape
@@ -722,6 +723,9 @@ def test_row_form_ops_match_dense_arrays(case):
     assert transpose(m) == _matrix(field, a.T)
     cols = [j for j in range(ncols) if j < len(keep) and keep[j]]
     assert select_columns(m, cols) == _matrix(field, a[:, cols])
+    masked = a.copy()
+    masked[:, [j for j in range(ncols) if j not in cols]] = 0
+    assert mask_columns(m, sum(1 << ncols - 1 - j for j in cols)) == _matrix(field, masked)
     want = field.normalize(a.astype(object).dot(a.T.astype(object)))
     got = matmul(m, _matrix(field, a.T))
     assert got == _matrix(field, want)
