@@ -49,10 +49,6 @@ def arr_sub(s: GroupSquare, t: GroupSquare) -> GroupSquare:
     return GroupSquare(s.src - t.src, s.dst - t.dst, s.top - t.top, s.bottom - t.bottom)
 
 
-def arr_inv(s: GroupSquare) -> GroupSquare:
-    return GroupSquare(-s.src, -s.dst, -s.top, -s.bottom)
-
-
 @dataclass(frozen=True)
 class ChangeAction:
     """Monoid action presentation: ``act(x, d)``, ``add(d, e)``, unit ``zero``."""

@@ -13,15 +13,15 @@ whole on its way out; nothing here reads one back.
 The multiplicity of a pair is the blanket-shift derivative of the union
 rank at (0, 1): ``dim mem(pair) - dim of the join of mem(b)`` over its
 degree-1 blankets b.  ``persdiff.calculus.pair_group_rank`` computes it
-through the calculus and the memoized blanket unions; that is the route
-``verify`` checks against the lifespan rank.  The walk computes the same
-number straight from the memories and builds no union.  It evaluates the
-multiplicity only where it can be non-zero: it is zero as soon as one
-blanket has the pair's whole memory.  Every blanket enlarges the birth
-open (fewer cycles survive on it) or the death open (fewer boundaries),
-so each mem(b) lies inside mem(pair): a pair with zero memory has
-multiplicity zero, and so does every pair born on an open that carries
-no cycles.
+through the calculus and the memoized blanket unions; ``verify`` computes
+the same number per birth from ``persdiff.memory.cover_union`` and checks
+it against the lifespan rank.  The walk computes it straight from the
+memories and builds no union.  It evaluates the multiplicity only where
+it can be non-zero: it is zero as soon as one blanket has the pair's
+whole memory.  Every blanket enlarges the birth open (fewer cycles
+survive on it) or the death open (fewer boundaries), so each mem(b) lies
+inside mem(pair): a pair with zero memory has multiplicity zero, and so
+does every pair born on an open that carries no cycles.
 
 Two more rules read only the order and where cells are present.  Call two
 elements twins in degree n when the same n-cells are present at both;
@@ -75,8 +75,9 @@ one at a time from ``persdiff.memory.cover_memories``, birth side first,
 the same function the degree-1 blanket union reads.  They are joined as
 they come, and the join stops once it has the whole memory.  The
 multiplicity is the memory's dimension less the join's.  ``verify``
-compares ``pair_group_rank`` with the lifespan rank on every pair, and
-its oracle check reads this walk; the tests compare the two routes.
+compares the derivative with the lifespan rank on every pair, and its
+oracle check reads this walk; the tests compare the walk with
+``pair_group_rank``.
 """
 from __future__ import annotations
 

@@ -153,26 +153,6 @@ def bit_transpose(rows: Sequence[int], width: int) -> list[int]:
     return [int(flat[c::width], 2) for c in range(width)]
 
 
-def select_columns(m: Matrix, cols: Sequence[int]) -> Matrix:
-    """The submatrix of the given increasing columns."""
-    width = len(cols)
-    if m.field.characteristic == 2:
-        # Bit b of a row holds column m.cols - 1 - b.
-        bits = {m.cols - 1 - c: 1 << (width - 1 - t) for t, c in enumerate(cols)}
-        rows = []
-        for row in m.rows:
-            v = 0
-            while row:
-                top = row.bit_length() - 1
-                v |= bits.get(top, 0)
-                row ^= 1 << top
-            rows.append(v)
-    else:
-        moves = {c: t for t, c in enumerate(cols)}
-        rows = [{moves[c]: x for c, x in row.items() if c in moves} for row in m.rows]
-    return Matrix(m.field, rows, width)
-
-
 def mask_columns(m: Matrix, keep: int) -> Matrix:
     """``m`` with the columns outside ``keep`` zeroed; ``keep`` flags
     columns as a GF(2) row holds them, column 0 the highest bit."""

@@ -18,7 +18,9 @@ finite-difference calculus.
 
 A pair's degree-1 blanket memories have one definition,
 ``cover_memories``, which both ``blanket_union(d=1)`` and the diagram
-walk read.  It takes the birth open's cover state (``birth_covers``:
+walk read, and a pair's degree-1 union has one, ``cover_union``, their
+join, which ``blanket_union(d=1)`` and ``verify``'s rank identity read.
+``cover_memories`` takes the birth open's cover state (``birth_covers``:
 the open's support and cycles, and each cover's support and cycles,
 from the memoized ``cover_points``), the death open's boundaries, and
 the covers of the death open that give blankets of the pair
@@ -192,10 +194,11 @@ def blanket_union(
             if death.bits & ~birth.bits:
                 make_pair(k.poset, birth, death)  # raises InvalidPair
             own = known.get((n, birth.key, death.key))
-            memories = []
             if own is None or own.dim:
                 b = None if death.is_empty else boundaries_on_open(k, n, death)
-                memories = list(cover_memories(k, n, birth_covers(k, n, birth, mode), death, b))
+                sub = cover_union(k, n, birth_covers(k, n, birth, mode), death, b)
+            else:
+                sub = k.zero(n)
         else:
             memories = []
             for w in degree_blankets(k.poset, pair, d, mode):
@@ -204,7 +207,8 @@ def blanket_union(
                     m = homological_memory(k, n, w)
                 if m.dim:
                     memories.append(m)
-        sub = cache[key] = _fold(k, "join", join, memories) if memories else k.zero(n)
+            sub = _fold(k, "join", join, memories) if memories else k.zero(n)
+        cache[key] = sub
     return sub
 
 
@@ -250,6 +254,14 @@ def cover_memories(k: FilteredComplex, n: int, covers: tuple, death: UpSet, b: S
             sub = _cut(k, z, bm, support)
             if sub.dim:
                 yield sub
+
+
+def cover_union(k: FilteredComplex, n: int, covers: tuple, death: UpSet, b: Subspace | None) -> Subspace:
+    """The degree-1 blanket union of a pair: the join of its
+    :func:`cover_memories`, and the degree's zero when there is none.
+    ``blanket_union(d=1)`` and ``verify``'s rank identity both read it."""
+    memories = list(cover_memories(k, n, covers, death, b))
+    return _fold(k, "join", join, memories) if memories else k.zero(n)
 
 
 def lifespan_rank(

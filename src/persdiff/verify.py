@@ -1,7 +1,10 @@
 """Self-verification: derivative axioms, rank identities, monotonicity.
 
-Runs sampled exact checks against a loaded complex and reports
-counterexamples.  All sampling is seeded, so repeated runs are
+Runs exact checks against a loaded complex and reports counterexamples.
+The rank identity (pair-group rank against lifespan quotient rank) is
+checked on every principal pair, walking births in diagram order with one
+memory per pair for both blanket modes and no per-pair memo entry; the
+other checks are sampled.  All sampling is seeded, so repeated runs are
 byte-identical.
 """
 from __future__ import annotations
@@ -18,20 +21,29 @@ from .calculus import (
     derivative_mor,
     derivative_obj,
     integer_subtraction_action,
-    pair_group_rank,
     square_subtraction_action,
     union_rank_functor,
 )
 from .complexes import FilteredComplex
-from .linalg import NotASubspace, contains
-from .memory import blanket_union, boundaries_on_open, cycles_on_open, lifespan_rank
+from .linalg import NotASubspace, contains, quotient_dim
+from .memory import (
+    _cut,
+    _support,
+    birth_covers,
+    blanket_union,
+    boundaries_on_open,
+    cover_union,
+    cycles_on_open,
+)
 from .oracle import NotAChain, oracle_barcode
 from .posets import (
+    EMPTY_OPEN,
     BlanketMode,
     GradedPair,
     blankets_of_open,
     death_covers,
     describe_open,
+    diagram_order,
     diagram_pair_count,
     enumerate_diagram_pairs,
     pair_blankets,
@@ -77,11 +89,11 @@ _LAW_MODE = BlanketMode.FULL
 # many objects, and each costs rank computations.
 MAX_SAMPLES = 10_000
 # Largest accepted number of rank-identity checks (principal pairs times
-# degrees times the two blanket modes), each of which keeps a memory and
-# unions in the memos: the 3-cell 512-chain's 525,312 (`verify --samples
-# 10`) take about 4.6 s and 117 MiB on a 2-core VM, and the 2,048-chain's
-# 8,392,704 would need about 16 times both.
-MAX_RANK_CHECKS = 1_000_000
+# degrees times the two blanket modes).  The checks keep no per-pair memo
+# entry, but the sampled checks list every principal pair: the 3-cell
+# 1,024-chain's 2,099,200 (`verify --samples 10`) take about 2 s and
+# 56 MiB on a 2-core VM, and the 2,048-chain's 8,392,704 are refused.
+MAX_RANK_CHECKS = 2_500_000
 
 
 class TooManyChecks(ValueError):
@@ -137,6 +149,66 @@ def _blanket_mode_disagreements(p, pairs) -> list:
     return differ
 
 
+def _rank_identity(k: FilteredComplex, degrees: list[int], checks: int) -> LawReport:
+    """The pair-group rank against the lifespan quotient rank on every
+    principal pair, in every degree and both blanket modes: ``checks``
+    checks, walked one birth at a time in diagram order.
+
+    A pair's memory is cut from the birth's support and cycles by the
+    death's boundaries and shared by both modes; a zero memory has a zero
+    union, and a birth without cycles has only zero memories.  Otherwise
+    each mode's degree-1 union comes from ``cover_union`` over the birth's
+    cover state, built once per mode.  The derivative route is
+    ``dim memory - dim union``, the value of ``pair_group_rank``; the
+    quotient route is ``quotient_dim(memory, union)``, the value of
+    ``lifespan_rank``.  Counterexamples keep the mode, degree, pair order.
+    """
+    p = k.poset
+    principal = p.principal
+    found = {(mode, n): [] for mode in BlanketMode for n in degrees}
+    for x in diagram_order(p, p.top().bits):
+        birth = principal[x]
+        deaths = diagram_order(p, birth.bits ^ 1 << x) + [None]
+        for n in degrees:
+            keep, z = _support(k, n, birth)
+            if not z.dim:
+                continue
+            modes = [(mode, birth_covers(k, n, birth, mode), found[mode, n]) for mode in BlanketMode]
+            for y in deaths:
+                if y is None:
+                    death, b, memory = EMPTY_OPEN, None, z
+                else:
+                    death, b = principal[y], k.boundaries_at(n, y)
+                    memory = _cut(k, z, b, keep)
+                if not memory.dim:
+                    continue
+                for mode, covers, out in modes:
+                    union = cover_union(k, n, covers, death, b)
+                    derivative_route = memory.dim - union.dim
+                    try:
+                        quotient_route = quotient_dim(memory, union)
+                    except NotASubspace:
+                        # The blanket union escapes the memory: the quotient
+                        # has no rank, and the pair is a counterexample.
+                        quotient_route = "union-not-in-memory"
+                    if derivative_route != quotient_route:
+                        out.append(
+                            (
+                                mode.value,
+                                n,
+                                describe_open(p, birth),
+                                describe_open(p, death),
+                                derivative_route,
+                                quotient_route,
+                            )
+                        )
+    report = LawReport("pair-group-equals-lifespan-rank", checks)
+    for mode in BlanketMode:
+        for n in degrees:
+            report.counterexamples += found[mode, n]
+    return report
+
+
 def run_verification(
     k: FilteredComplex,
     samples: int = 50,
@@ -155,31 +227,7 @@ def run_verification(
     report = VerifyReport()
     pairs = enumerate_diagram_pairs(p)
 
-    # Pair-group rank versus lifespan quotient rank, every pair, both modes.
-    rank_identity = LawReport("pair-group-equals-lifespan-rank")
-    for mode in BlanketMode:
-        for n in degrees:
-            for pair in pairs:
-                rank_identity.checked += 1
-                derivative_route = pair_group_rank(k, n, pair, mode)
-                try:
-                    quotient_route = lifespan_rank(k, n, pair, mode)
-                except NotASubspace:
-                    # The blanket union escapes the memory: the quotient
-                    # has no rank, and the pair is a counterexample.
-                    quotient_route = "union-not-in-memory"
-                if derivative_route != quotient_route:
-                    rank_identity.counterexamples.append(
-                        (
-                            mode.value,
-                            n,
-                            describe_open(p, pair.birth),
-                            describe_open(p, pair.death),
-                            derivative_route,
-                            quotient_route,
-                        )
-                    )
-    report.results.append(rank_identity)
+    report.results.append(_rank_identity(k, degrees, checks))
 
     # Derivative axioms for the union-rank functor, objects and morphisms.
     shift = degree_shift_action()

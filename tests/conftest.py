@@ -3,6 +3,7 @@ from hypothesis import HealthCheck, settings
 
 from persdiff.complexes import FilteredComplex
 from persdiff.fields import FieldSpec
+from persdiff.linalg import Matrix
 from persdiff.posets import FinitePoset
 
 settings.register_profile(
@@ -110,3 +111,24 @@ def build_two_param(field=None):
 @pytest.fixture
 def two_param():
     return build_two_param()
+
+
+def select_columns(m: Matrix, cols: list[int]) -> Matrix:
+    """The submatrix of the given increasing columns: a reference that the
+    cycle tests build point cycles from."""
+    width = len(cols)
+    if m.field.characteristic == 2:
+        # Bit b of a row holds column m.cols - 1 - b.
+        bits = {m.cols - 1 - c: 1 << (width - 1 - t) for t, c in enumerate(cols)}
+        rows = []
+        for row in m.rows:
+            v = 0
+            while row:
+                top = row.bit_length() - 1
+                v |= bits.get(top, 0)
+                row ^= 1 << top
+            rows.append(v)
+    else:
+        moves = {c: t for t, c in enumerate(cols)}
+        rows = [{moves[c]: x for c, x in row.items() if c in moves} for row in m.rows]
+    return Matrix(m.field, rows, width)

@@ -378,23 +378,26 @@ class TestVerify:
 
     def test_union_escaping_its_memory_is_a_counterexample(self, capsys, monkeypatch):
         """A degree-1 blanket union that is not inside the pair's memory has
-        no quotient rank: verify reports the pair and exits 1."""
+        no quotient rank: verify reports the pair and exits 1.  The union
+        is the colimit cycles wherever a pair's memory is not zero, and the
+        derivative route reads the same union."""
         import persdiff.memory
+        import persdiff.verify
 
-        original = persdiff.memory.blanket_union
+        def escaping(k, n, covers, death, b):
+            return k.colimit_cycles(n)
 
-        def escaping(k, n, pair, d, mode=persdiff.posets.BlanketMode.FULL):
-            return k.colimit_cycles(n) if d == 1 else original(k, n, pair, d, mode)
-
-        monkeypatch.setattr(persdiff.memory, "blanket_union", escaping)
+        monkeypatch.setattr(persdiff.memory, "cover_union", escaping)
+        monkeypatch.setattr(persdiff.verify, "cover_union", escaping)
         code, out, err = run(capsys, "verify", DATA / "two_param.json", "--samples", 5, "--json")
         assert (code, err) == (1, "")
         doc = json.loads(out)
         assert doc["ok"] is False
         (check,) = [c for c in doc["checks"] if c["name"] == "pair-group-equals-lifespan-rank"]
+        assert len(check["counterexamples"]) == 54
         first = check["counterexamples"][0]
-        assert first == "('full', 0, '{(0,0)}', '{(0,1)}', 1, 'union-not-in-memory')"
-        assert any(c.startswith("('principal', 1, ") for c in check["counterexamples"])
+        assert first == "('full', 0, '{(0,0)}', '{(0,1)}', -2, 'union-not-in-memory')"
+        assert any(c.startswith("('principal', ") for c in check["counterexamples"])
 
     def test_random_bifiltration_passes(self, capsys, tmp_path):
         import random as _random
@@ -429,8 +432,8 @@ class TestVerify:
 
     def test_rank_check_count_is_bounded(self, capsys, tmp_path):
         """The 3-cell 2,048-chain has 2,098,176 principal pairs, so 8,392,704
-        rank-identity checks in two degrees and two modes, 16 times the
-        512-chain's: refused before the first."""
+        rank-identity checks in two degrees and two modes, 4 times the
+        1,024-chain's: refused before the first."""
         path = tmp_path / "chain2048.json"
         doc = {
             "format_version": 1,
@@ -447,8 +450,8 @@ class TestVerify:
             f"error: verify would check the rank identity 8392704 times; "
             f"at most {MAX_RANK_CHECKS} are supported\n"
         )
-        # The 3-cell 512-chain, two degrees in two modes, stays inside it.
-        assert diagram_pair_count(FinitePoset.chain(512)) * 2 * 2 == 525_312 <= MAX_RANK_CHECKS
+        # The 3-cell 1,024-chain, two degrees in two modes, stays inside it.
+        assert diagram_pair_count(FinitePoset.chain(1024)) * 2 * 2 == 2_099_200 <= MAX_RANK_CHECKS
 
 
 class TestDeterminism:

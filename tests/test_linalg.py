@@ -22,10 +22,10 @@ from persdiff.linalg import (
     meet,
     quotient_dim,
     restrict,
-    select_columns,
     transpose,
 )
 
+from conftest import select_columns
 from dense_reference import dense, dense_row_reduce, dense_zeros
 from exhaustive import kernel_set, span_rank, span_set
 

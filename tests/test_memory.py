@@ -6,7 +6,7 @@ import pytest
 from persdiff.complexes import FilteredComplex, InvalidComplex
 from persdiff.diagrams import compute_diagram
 from persdiff.fields import FieldSpec
-from persdiff.linalg import Subspace, contains, join, kernel, meet, select_columns
+from persdiff.linalg import Subspace, contains, join, kernel, meet
 from persdiff.memory import (
     blanket_union,
     boundaries_on_open,
@@ -27,7 +27,7 @@ from persdiff.posets import (
     principal_up_set,
 )
 
-from conftest import GF2, GF5, QQ, build_long_chain, build_two_param, cells_present
+from conftest import GF2, GF5, QQ, build_long_chain, build_two_param, cells_present, select_columns
 from corpus import random_filtration
 from exhaustive import all_up_sets, meet_over_all_points, small_complexes
 
