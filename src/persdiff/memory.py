@@ -40,9 +40,10 @@ boundaries and that point:
 No cover open has its minimal elements worked out, and no blanket
 memory goes into the ``memory`` layer: the memories are yielded one at a
 time, birth side first, so a caller that only needs to know whether
-they reach the pair's memory stops early.  Every blanket memory lies
-inside the pair's, so a pair whose memory is known to be zero has a zero
-union.
+they reach the pair's memory stops early.  Every blanket, of any degree,
+enlarges an open, so its memory lies inside the pair's: ``blanket_union``
+reads the pair's memory first and gives a pair whose memory is zero the
+degree's zero in every degree d >= 1, without listing its blankets.
 
 Results are memoized on the complex.  The ``support``, ``open``,
 ``memory`` and ``union`` layers are keyed by degree and the opens' mask
@@ -180,26 +181,26 @@ def blanket_union(
     """Join of the memories of all degree-d blankets of the pair.
 
     d = 0 gives the pair's own memory; an empty blanket set gives zero.
-    Subspaces are canonical, so the join order does not matter.
+    Every blanket enlarges an open, so its memory lies inside the pair's:
+    for d >= 1 a pair whose memory is zero has the degree's zero, with no
+    blanket listed and no union entry.  Subspaces are canonical, so the
+    join order does not matter.
     """
+    memory = homological_memory(k, n, pair)
     if d == 0:
-        return homological_memory(k, n, pair)
+        return memory
+    if d > 0 and not memory.dim:
+        return k.zero(n)
     cache = k.memo["union"]
     birth, death = pair
     key = (n, birth.key, death.key, d, mode is BlanketMode.FULL)
     sub = cache.get(key)
     if sub is None:
-        known = k.memo["memory"]
         if d == 1:
-            if death.bits & ~birth.bits:
-                make_pair(k.poset, birth, death)  # raises InvalidPair
-            own = known.get((n, birth.key, death.key))
-            if own is None or own.dim:
-                b = None if death.is_empty else boundaries_on_open(k, n, death)
-                sub = cover_union(k, n, birth_covers(k, n, birth, mode), death, b)
-            else:
-                sub = k.zero(n)
+            b = None if death.is_empty else boundaries_on_open(k, n, death)
+            sub = cover_union(k, n, birth_covers(k, n, birth, mode), death, b)
         else:
+            known = k.memo["memory"]
             memories = []
             for w in degree_blankets(k.poset, pair, d, mode):
                 m = known.get((n, w.birth.key, w.death.key))

@@ -658,10 +658,17 @@ def enumerate_diagram_pairs(p: FinitePoset) -> list[PairOpen]:
     Births and, for each birth, deaths come in diagram order, with the
     empty death open last for each birth.
     """
-    principal = p.principal
     out = []
     for i in diagram_order(p, p.top().bits):
-        u = principal[i]
-        out.extend([PairOpen(u, principal[j]) for j in diagram_order(p, u.bits ^ 1 << i)])
-        out.append(PairOpen(u, EMPTY_OPEN))
+        out += birth_pairs(p, i)
+    return out
+
+
+def birth_pairs(p: FinitePoset, i: int) -> list[PairOpen]:
+    """The pairs of :func:`enumerate_diagram_pairs` with birth open up(i),
+    in its order: the deaths in diagram order, then the empty open."""
+    principal = p.principal
+    u = principal[i]
+    out = [PairOpen(u, principal[j]) for j in diagram_order(p, u.bits ^ 1 << i)]
+    out.append(PairOpen(u, EMPTY_OPEN))
     return out

@@ -3,9 +3,11 @@
 Runs exact checks against a loaded complex and reports counterexamples.
 The rank identity (pair-group rank against lifespan quotient rank) is
 checked on every principal pair, walking births in diagram order with one
-memory per pair for both blanket modes and no per-pair memo entry; the
-other checks are sampled.  All sampling is seeded, so repeated runs are
-byte-identical.
+memory per pair for both blanket modes and no per-pair memo entry, and
+one blanket union for both modes wherever the pair has the same blankets
+in both; the other checks are sampled, from pairs drawn out of a view of
+the principal pairs that lists only the births drawn.  All sampling is
+seeded, so repeated runs are byte-identical.
 """
 from __future__ import annotations
 
@@ -40,12 +42,13 @@ from .posets import (
     EMPTY_OPEN,
     BlanketMode,
     GradedPair,
+    PairOpen,
+    UpSet,
+    birth_pairs,
     blankets_of_open,
     death_covers,
     describe_open,
     diagram_order,
-    diagram_pair_count,
-    enumerate_diagram_pairs,
     pair_blankets,
 )
 
@@ -90,14 +93,55 @@ _LAW_MODE = BlanketMode.FULL
 MAX_SAMPLES = 10_000
 # Largest accepted number of rank-identity checks (principal pairs times
 # degrees times the two blanket modes).  The checks keep no per-pair memo
-# entry, but the sampled checks list every principal pair: the 3-cell
-# 1,024-chain's 2,099,200 (`verify --samples 10`) take about 2 s and
-# 56 MiB on a 2-core VM, and the 2,048-chain's 8,392,704 are refused.
+# entry and the sampled checks list no more than the births they draw:
+# the 3-cell 1,024-chain's 2,099,200 (`verify --samples 10`) take about
+# 0.9 s and 22 MiB on a 2-core VM, so the bound is on run time; the
+# 2,048-chain's 8,392,704 are refused.
 MAX_RANK_CHECKS = 2_500_000
 
 
 class TooManyChecks(ValueError):
     """The rank identity would be checked more than :data:`MAX_RANK_CHECKS` times."""
+
+
+class _DiagramPairs:
+    """The pairs of :func:`enumerate_diagram_pairs`, in its order, as a
+    sequence that holds no list of them all: ``rng.choice`` reads only its
+    length and one index, so a draw picks the pair it picks from the list.
+    An index finds its birth by the pair count before each birth.  A
+    birth's pairs are listed when the birth is first drawn and kept, and
+    iteration lists each birth that no draw has listed as it goes.
+    """
+
+    def __init__(self, p):
+        from bisect import bisect_right
+
+        self.p = p
+        self.find = bisect_right
+        self.births = diagram_order(p, p.top().bits)
+        self.starts = []
+        total = 0
+        for i in self.births:
+            self.starts.append(total)
+            total += p._up[i].bit_count()
+        self.size = total
+        self.drawn = {}
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, j: int) -> PairOpen:
+        if not 0 <= j < self.size:
+            raise IndexError(j)
+        at = self.find(self.starts, j) - 1
+        pairs = self.drawn.get(at)
+        if pairs is None:
+            pairs = self.drawn[at] = birth_pairs(self.p, self.births[at])
+        return pairs[j - self.starts[at]]
+
+    def __iter__(self):
+        for at, i in enumerate(self.births):
+            yield from self.drawn.get(at) or birth_pairs(self.p, i)
 
 
 def _sample_graded_pairs(rng, pairs, count):
@@ -114,8 +158,9 @@ def _blanket_walk(rng, p, pair, steps, mode):
     return current
 
 
-def _blanket_mode_disagreements(p, pairs) -> list:
-    """The pairs whose blankets differ between the two modes.
+def _blanket_agreement(p):
+    """``agree(birth, death)``: whether the pair has the same blankets in
+    both modes.
 
     A birth-side blanket (W, death) never equals a death-side one
     (birth, V), since W strictly contains the birth, so the blanket sets
@@ -124,29 +169,45 @@ def _blanket_mode_disagreements(p, pairs) -> list:
     birth open, PRINCIPAL also drops the birth open itself
     (``death_covers``).  When both modes give the death open the same
     covers, the kept ones differ exactly when the birth open is one of
-    them.  Cover sets are compared once per open."""
-    same = {}
+    them.  Cover sets are compared once per open.
+
+    Covers that agree add the same element in both modes, and come in the
+    same order, so a pair with the same blankets has the same blanket
+    memories, in the same order, in both modes."""
+    cover_sets = {}
 
     def covers(u):
-        hit = same.get(u.key)
-        if hit is None:
-            full = {v.key for v in blankets_of_open(p, u, BlanketMode.FULL)}
-            principal = {v.key for v in blankets_of_open(p, u, BlanketMode.PRINCIPAL)}
-            hit = same[u.key] = (full == principal, full)
+        full = {v.key for v in blankets_of_open(p, u, BlanketMode.FULL)}
+        principal = {v.key for v in blankets_of_open(p, u, BlanketMode.PRINCIPAL)}
+        cover_sets[u.key] = hit = (full == principal, full)
         return hit
 
-    def kept(pair, mode):
-        return {v.key for v, _ in death_covers(p, pair.birth, pair.death, mode)}
+    def kept(birth, death, mode):
+        return {v.key for v, _ in death_covers(p, birth, death, mode)}
 
-    differ = []
+    def agree(birth, death):
+        both, full = cover_sets.get(birth.key) or covers(birth)
+        if not both:
+            return False
+        both, full = cover_sets.get(death.key) or covers(death)
+        if both:
+            return birth.key not in full
+        return kept(birth, death, BlanketMode.FULL) == kept(birth, death, BlanketMode.PRINCIPAL)
+
+    return agree
+
+
+def _blanket_mode_disagreements(p, pairs) -> tuple:
+    """How many of the pairs have blankets that differ between the two
+    modes, and the first of them (None if there is none), in one pass."""
+    agree = _blanket_agreement(p)
+    count, first = 0, None
     for x in pairs:
-        if not covers(x.birth)[0]:
-            differ.append(x)
-            continue
-        agree, full = covers(x.death)
-        if (x.birth.key in full) if agree else (kept(x, BlanketMode.FULL) != kept(x, BlanketMode.PRINCIPAL)):
-            differ.append(x)
-    return differ
+        if not agree(x.birth, x.death):
+            if not count:
+                first = x
+            count += 1
+    return count, first
 
 
 def _rank_identity(k: FilteredComplex, degrees: list[int], checks: int) -> LawReport:
@@ -157,14 +218,19 @@ def _rank_identity(k: FilteredComplex, degrees: list[int], checks: int) -> LawRe
     A pair's memory is cut from the birth's support and cycles by the
     death's boundaries and shared by both modes; a zero memory has a zero
     union, and a birth without cycles has only zero memories.  Otherwise
-    each mode's degree-1 union comes from ``cover_union`` over the birth's
-    cover state, built once per mode.  The derivative route is
-    ``dim memory - dim union``, the value of ``pair_group_rank``; the
-    quotient route is ``quotient_dim(memory, union)``, the value of
-    ``lifespan_rank``.  Counterexamples keep the mode, degree, pair order.
+    the degree-1 union comes from ``cover_union`` over the birth's cover
+    state, built once per mode.  A pair whose blankets are the same in
+    both modes (``_blanket_agreement``, asked only of pairs with a
+    non-zero memory) has the same blanket memories in both, so it gets
+    one union and one quotient, and a counterexample goes to both modes.
+    The derivative route is ``dim memory - dim union``, the value of
+    ``pair_group_rank``; the quotient route is
+    ``quotient_dim(memory, union)``, the value of ``lifespan_rank``.
+    Counterexamples keep the mode, degree, pair order.
     """
     p = k.poset
     principal = p.principal
+    agree = _blanket_agreement(p)
     found = {(mode, n): [] for mode in BlanketMode for n in degrees}
     for x in diagram_order(p, p.top().bits):
         birth = principal[x]
@@ -173,7 +239,9 @@ def _rank_identity(k: FilteredComplex, degrees: list[int], checks: int) -> LawRe
             keep, z = _support(k, n, birth)
             if not z.dim:
                 continue
-            modes = [(mode, birth_covers(k, n, birth, mode), found[mode, n]) for mode in BlanketMode]
+            # Per union to build: the cover state, and the modes it answers for.
+            apart = [(birth_covers(k, n, birth, mode), [(mode.value, found[mode, n])]) for mode in BlanketMode]
+            shared = [(apart[0][0], apart[0][1] + apart[1][1])]
             for y in deaths:
                 if y is None:
                     death, b, memory = EMPTY_OPEN, None, z
@@ -182,7 +250,7 @@ def _rank_identity(k: FilteredComplex, degrees: list[int], checks: int) -> LawRe
                     memory = _cut(k, z, b, keep)
                 if not memory.dim:
                     continue
-                for mode, covers, out in modes:
+                for covers, outs in shared if agree(birth, death) else apart:
                     union = cover_union(k, n, covers, death, b)
                     derivative_route = memory.dim - union.dim
                     try:
@@ -192,16 +260,9 @@ def _rank_identity(k: FilteredComplex, degrees: list[int], checks: int) -> LawRe
                         # has no rank, and the pair is a counterexample.
                         quotient_route = "union-not-in-memory"
                     if derivative_route != quotient_route:
-                        out.append(
-                            (
-                                mode.value,
-                                n,
-                                describe_open(p, birth),
-                                describe_open(p, death),
-                                derivative_route,
-                                quotient_route,
-                            )
-                        )
+                        row = (n, describe_open(p, birth), describe_open(p, death), derivative_route, quotient_route)
+                        for value, out in outs:
+                            out.append((value, *row))
     report = LawReport("pair-group-equals-lifespan-rank", checks)
     for mode in BlanketMode:
         for n in degrees:
@@ -219,13 +280,13 @@ def run_verification(
     rng = random.Random(seed)
     p = k.poset
     degrees = list(range(max(k.max_dim, 0) + 1))
-    checks = diagram_pair_count(p) * len(degrees) * len(BlanketMode)
+    pairs = _DiagramPairs(p)
+    checks = len(pairs) * len(degrees) * len(BlanketMode)
     if checks > MAX_RANK_CHECKS:
         raise TooManyChecks(
             f"verify would check the rank identity {checks} times; at most {MAX_RANK_CHECKS} are supported"
         )
     report = VerifyReport()
-    pairs = enumerate_diagram_pairs(p)
 
     report.results.append(_rank_identity(k, degrees, checks))
 
@@ -301,10 +362,15 @@ def run_verification(
 
     # Presheaf monotonicity of cycles/boundaries over sampled nested opens.
     presheaf = LawReport("presheaf-monotonicity")
+    up = p._up
     for _ in range(samples):
-        inner = p.closure(rng.sample(range(p.n), rng.randint(0, max(p.n // 2, 1))))
-        extra = rng.sample(range(p.n), rng.randint(0, min(2, p.n)))
-        outer = p.closure(sorted(inner.members) + extra)
+        bits = 0
+        for i in rng.sample(range(p.n), rng.randint(0, max(p.n // 2, 1))):
+            bits |= up[i]
+        inner = UpSet(bits=bits)
+        for i in rng.sample(range(p.n), rng.randint(0, min(2, p.n))):
+            bits |= up[i]
+        outer = UpSet(bits=bits)
         n = rng.choice(degrees)
         for kind, on_open in (("cycles", cycles_on_open), ("boundaries", boundaries_on_open)):
             presheaf.checked += 1
@@ -330,11 +396,10 @@ def run_verification(
 
     # Blanket mode comparison is informational: the two cover notions may
     # disagree away from chains; report where.
-    differ = _blanket_mode_disagreements(p, pairs)
+    differ, first = _blanket_mode_disagreements(p, pairs)
     if differ:
-        first = differ[0]
         report.notes.append(
-            f"blanket modes disagree on {len(differ)}/{len(pairs)} enumerated pairs; "
+            f"blanket modes disagree on {differ}/{len(pairs)} enumerated pairs; "
             f"first at ({describe_open(p, first.birth)}, {describe_open(p, first.death)})"
         )
     else:

@@ -12,6 +12,7 @@ death open.
 """
 import pytest
 
+import persdiff.memory
 from persdiff.fields import FieldSpec
 from persdiff.memory import blanket_union
 from persdiff.posets import BlanketMode, PairOpen, UpSet
@@ -124,3 +125,37 @@ def test_degree_two_and_three_unions_match_the_definitions(field):
                         assert as_set(k, blanket_union(k, n, pair, d, mode)) == want, (leq, cells, n, pair, d, mode)
                         nonzero += len(want) > 1
     assert nonzero
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a pair whose memory is zero needs no blankets")
+
+
+@pytest.mark.parametrize("field", [FieldSpec.gf(2), GF3], ids=lambda f: f.token())
+def test_a_pair_with_zero_memory_has_a_zero_union_in_every_degree(field, monkeypatch):
+    """Every blanket enlarges an open, so its memory lies inside the
+    pair's: on every principal pair whose memory is zero, ``blanket_union``
+    gives the degree's zero in degrees 1 to 4, in both modes, without
+    listing a blanket or joining a cover memory; the reference agrees."""
+    monkeypatch.setattr(persdiff.memory, "degree_blankets", refuse)
+    monkeypatch.setattr(persdiff.memory, "cover_union", refuse)
+    last = None
+    zero_pairs = 0
+    for leq, cells, k in small_complexes(field):
+        if leq is last or k.max_dim < 0:
+            continue
+        last = leq
+        ref = Reference(leq, k)
+        births = sorted(set(ref.principal), key=sorted)
+        pairs = [(u, v) for u in births for v in [frozenset(), *births] if v < u]
+        for n in range(k.max_dim + 1):
+            for birth, death in pairs:
+                if len(ref.memory(n, (birth, death))) > 1:
+                    continue
+                zero_pairs += 1
+                pair = PairOpen(UpSet(birth), UpSet(death))
+                for mode in BlanketMode:
+                    for d in (1, 2, 3, 4):
+                        assert blanket_union(k, n, pair, d, mode) is k.zero(n)
+                        assert len(ref.union(n, (birth, death), d, mode)) == 1, (leq, cells, n, pair, d, mode)
+    assert zero_pairs

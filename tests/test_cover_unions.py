@@ -6,7 +6,8 @@ support and boundaries plus the point the cover adds.  These tests hold
 it to the definition: the join of ``homological_memory`` over the
 ``pair_blankets`` list, on a complex that has not seen the pair.  They
 also pin that ``diagram`` and the rank identity build no pair-blanket
-list, and that ``verify``'s blanket-mode note matches the pair lists.
+list, that ``verify``'s blanket-mode note matches the pair lists, and
+that the pairs ``verify`` draws from are the enumerated ones.
 """
 import random
 from functools import reduce
@@ -34,7 +35,7 @@ from persdiff.posets import (
 )
 from persdiff.verify import run_verification
 
-from conftest import GF2, QQ, build_two_param
+from conftest import GF2, QQ, build_two_param, corner_grid_poset, offset_grid_poset
 from corpus import random_filtration
 from exhaustive import all_posets, all_up_sets, small_complexes
 
@@ -53,9 +54,9 @@ def union_by_pair_list(k, n, pair, mode):
 def test_cover_unions_equal_pair_list_unions_on_every_small_poset(field):
     """Every pair of opens, not only principal ones, on every poset with at
     most four elements, in both modes.  One complex sees each pair's own
-    memory before its union (so zero memories short-cut the walk), one
-    sees only unions (so blanket memories are built by the walk), and a
-    third computes the reference."""
+    memory before its union, one sees only unions (so the union reads the
+    pair's memory and builds the blanket memories itself), and a third
+    computes the reference."""
     for leq, cells, k in small_complexes(field):
         p = k.poset
         opens = [UpSet(u) for u in all_up_sets(leq)]
@@ -169,4 +170,28 @@ def test_blanket_mode_note_matches_the_pair_lists_on_every_small_poset():
             x for x in pairs
             if pair_blankets(p, x, BlanketMode.FULL) != pair_blankets(p, x, BlanketMode.PRINCIPAL)
         ]
-        assert _blanket_mode_disagreements(p, pairs) == want
+        assert _blanket_mode_disagreements(p, pairs) == (len(want), want[0] if want else None)
+
+
+def test_drawn_pairs_are_the_enumerated_pairs():
+    """``verify`` draws its sampled pairs from a view that lists a birth's
+    pairs only when one is drawn: by index and by iteration, before and
+    after draws, it gives ``enumerate_diagram_pairs`` in the same order, on
+    every poset with at most four elements, chains, a grid and the two
+    plane posets whose grade order is not their index order."""
+    from persdiff.verify import _DiagramPairs
+
+    posets = [FinitePoset([str(i) for i in range(len(leq))], leq) for leq in all_posets()]
+    posets += [FinitePoset.chain(1), FinitePoset.chain(9), FinitePoset.grid((3, 4)), corner_grid_poset(), offset_grid_poset()]
+    for seed, p in enumerate(posets):
+        want = enumerate_diagram_pairs(p)
+        view = _DiagramPairs(p)
+        assert len(view) == len(want)
+        assert list(view) == want
+        drawn, listed = random.Random(seed), random.Random(seed)
+        assert [drawn.choice(view) for _ in range(5)] == [listed.choice(want) for _ in range(5)]
+        assert list(view) == want
+        assert [view[j] for j in range(len(want))] == want
+        for j in (-1, len(want)):
+            with pytest.raises(IndexError):
+                view[j]

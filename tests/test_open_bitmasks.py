@@ -211,6 +211,11 @@ def test_no_memo_key_holds_a_mask():
     k = FilteredComplex.build(GF2, FinitePoset.chain(128), cells)
     compute_diagram(k)
     run_verification(k, samples=10)
+    # A pair whose memory is zero leaves no union entry, and on this chain
+    # the sampled ones mostly have none; this pair's memory is not zero.
+    principal = k.poset.principal
+    for d in (1, 2):
+        blanket_union(k, 0, PairOpen(principal[100], principal[127]), d)
     memos = (k.memo, k.poset.memo)
     assert all(memo[layer] for memo, layer in zip(memos, ("union", "pair_blankets")))
     keys = [key for memo in memos for layer in memo.values() for key in layer]

@@ -3,12 +3,14 @@ pair-by-pair definition.
 
 ``run_verification`` checks the pair-group rank against the lifespan
 quotient rank on every principal pair, in every degree and both blanket
-modes, from one memory per pair and one degree-1 union per mode taken
-from ``persdiff.memory.cover_union``.  The reference asks
+modes, from one memory per pair and degree-1 unions taken from
+``persdiff.memory.cover_union``: one per mode, or one for both where the
+pair has the same blankets in both.  The reference asks
 ``pair_group_rank`` and ``lifespan_rank`` for each pair in turn, on a
 complex of its own.  Faults injected at ``cover_union`` reach both, so the
 counterexamples must agree exactly and in the same order, on correct code
-and under each fault.
+and under each fault.  A shared union stands for both modes only if the
+two modes' blanket memories are the same, which the last test checks.
 """
 import random
 from pathlib import Path
@@ -20,12 +22,13 @@ import persdiff.verify
 from persdiff.calculus import pair_group_rank
 from persdiff.io import load_complex
 from persdiff.linalg import NotASubspace, Subspace, join
-from persdiff.memory import _fold, cover_memories, lifespan_rank
+from persdiff.memory import _fold, birth_covers, cover_memories, lifespan_rank
 from persdiff.posets import BlanketMode, describe_open, enumerate_diagram_pairs
 from persdiff.verify import run_verification
 
 from conftest import GF2, GF5, QQ
 from corpus import random_chain_filtration, random_filtration
+from exhaustive import small_complexes
 
 DATA = Path(__file__).parent / "data"
 FIXTURES = ("two_param", "triangle", "corner_grid", "torsion_chain", "offset_grid")
@@ -104,3 +107,44 @@ def test_rank_identity_walk_matches_pair_by_pair_reference(field, fault, monkeyp
         total += len(want)
     # An escaping fault that no input shows would make the comparison vacuous.
     assert (total > 0) == fault.endswith("escaping")
+
+
+def shared_unions(k, monkeypatch):
+    """Run ``verify`` on ``k`` and return, per pair and degree for which the
+    rank identity built one union for both modes, the death open's
+    boundaries it was built with."""
+    calls = {}
+
+    def recording(k, n, covers, death, b):
+        birth, mode = covers[:2]
+        calls.setdefault((n, birth, death), []).append((mode, b))
+        return SOUND_UNION(k, n, covers, death, b)
+
+    monkeypatch.setattr(persdiff.verify, "cover_union", recording)
+    run_verification(k, samples=1)
+    monkeypatch.undo()
+    return {key: made[0][1] for key, made in calls.items() if len(made) == 1}
+
+
+def memories_in_both_modes(k, n, birth, death, b):
+    return [list(cover_memories(k, n, birth_covers(k, n, birth, mode), death, b)) for mode in BlanketMode]
+
+
+def test_a_shared_union_has_the_same_blanket_memories_in_both_modes(monkeypatch):
+    """Where the rank identity builds one union for both modes, the two
+    modes' blanket memories are the same subspaces in the same order: on
+    every poset with at most four elements, and on random grids and chains
+    over GF(2), GF(5) and Q."""
+    builds = [lambda k=k: k for _, _, k in small_complexes()]
+    for field in FIELDS.values():
+        for seed in range(4):
+            builds.append(lambda seed=seed, field=field: random_filtration(random.Random(seed), shape=(3, 3), field=field, max_cells=16))
+            builds.append(lambda seed=seed, field=field: random_chain_filtration(random.Random(seed), field=field, max_cells=16))
+    shared = 0
+    for build in builds:
+        k = build()
+        for (n, birth, death), b in shared_unions(k, monkeypatch).items():
+            full, principal = memories_in_both_modes(k, n, birth, death, b)
+            assert full == principal, (describe_open(k.poset, birth), describe_open(k.poset, death), n)
+            shared += 1
+    assert shared
