@@ -61,22 +61,19 @@ not hold, are critical; in FULL mode neither test depends on the other
 end of the pair.  On grids the critical elements are the usual grid of
 critical values.
 
-A birth is evaluated once per degree.  A twin birth is skipped before
-its cycles are read, and so is one without cycles; the pairs of such
-births are never built.  For a critical birth x the walk builds, once,
-its cover state (``persdiff.memory.birth_covers``): the support and
-cycles of up x and of each of its covers.  It then visits only the
-deaths that rule (b) keeps, and the empty death, which no rule prunes.
-In FULL mode they are one mask per degree, the elements with no
-(n+1)-twin lower cover; in PRINCIPAL mode each death is tested against
-the birth.  A kept death reads the pair's memory through
-``homological_memory``.  When that is not zero, the blanket memories come
-one at a time from ``persdiff.memory.cover_memories``, birth side first,
-the same function the degree-1 blanket union reads.  They are joined as
-they come, and the join stops once it has the whole memory.  The
-multiplicity is the memory's dimension less the join's.  ``verify``
-compares the derivative with the lifespan rank on every pair, and its
-oracle check reads this walk; the tests compare the walk with
+A birth is evaluated once per degree, and a twin birth not at all.  For
+a critical birth x the walk hands ``persdiff.memory.birth_memories``,
+the generator ``verify``'s rank identity also walks, the deaths that
+rule (b) keeps and the empty death, which no rule prunes: in FULL mode
+one mask per degree, the elements with no (n+1)-twin lower cover, and
+in PRINCIPAL mode each death tested against the birth.  It yields
+nothing when up x carries no cycles, and otherwise each of those pairs
+with a non-zero memory; at the first, the walk builds the birth's cover
+state (``persdiff.memory.birth_covers``).  A pair's blanket memories
+then come one at a time from ``persdiff.memory.cover_memories``, birth
+side first, and are joined until the join has the whole memory; the
+multiplicity is the memory's dimension less the join's.  ``verify``'s
+oracle check reads this walk, and the tests compare it with
 ``pair_group_rank``.
 """
 from __future__ import annotations
@@ -89,12 +86,10 @@ from dataclasses import dataclass
 
 from .complexes import FilteredComplex
 from .linalg import join
-from .memory import birth_covers, cover_memories, homological_memory
+from .memory import birth_covers, birth_memories, cover_memories
 from .oracle import chain_positions
 from .posets import (
-    EMPTY_OPEN,
     BlanketMode,
-    PairOpen,
     UpSet,
     diagram_order,
     diagram_pair_count,
@@ -160,34 +155,27 @@ def _multiplicities(k: FilteredComplex, degrees, mode: BlanketMode, include_zero
         # The deaths rule (b) keeps in FULL mode: no (n+1)-twin lower cover.
         kept = sum([1 << y for y, twins in enumerate(death_twins) if not twins]) if full else 0
         for x in births:
-            if birth_twins[x] or not k.cycles_at(n, x).dim:
-                if include_zero:
-                    for y in diagram_order(p, principal[x].bits ^ 1 << x):
-                        yield n, x, y, 0
-                    yield n, x, None, 0
-                continue
-            birth = principal[x]
-            above = birth.bits ^ 1 << x
-            covers = birth_covers(k, n, birth, mode)
-            deaths = diagram_order(p, above if include_zero or not full else above & kept)
-            for y in deaths + [None]:
-                mult = 0
-                # In PRINCIPAL mode rule (b) may use only the lower covers
-                # of the death that lie strictly above the birth.
-                if y is None or (kept >> y & 1 if full else not death_twins[y] & above):
-                    death = EMPTY_OPEN if y is None else principal[y]
-                    mult = homological_memory(k, n, PairOpen(birth, death)).dim
-                    if mult:
-                        b = None if y is None else k.boundaries_at(n, y)
-                        union = None
-                        for sub in cover_memories(k, n, covers, death, b):
-                            union = sub if union is None else join(union, sub)
-                            if union.dim == mult:
-                                break
-                        if union is not None:
-                            mult -= union.dim
-                if mult or include_zero:
-                    yield n, x, y, mult
+            above = principal[x].bits ^ 1 << x
+            mults = {}
+            if not birth_twins[x]:
+                if full:
+                    deaths = diagram_order(p, above & kept)
+                else:
+                    # In PRINCIPAL mode rule (b) may use only the lower covers
+                    # of the death that lie strictly above the birth.
+                    deaths = [y for y in diagram_order(p, above) if not death_twins[y] & above]
+                covers = None
+                for y, death, b, memory in birth_memories(k, n, x, deaths + [None]):
+                    covers = covers or birth_covers(k, n, principal[x], mode)
+                    union = None
+                    for sub in cover_memories(k, n, covers, death, b):
+                        union = sub if union is None else join(union, sub)
+                        if union.dim == memory.dim:
+                            break
+                    if mult := memory.dim - (0 if union is None else union.dim):
+                        mults[y] = mult
+            for y in (diagram_order(p, above) + [None]) if include_zero else mults:
+                yield n, x, y, mults.get(y, 0)
 
 
 def diagram_entries(

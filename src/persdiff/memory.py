@@ -16,10 +16,13 @@ complex that fails validation, so the identity is never applied where it
 does not hold.  Unions over iterated blankets of a pair feed the
 finite-difference calculus.
 
-A pair's degree-1 blanket memories have one definition,
-``cover_memories``, which both ``blanket_union(d=1)`` and the diagram
-walk read, and a pair's degree-1 union has one, ``cover_union``, their
-join, which ``blanket_union(d=1)`` and ``verify``'s rank identity read.
+A birth's pair memories in one degree come from one generator,
+``birth_memories``, which reads each through ``homological_memory`` and
+which the diagram walk and ``verify``'s rank identity both walk.  A
+pair's degree-1 blanket memories have one definition, ``cover_memories``,
+which ``blanket_union(d=1)`` and the diagram walk read, and a pair's
+degree-1 union has one, ``cover_union``, their join, which
+``blanket_union(d=1)`` and ``verify``'s rank identity read.
 ``cover_memories`` takes the birth open's cover state (``birth_covers``:
 the open's support and cycles, and each cover's support and cycles,
 from the memoized ``cover_points``), the death open's boundaries, and
@@ -37,34 +40,34 @@ boundaries and that point:
   cover is up(m): every PRINCIPAL cover, and a FULL one whose point lies
   below all of V, as on the empty open or down a chain.
 
-No cover open has its minimal elements worked out, and no blanket
-memory goes into the ``memory`` layer: the memories are yielded one at a
-time, birth side first, so a caller that only needs to know whether
-they reach the pair's memory stops early.  Every blanket, of any degree,
-enlarges an open, so its memory lies inside the pair's: ``blanket_union``
-reads the pair's memory first and gives a pair whose memory is zero the
+No cover open has its minimal elements worked out.  Blanket memories
+are yielded one at a time, birth side first, so a caller that only
+needs to know whether they reach the pair's memory stops early.  Every
+blanket, of any degree, enlarges an open, so its memory lies inside the
+pair's: ``blanket_union``, on a miss in its layer, reads the pair's
+memory before anything else and gives a pair whose memory is zero the
 degree's zero in every degree d >= 1, without listing its blankets.
 
-Results are memoized on the complex.  The ``support``, ``open``,
-``memory`` and ``union`` layers are keyed by degree and the opens' mask
-bytes (``UpSet.key``), plus the blanket degree and whether the mode is
-FULL on a union: an open's support with the cycles on it, the boundaries
-on an open, a pair's memory and a union, each found again in one lookup.
-Cycles have no layer over opens: the cycles on an open are those on its
-support, built once per distinct support
+Results are memoized on the complex.  The ``support``, ``open`` and
+``union`` layers are keyed by degree and the opens' mask bytes
+(``UpSet.key``), plus the blanket degree and whether the mode is FULL on
+a union: an open's support with the cycles on it, the boundaries on an
+open and a union, each found again in one lookup.  Cycles on an open are
+those on its support, built once per distinct support
 (``FilteredComplex.cycles_on_support``, keyed by the support's bytes).
-A memory, a pair's or a blanket's, is built once per pair of cycle and
-boundary subspaces (``cut``), and a boundary meet or a union join once
-per distinct set of operand subspaces (``_fold``).  Per-point boundaries
-come from the complex's presence tables through ``boundaries_at``, by
-element index: one object per presence class.  So opens with the same
-support, and pairs and blankets with the same memories, share one
-subspace and reach one meet or one join; so do FULL and PRINCIPAL mode.
-The ``cut``, meet and join layers are keyed by the operands' ``id``s,
-and each entry holds its operands, so an id in a standing key belongs to
-a live object and is never reused.  A union with no non-zero blanket
-memory is the degree's one zero (``FilteredComplex.zero``), so an empty
-union builds no subspace.
+No memory, a pair's or a blanket's, has an entry keyed by its pair: each
+is cut once per pair of cycle and boundary subspaces (``cut``), and a
+boundary meet or a union join is built once per distinct set of operand
+subspaces (``_fold``).  Per-point boundaries come from the complex's
+presence tables through ``boundaries_at``, by element index: one object
+per presence class.  So opens with the same support, and pairs and
+blankets with the same memories, share one subspace and reach one meet
+or one join; so do FULL and PRINCIPAL mode.  The ``cut``, meet and join
+layers are keyed by the operands' ``id``s, and each entry holds its
+operands, so an id in a standing key belongs to a live object and is
+never reused.  A union with no non-zero blanket memory is the degree's
+one zero (``FilteredComplex.zero``), so an empty union builds no
+subspace.
 """
 from __future__ import annotations
 
@@ -74,6 +77,7 @@ from functools import reduce
 from .complexes import FilteredComplex
 from .linalg import Matrix, Subspace, complement_basis, join, meet, quotient_dim, restrict
 from .posets import (
+    EMPTY_OPEN,
     BlanketMode,
     PairOpen,
     UpSet,
@@ -143,19 +147,31 @@ def boundaries_on_open(k: FilteredComplex, n: int, v: UpSet) -> Subspace:
 
 def homological_memory(k: FilteredComplex, n: int, pair: PairOpen) -> Subspace:
     """Cycles appearing by the birth open that bound by the death open:
-    Z(birth) ∩ B(death), which is B(death) ∩ span S_n(birth)."""
+    Z(birth) ∩ B(death), which is B(death) ∩ span S_n(birth), cut from
+    the birth's support and the death's boundaries; the pair has no entry."""
     birth, death = pair
-    cache = k.memo["memory"]
-    key = (n, birth.key, death.key)
-    sub = cache.get(key)
-    if sub is None:
-        if death.bits & ~birth.bits:
-            make_pair(k.poset, birth, death)  # raises InvalidPair
-        keep, sub = _support(k, n, birth)
-        if sub.dim and death.bits:
-            sub = _cut(k, sub, boundaries_on_open(k, n, death), keep)
-        cache[key] = sub
+    if death.bits & ~birth.bits:
+        make_pair(k.poset, birth, death)  # raises InvalidPair
+    keep, sub = _support(k, n, birth)
+    if sub.dim and death.bits:
+        sub = _cut(k, sub, boundaries_on_open(k, n, death), keep)
     return sub
+
+
+def birth_memories(k: FilteredComplex, n: int, x: int, deaths) -> Iterator[tuple]:
+    """``(y, death open, its boundaries or None, memory)`` for each death
+    ``y`` of ``deaths`` (an element index, or None for the empty open), in
+    the given order, whose pair with the birth up(x) has a non-zero memory
+    in degree n; nothing when up(x) carries no cycles."""
+    principal = k.poset.principal
+    birth = principal[x]
+    if not _support(k, n, birth)[1].dim:
+        return
+    for y in deaths:
+        death = EMPTY_OPEN if y is None else principal[y]
+        memory = homological_memory(k, n, PairOpen(birth, death))
+        if memory.dim:
+            yield y, death, None if y is None else boundaries_on_open(k, n, death), memory
 
 
 def _cut(k: FilteredComplex, z: Subspace, b: Subspace, keep: int) -> Subspace:
@@ -186,28 +202,20 @@ def blanket_union(
     blanket listed and no union entry.  Subspaces are canonical, so the
     join order does not matter.
     """
-    memory = homological_memory(k, n, pair)
     if d == 0:
-        return memory
-    if d > 0 and not memory.dim:
-        return k.zero(n)
+        return homological_memory(k, n, pair)
     cache = k.memo["union"]
     birth, death = pair
     key = (n, birth.key, death.key, d, mode is BlanketMode.FULL)
     sub = cache.get(key)
     if sub is None:
+        if d > 0 and not homological_memory(k, n, pair).dim:
+            return k.zero(n)
         if d == 1:
             b = None if death.is_empty else boundaries_on_open(k, n, death)
             sub = cover_union(k, n, birth_covers(k, n, birth, mode), death, b)
         else:
-            known = k.memo["memory"]
-            memories = []
-            for w in degree_blankets(k.poset, pair, d, mode):
-                m = known.get((n, w.birth.key, w.death.key))
-                if m is None:
-                    m = homological_memory(k, n, w)
-                if m.dim:
-                    memories.append(m)
+            memories = [m for w in degree_blankets(k.poset, pair, d, mode) if (m := homological_memory(k, n, w)).dim]
             sub = _fold(k, "join", join, memories) if memories else k.zero(n)
         cache[key] = sub
     return sub

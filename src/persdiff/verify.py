@@ -2,10 +2,10 @@
 
 Runs exact checks against a loaded complex and reports counterexamples.
 The rank identity (pair-group rank against lifespan quotient rank) is
-checked on every principal pair, walking births in diagram order with one
-memory per pair for both blanket modes and no per-pair memo entry, and
-one blanket union for both modes wherever the pair has the same blankets
-in both; the other checks are sampled, from pairs drawn out of a view of
+checked on every principal pair, walking births in diagram order through
+the diagram walk's ``birth_memories``, with one memory per pair for both
+blanket modes and one blanket union for both wherever the pair has the
+same blankets in both; the other checks are sampled, from pairs drawn out of a view of
 the principal pairs that lists only the births drawn.  All sampling is
 seeded, so repeated runs are byte-identical.
 """
@@ -29,9 +29,8 @@ from .calculus import (
 from .complexes import FilteredComplex
 from .linalg import NotASubspace, contains, quotient_dim
 from .memory import (
-    _cut,
-    _support,
     birth_covers,
+    birth_memories,
     blanket_union,
     boundaries_on_open,
     cover_union,
@@ -39,7 +38,6 @@ from .memory import (
 )
 from .oracle import NotAChain, oracle_barcode
 from .posets import (
-    EMPTY_OPEN,
     BlanketMode,
     GradedPair,
     PairOpen,
@@ -215,11 +213,10 @@ def _rank_identity(k: FilteredComplex, degrees: list[int], checks: int) -> LawRe
     principal pair, in every degree and both blanket modes: ``checks``
     checks, walked one birth at a time in diagram order.
 
-    A pair's memory is cut from the birth's support and cycles by the
-    death's boundaries and shared by both modes; a zero memory has a zero
-    union, and a birth without cycles has only zero memories.  Otherwise
-    the degree-1 union comes from ``cover_union`` over the birth's cover
-    state, built once per mode.  A pair whose blankets are the same in
+    Each pair's memory comes from ``birth_memories``, shared by both
+    modes, which skips the pairs whose memory, and so union, is zero.
+    The degree-1 union comes from ``cover_union`` over the birth's cover
+    state, built once per mode at the birth's first such pair.  A pair whose blankets are the same in
     both modes (``_blanket_agreement``, asked only of pairs with a
     non-zero memory) has the same blanket memories in both, so it gets
     one union and one quotient, and a counterexample goes to both modes.
@@ -236,20 +233,12 @@ def _rank_identity(k: FilteredComplex, degrees: list[int], checks: int) -> LawRe
         birth = principal[x]
         deaths = diagram_order(p, birth.bits ^ 1 << x) + [None]
         for n in degrees:
-            keep, z = _support(k, n, birth)
-            if not z.dim:
-                continue
-            # Per union to build: the cover state, and the modes it answers for.
-            apart = [(birth_covers(k, n, birth, mode), [(mode.value, found[mode, n])]) for mode in BlanketMode]
-            shared = [(apart[0][0], apart[0][1] + apart[1][1])]
-            for y in deaths:
-                if y is None:
-                    death, b, memory = EMPTY_OPEN, None, z
-                else:
-                    death, b = principal[y], k.boundaries_at(n, y)
-                    memory = _cut(k, z, b, keep)
-                if not memory.dim:
-                    continue
+            apart = None
+            for y, death, b, memory in birth_memories(k, n, x, deaths):
+                if apart is None:
+                    # Per union to build: the cover state, and the modes it answers for.
+                    apart = [(birth_covers(k, n, birth, mode), [(mode.value, found[mode, n])]) for mode in BlanketMode]
+                    shared = [(apart[0][0], apart[0][1] + apart[1][1])]
                 for covers, outs in shared if agree(birth, death) else apart:
                     union = cover_union(k, n, covers, death, b)
                     derivative_route = memory.dim - union.dim

@@ -11,19 +11,23 @@ must the walk on the graded fixtures and on random grids and chains over
 GF(2), GF(5) and Q.  On the small complexes, the presence table the walk
 reads must match presence read off the cells' births.
 """
+import hashlib
 import json
 import random
 from pathlib import Path
 
 import pytest
 
+from persdiff import memory
 from persdiff.calculus import pair_group_rank
 from persdiff.complexes import FilteredComplex
 from persdiff.diagrams import DiagramEntry, _multiplicities, compute_diagram, open_repr
-from persdiff.io import load_complex
+from persdiff.io import load_complex, parse_document
 from persdiff.posets import EMPTY_OPEN, BlanketMode, FinitePoset, enumerate_diagram_pairs
+from persdiff.verify import run_verification
 
-from conftest import GF2, GF5, QQ, build_long_chain, cells_present
+import many_cells
+from conftest import GF2, GF5, QQ, build_long_chain, build_two_param, cells_present
 from corpus import random_chain_filtration, random_filtration
 from exhaustive import small_complexes
 
@@ -146,14 +150,39 @@ def test_walk_resolves_no_element(tmp_path, monkeypatch):
         assert entries and calls == [], (mode, include_zero)
 
 
-def test_long_chain_visits_only_critical_pairs():
+def test_long_chain_visits_only_critical_pairs(monkeypatch):
     """Three cells on a 2,048-chain: in both blanket modes the walk
     evaluates a handful of pairs, not the two million principal ones."""
     expected = [
         DiagramEntry(0, (0,), "inf", 1),
         DiagramEntry(0, (1024,), (2047,), 1),
     ]
+    calls = []
+    original = memory.homological_memory
+    monkeypatch.setattr(memory, "homological_memory", lambda k, n, pair: calls.append(pair) or original(k, n, pair))
     for mode in BlanketMode:
         k = build_long_chain()
+        calls.clear()
         assert compute_diagram(k, mode=mode) == expected
-        assert len(k.memo["memory"]) <= 16, mode
+        assert 0 < len(calls) <= 16, mode
+
+
+def test_no_memo_layer_grows_per_pair():
+    """On many_100 (a 16x16 grid, 10,142 critical pairs in degree 0) the
+    walk leaves no memo layer, on the complex or its poset, but ``cut``
+    with as many entries as two per element per degree: no pair has an
+    entry of its own.  Nor does ``verify`` leave a ``memory`` layer."""
+    k = parse_document(many_cells.document(*many_cells.DOCUMENTS["many_100"]))
+    assert compute_diagram(k)
+    memos = {"complex": k.memo, "poset": k.poset.memo}
+    sizes = {(on, layer): len(entries) for on, memo in memos.items() for layer, entries in memo.items() if layer != "cut"}
+    assert max(sizes.values()) < 2 * k.poset.n * 2, sizes
+    k = build_two_param()
+    assert run_verification(k, samples=10).ok
+    assert "memory" not in k.memo
+
+
+def test_many_cell_documents_keep_their_bytes():
+    """The generator CI's many-cell step runs writes the recorded bytes."""
+    for name, digest in many_cells.SHA256.items():
+        assert hashlib.sha256(many_cells.text(name).encode()).hexdigest() == digest, name

@@ -181,7 +181,7 @@ def test_an_equal_open_finds_the_existing_memo_entries(mode, rebuild):
     memory = homological_memory(k, 1, pair)
     union = blanket_union(k, 1, pair, 1, mode)
     blankets = pair_blankets(p, pair, mode)
-    layers = (k.memo["memory"], k.memo["union"], p.memo["pair_blankets"])
+    layers = (k.memo["union"], p.memo["pair_blankets"])
     sizes = [len(layer) for layer in layers]
     again = PairOpen(*(REBUILDS[rebuild](p, u) for u in pair))
     assert again == pair and again.birth is not pair.birth and again.death is not pair.death
