@@ -5,9 +5,11 @@ The rank identity (pair-group rank against lifespan quotient rank) is
 checked on every principal pair, walking births in diagram order through
 the diagram walk's ``birth_memories``, with one memory per pair for both
 blanket modes and one blanket union for both wherever the pair has the
-same blankets in both; the other checks are sampled, from pairs drawn out of a view of
-the principal pairs that lists only the births drawn.  All sampling is
-seeded, so repeated runs are byte-identical.
+same blankets in both.  That walk is the only one over all the principal
+pairs: it asks each pair once whether its modes agree, which also gives
+the blanket-mode note.  The other checks are sampled, from pairs drawn out
+of a view of the principal pairs that lists only the births drawn.  All
+sampling is seeded, so repeated runs are byte-identical.
 """
 from __future__ import annotations
 
@@ -38,6 +40,7 @@ from .memory import (
 )
 from .oracle import NotAChain, oracle_barcode
 from .posets import (
+    EMPTY_OPEN,
     BlanketMode,
     GradedPair,
     PairOpen,
@@ -93,7 +96,7 @@ MAX_SAMPLES = 10_000
 # degrees times the two blanket modes).  The checks keep no per-pair memo
 # entry and the sampled checks list no more than the births they draw:
 # the 3-cell 1,024-chain's 2,099,200 (`verify --samples 10`) take about
-# 0.9 s and 22 MiB on a 2-core VM, so the bound is on run time; the
+# 1.0-1.3 s and 22 MiB on a 2-core VM, so the bound is on run time; the
 # 2,048-chain's 8,392,704 are refused.
 MAX_RANK_CHECKS = 2_500_000
 
@@ -107,8 +110,7 @@ class _DiagramPairs:
     sequence that holds no list of them all: ``rng.choice`` reads only its
     length and one index, so a draw picks the pair it picks from the list.
     An index finds its birth by the pair count before each birth.  A
-    birth's pairs are listed when the birth is first drawn and kept, and
-    iteration lists each birth that no draw has listed as it goes.
+    birth's pairs are listed when the birth is first drawn and kept.
     """
 
     def __init__(self, p):
@@ -137,10 +139,6 @@ class _DiagramPairs:
             pairs = self.drawn[at] = birth_pairs(self.p, self.births[at])
         return pairs[j - self.starts[at]]
 
-    def __iter__(self):
-        for at, i in enumerate(self.births):
-            yield from self.drawn.get(at) or birth_pairs(self.p, i)
-
 
 def _sample_graded_pairs(rng, pairs, count):
     return [GradedPair(rng.choice(pairs), rng.choice((0, 0, 1, 2))) for _ in range(count)]
@@ -157,8 +155,9 @@ def _blanket_walk(rng, p, pair, steps, mode):
 
 
 def _blanket_agreement(p):
-    """``agree(birth, death)``: whether the pair has the same blankets in
-    both modes.
+    """``agree(birth, death)``: whether the pair of opens has the same
+    blankets in both modes.  ``_rank_identity`` asks it once per principal
+    pair, both to share a union and to count the pairs for the note.
 
     A birth-side blanket (W, death) never equals a death-side one
     (birth, V), since W strictly contains the birth, so the blanket sets
@@ -195,52 +194,48 @@ def _blanket_agreement(p):
     return agree
 
 
-def _blanket_mode_disagreements(p, pairs) -> tuple:
-    """How many of the pairs have blankets that differ between the two
-    modes, and the first of them (None if there is none), in one pass."""
-    agree = _blanket_agreement(p)
-    count, first = 0, None
-    for x in pairs:
-        if not agree(x.birth, x.death):
-            if not count:
-                first = x
-            count += 1
-    return count, first
-
-
-def _rank_identity(k: FilteredComplex, degrees: list[int], checks: int) -> LawReport:
+def _rank_identity(k: FilteredComplex, degrees: list[int], checks: int) -> tuple[LawReport, tuple]:
     """The pair-group rank against the lifespan quotient rank on every
     principal pair, in every degree and both blanket modes: ``checks``
-    checks, walked one birth at a time in diagram order.
+    checks, walked one birth at a time in diagram order, as a report; and
+    how many of the pairs have blankets that differ between the two modes,
+    with the first of them (None if there is none).
 
-    Each pair's memory comes from ``birth_memories``, shared by both
-    modes, which skips the pairs whose memory, and so union, is zero.
+    Each birth asks ``_blanket_agreement`` once per death, before its
+    degrees.  Each pair's memory comes from ``birth_memories``, shared by
+    both modes, which skips the pairs whose memory, and so union, is zero.
     The degree-1 union comes from ``cover_union`` over the birth's cover
-    state, built once per mode at the birth's first such pair.  A pair whose blankets are the same in
-    both modes (``_blanket_agreement``, asked only of pairs with a
-    non-zero memory) has the same blanket memories in both, so it gets
-    one union and one quotient, and a counterexample goes to both modes.
-    The derivative route is ``dim memory - dim union``, the value of
-    ``pair_group_rank``; the quotient route is
-    ``quotient_dim(memory, union)``, the value of ``lifespan_rank``.
-    Counterexamples keep the mode, degree, pair order.
+    state in a mode, built at the birth's first pair that needs it.  A
+    pair whose blankets are the same in both modes has the same blanket
+    memories in both, so it gets one FULL union and one quotient, and a
+    counterexample goes to both modes.  The derivative route is
+    ``dim memory - dim union``, the value of ``pair_group_rank``; the
+    quotient route is ``quotient_dim(memory, union)``, the value of
+    ``lifespan_rank``.  Counterexamples keep the mode, degree, pair order.
     """
     p = k.poset
     principal = p.principal
     agree = _blanket_agreement(p)
     found = {(mode, n): [] for mode in BlanketMode for n in degrees}
+    differ, first = 0, None
     for x in diagram_order(p, p.top().bits):
         birth = principal[x]
         deaths = diagram_order(p, birth.bits ^ 1 << x) + [None]
+        same = {}
+        for y in deaths:
+            death = EMPTY_OPEN if y is None else principal[y]
+            same[y] = agree(birth, death)
+            if not same[y]:
+                if not differ:
+                    first = PairOpen(birth, death)
+                differ += 1
         for n in degrees:
-            apart = None
+            states = {}
             for y, death, b, memory in birth_memories(k, n, x, deaths):
-                if apart is None:
-                    # Per union to build: the cover state, and the modes it answers for.
-                    apart = [(birth_covers(k, n, birth, mode), [(mode.value, found[mode, n])]) for mode in BlanketMode]
-                    shared = [(apart[0][0], apart[0][1] + apart[1][1])]
-                for covers, outs in shared if agree(birth, death) else apart:
-                    union = cover_union(k, n, covers, death, b)
+                for mode in (BlanketMode.FULL,) if same[y] else BlanketMode:
+                    if mode not in states:
+                        states[mode] = birth_covers(k, n, birth, mode)
+                    union = cover_union(k, n, states[mode], death, b)
                     derivative_route = memory.dim - union.dim
                     try:
                         quotient_route = quotient_dim(memory, union)
@@ -250,13 +245,13 @@ def _rank_identity(k: FilteredComplex, degrees: list[int], checks: int) -> LawRe
                         quotient_route = "union-not-in-memory"
                     if derivative_route != quotient_route:
                         row = (n, describe_open(p, birth), describe_open(p, death), derivative_route, quotient_route)
-                        for value, out in outs:
-                            out.append((value, *row))
+                        for out in BlanketMode if same[y] else (mode,):
+                            found[out, n].append((out.value, *row))
     report = LawReport("pair-group-equals-lifespan-rank", checks)
     for mode in BlanketMode:
         for n in degrees:
             report.counterexamples += found[mode, n]
-    return report
+    return report, (differ, first)
 
 
 def run_verification(
@@ -277,7 +272,8 @@ def run_verification(
         )
     report = VerifyReport()
 
-    report.results.append(_rank_identity(k, degrees, checks))
+    identity, (differ, first) = _rank_identity(k, degrees, checks)
+    report.results.append(identity)
 
     # Derivative axioms for the union-rank functor, objects and morphisms.
     shift = degree_shift_action()
@@ -384,8 +380,7 @@ def run_verification(
     report.results.append(extended)
 
     # Blanket mode comparison is informational: the two cover notions may
-    # disagree away from chains; report where.
-    differ, first = _blanket_mode_disagreements(p, pairs)
+    # disagree away from chains; the rank identity's walk found where.
     if differ:
         report.notes.append(
             f"blanket modes disagree on {differ}/{len(pairs)} enumerated pairs; "

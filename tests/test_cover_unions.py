@@ -6,8 +6,9 @@ support and boundaries plus the point the cover adds.  These tests hold
 it to the definition: the join of ``homological_memory`` over the
 ``pair_blankets`` list, on a complex that has not seen the pair.  They
 also pin that ``diagram`` and the rank identity build no pair-blanket
-list, that ``verify``'s blanket-mode note matches the pair lists, and
-that the pairs ``verify`` draws from are the enumerated ones.
+list, that ``verify``'s blanket-mode note and the agreement it counts
+match the pair lists, and that the pairs ``verify`` draws from are the
+enumerated ones.
 """
 import random
 from functools import reduce
@@ -158,19 +159,22 @@ def test_blanket_mode_note_matches_the_pair_lists(fixture):
 
 
 def test_blanket_mode_note_matches_the_pair_lists_on_every_small_poset():
-    """Every pair of opens, not only principal ones, on every poset with at
-    most four elements."""
-    from persdiff.verify import _blanket_mode_disagreements
+    """The agreement that the note counts, pair by pair: on every pair of
+    opens, not only principal ones, of every poset with at most four
+    elements, it holds exactly when the two modes' pair-blanket lists are
+    equal."""
+    from persdiff.verify import _blanket_agreement
 
-    for leq, cells, k in small_complexes():
-        p = k.poset
+    for leq in all_posets():
+        p = FinitePoset([str(i) for i in range(len(leq))], leq)
+        agree = _blanket_agreement(p)
         opens = [UpSet(u) for u in all_up_sets(leq)]
-        pairs = [PairOpen(b, d) for b in opens for d in opens if not d.bits & ~b.bits]
-        want = [
-            x for x in pairs
-            if pair_blankets(p, x, BlanketMode.FULL) != pair_blankets(p, x, BlanketMode.PRINCIPAL)
-        ]
-        assert _blanket_mode_disagreements(p, pairs) == (len(want), want[0] if want else None)
+        for b in opens:
+            for d in opens:
+                if not d.bits & ~b.bits:
+                    x = PairOpen(b, d)
+                    want = pair_blankets(p, x, BlanketMode.FULL) == pair_blankets(p, x, BlanketMode.PRINCIPAL)
+                    assert agree(b, d) == want, (leq, describe_open(p, b), describe_open(p, d))
 
 
 def test_drawn_pairs_are_the_enumerated_pairs():

@@ -10,7 +10,9 @@ pair has the same blankets in both.  The reference asks
 complex of its own.  Faults injected at ``cover_union`` reach both, so the
 counterexamples must agree exactly and in the same order, on correct code
 and under each fault.  A shared union stands for both modes only if the
-two modes' blanket memories are the same, which the last test checks.
+two modes' blanket memories are the same, which a test below checks.
+The walk is ``verify``'s only one over all the principal pairs, which the
+last test pins.
 """
 import random
 from pathlib import Path
@@ -20,13 +22,14 @@ import pytest
 import persdiff.memory
 import persdiff.verify
 from persdiff.calculus import pair_group_rank
+from persdiff.complexes import FilteredComplex
 from persdiff.io import load_complex
 from persdiff.linalg import NotASubspace, Subspace, join
 from persdiff.memory import _fold, birth_covers, cover_memories, lifespan_rank
-from persdiff.posets import BlanketMode, describe_open, enumerate_diagram_pairs
+from persdiff.posets import BlanketMode, FinitePoset, birth_pairs, describe_open, diagram_pair_count, enumerate_diagram_pairs
 from persdiff.verify import run_verification
 
-from conftest import GF2, GF5, QQ
+from conftest import GF2, GF5, QQ, LONG_CHAIN_CELLS
 from corpus import random_chain_filtration, random_filtration
 from exhaustive import small_complexes
 
@@ -148,3 +151,42 @@ def test_a_shared_union_has_the_same_blanket_memories_in_both_modes(monkeypatch)
             assert full == principal, (describe_open(k.poset, birth), describe_open(k.poset, death), n)
             shared += 1
     assert shared
+
+
+def test_verify_walks_the_principal_pairs_once(monkeypatch):
+    """On the 3-cell 128-chain, ``verify`` asks whether the two modes agree
+    once per principal pair, and lists a birth's pairs once, only for a
+    birth that a sampled draw lands on."""
+    cells = [dict(cell) for cell in LONG_CHAIN_CELLS]
+    cells[1]["births"], cells[2]["births"] = [64], [127]
+    k = FilteredComplex.build(GF2, FinitePoset.chain(128), cells)
+    p = k.poset
+    listed, drawn, asked = [], set(), []
+    draw, agreement = persdiff.verify._DiagramPairs.__getitem__, persdiff.verify._blanket_agreement
+
+    def listing(p, i):
+        listed.append(p.principal[i].bits)
+        return birth_pairs(p, i)
+
+    def drawing(view, j):
+        pair = draw(view, j)
+        drawn.add(pair.birth.bits)
+        return pair
+
+    def counting(p):
+        agree = agreement(p)
+
+        def ask(birth, death):
+            asked.append((birth.bits, death.bits))
+            return agree(birth, death)
+
+        return ask
+
+    monkeypatch.setattr(persdiff.verify, "birth_pairs", listing)
+    monkeypatch.setattr(persdiff.verify._DiagramPairs, "__getitem__", drawing)
+    monkeypatch.setattr(persdiff.verify, "_blanket_agreement", counting)
+    assert run_verification(k, samples=2).ok
+    assert len(listed) == len(set(listed))
+    assert set(listed) == drawn
+    assert len(drawn) < p.n
+    assert len(asked) == len(set(asked)) == diagram_pair_count(p)
