@@ -119,11 +119,13 @@ class FilteredComplex:
     holds the cycles on each support, keyed by degree and the support's
     bytes, so elements and opens with the same support share one object, and
     no open keeps its own.  The ``faces``, ``boundary``, ``colimit`` and
-    ``zero`` layers are keyed by degree.  The layers over opens in
-    :mod:`persdiff.memory` are keyed by the opens' mask bytes
+    ``zero`` layers are keyed by degree.  The ``canon`` layer holds one
+    object per distinct subspace value (:meth:`canonical`), keyed by small
+    ints, and every subspace any layer holds is that object.  The layers
+    over opens in :mod:`persdiff.memory` are keyed by the opens' mask bytes
     (``UpSet.key``) next to ints and bools, and its cut, meet and join
-    layers by the ``id``s of operand subspaces their entries hold; every
-    other key is built from ints, bools and bytes.
+    layers by the ``id``s of canonical operands, so by value; every other
+    key is built from ints, bools and bytes.
     """
 
     def __init__(self, field: FieldSpec, poset: FinitePoset, cells: Sequence[Cell]):
@@ -336,7 +338,23 @@ class FilteredComplex:
         sub = cache.get(n)
         if sub is None:
             self.require_valid()
-            sub = cache[n] = kernel(self.boundary_matrix(n))
+            sub = cache[n] = self.canonical(kernel(self.boundary_matrix(n)))
+        return sub
+
+    def canonical(self, sub: Subspace) -> Subspace:
+        """The complex's one object equal to ``sub``: ``sub`` itself the
+        first time its value is seen.  Pivot tables are canonical, so table
+        equality decides a hit.  The key is the ambient dimension, the
+        dimension, the sum of the pivots and a probe index, which counts
+        past entries of other values with the same sum."""
+        cache = self.memo["canon"]
+        table = sub.table
+        key = (sub.ambient_dim, len(table), sum(table), 0)
+        while (hit := cache.get(key)) is not None:
+            if hit.table == table:
+                return hit
+            key = (*key[:3], key[3] + 1)
+        cache[key] = sub
         return sub
 
     def zero(self, n: int) -> Subspace:
@@ -345,7 +363,7 @@ class FilteredComplex:
         cache = self.memo["zero"]
         sub = cache.get(n)
         if sub is None:
-            sub = cache[n] = Subspace.zero(self.field, self.ambient_dim(n))
+            sub = cache[n] = self.canonical(Subspace.zero(self.field, self.ambient_dim(n)))
         return sub
 
     def cycles_on_support(self, n: int, keep: int) -> Subspace:
@@ -356,7 +374,9 @@ class FilteredComplex:
         key = (n, keep.to_bytes((keep.bit_length() + 7) // 8, "little"))
         sub = cache.get(key)
         if sub is None:
-            sub = cache[key] = restrict(self.colimit_cycles(n), keep)
+            z = self.colimit_cycles(n)
+            sub = restrict(z, keep)
+            sub = cache[key] = sub if sub is z else self.canonical(sub)
         return sub
 
     def cycles_at(self, n: int, x: int) -> Subspace:
@@ -373,7 +393,7 @@ class FilteredComplex:
         sub = table.boundaries[c]
         if sub is None:
             keep = table.rows[c]
-            sub = column_space(mask_columns(self.boundary_matrix(n + 1), keep)) if keep else self.zero(n)
+            sub = self.canonical(column_space(mask_columns(self.boundary_matrix(n + 1), keep))) if keep else self.zero(n)
             table.boundaries[c] = sub
         return sub
 

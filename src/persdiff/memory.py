@@ -62,10 +62,16 @@ subspaces (``_fold``).  Per-point boundaries come from the complex's
 presence tables through ``boundaries_at``, by element index: one object
 per presence class.  So opens with the same support, and pairs and
 blankets with the same memories, share one subspace and reach one meet
-or one join; so do FULL and PRINCIPAL mode.  The ``cut``, meet and join
-layers are keyed by the operands' ``id``s, and each entry holds its
-operands, so an id in a standing key belongs to a live object and is
-never reused.  A union with no non-zero blanket memory is the degree's
+or one join; so do FULL and PRINCIPAL mode.  Every subspace a layer
+holds is the complex's one object for its value
+(``FilteredComplex.canonical``): the colimit cycles, the degree's zero,
+cycles on a support and per-class boundaries, and every cut, meet and
+join result, which is one of its own operands or passes through the
+complex's canonical table.  So the ``cut``, meet and join layers, keyed
+by the operands' ``id``s, hit by value, and so does every ``is``
+shortcut; the canonical table holds each operand for the complex's
+lifetime, so an id in a standing key is never reused, and no entry holds
+its operands.  A union with no non-zero blanket memory is the degree's
 one zero (``FilteredComplex.zero``), so an empty union builds no
 subspace.
 """
@@ -91,7 +97,8 @@ from .posets import (
 
 def _fold(k: FilteredComplex, layer: str, op, subs: list[Subspace]) -> Subspace:
     """``op`` (meet or join) over the distinct subspaces of ``subs``, once
-    per distinct set; the entry holds the operands its key names."""
+    per distinct set; the result is one of them or the complex's canonical
+    object."""
     if len(subs) == 1:
         return subs[0]
     distinct = {id(s): s for s in subs}
@@ -99,11 +106,13 @@ def _fold(k: FilteredComplex, layer: str, op, subs: list[Subspace]) -> Subspace:
         return subs[0]
     cache = k.memo[layer]
     key = frozenset(distinct)
-    hit = cache.get(key)
-    if hit is None:
-        operands = tuple(distinct.values())
-        hit = cache[key] = (operands, reduce(op, operands))
-    return hit[1]
+    sub = cache.get(key)
+    if sub is None:
+        sub = reduce(op, distinct.values())
+        if id(sub) not in distinct:
+            sub = k.canonical(sub)
+        cache[key] = sub
+    return sub
 
 
 def _support(k: FilteredComplex, n: int, u: UpSet) -> tuple[int, Subspace]:
@@ -177,14 +186,19 @@ def birth_memories(k: FilteredComplex, n: int, x: int, deaths) -> Iterator[tuple
 def _cut(k: FilteredComplex, z: Subspace, b: Subspace, keep: int) -> Subspace:
     """``z`` ∩ ``b`` for the cycles ``z`` on the support ``keep``: ``b``
     restricted to ``keep``, once per pair of operands; ``z`` itself when it
-    lies inside ``b``.  The entry holds the operands its key names."""
+    lies inside ``b``, ``b`` when it lies inside ``keep``, and otherwise the
+    complex's canonical object."""
     cache = k.memo["cut"]
     key = (id(z), id(b))
-    hit = cache.get(key)
-    if hit is None:
+    sub = cache.get(key)
+    if sub is None:
         sub = restrict(b, keep)
-        hit = cache[key] = (z, b, z if sub.dim == z.dim else sub)
-    return hit[2]
+        if sub.dim == z.dim:
+            sub = z
+        elif sub is not b:
+            sub = k.canonical(sub)
+        cache[key] = sub
+    return sub
 
 
 def blanket_union(

@@ -23,6 +23,7 @@ from persdiff.calculus import pair_group_rank
 from persdiff.complexes import FilteredComplex
 from persdiff.diagrams import DiagramEntry, _multiplicities, compute_diagram, open_repr
 from persdiff.io import load_complex, parse_document
+from persdiff.linalg import Subspace
 from persdiff.posets import EMPTY_OPEN, BlanketMode, FinitePoset, enumerate_diagram_pairs
 from persdiff.verify import run_verification
 
@@ -167,19 +168,77 @@ def test_long_chain_visits_only_critical_pairs(monkeypatch):
         assert 0 < len(calls) <= 16, mode
 
 
+def held_subspaces(k):
+    """The subspace objects that the complex's memo layers other than the
+    canonical table hold, presence-table classes included, by ``id``."""
+    out = {}
+
+    def walk(value):
+        if isinstance(value, Subspace):
+            out[id(value)] = value
+        elif isinstance(value, (tuple, list)):
+            for part in value:
+                walk(part)
+
+    for layer, entries in k.memo.items():
+        if layer != "canon":
+            walk(list(entries.values()))
+    return out
+
+
 def test_no_memo_layer_grows_per_pair():
     """On many_100 (a 16x16 grid, 10,142 critical pairs in degree 0) the
     walk leaves no memo layer, on the complex or its poset, but ``cut``
-    with as many entries as two per element per degree: no pair has an
-    entry of its own.  Nor does ``verify`` leave a ``memory`` layer."""
+    and the canonical table with as many entries as two per element per
+    degree: no pair has an entry of its own.  The canonical table has no
+    more entries than the other layers hold distinct subspace objects.
+    Nor does ``verify`` leave a ``memory`` layer."""
     k = parse_document(many_cells.document(*many_cells.DOCUMENTS["many_100"]))
     assert compute_diagram(k)
     memos = {"complex": k.memo, "poset": k.poset.memo}
-    sizes = {(on, layer): len(entries) for on, memo in memos.items() for layer, entries in memo.items() if layer != "cut"}
+    sizes = {
+        (on, layer): len(entries)
+        for on, memo in memos.items()
+        for layer, entries in memo.items()
+        if layer not in ("cut", "canon")
+    }
     assert max(sizes.values()) < 2 * k.poset.n * 2, sizes
+    assert len(k.memo["canon"]) <= len(held_subspaces(k))
     k = build_two_param()
     assert run_verification(k, samples=10).ok
     assert "memory" not in k.memo
+
+
+def _value(sub):
+    return sub.ambient_dim, frozenset((c, r if isinstance(r, int) else frozenset(r.items())) for c, r in sub.table.items())
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        build_two_param,
+        # Shaped like the chain-verify benchmark's documents.
+        lambda: random_filtration(random.Random(0), shape=(30,), field=GF5, max_vertices=10, max_cells=30),
+        lambda: parse_document(many_cells.document(*many_cells.DOCUMENTS["many_100"])),
+    ],
+    ids=["two_param", "chain30-gf5", "many_100"],
+)
+def test_no_subspace_value_is_held_twice(build):
+    """After ``diagram`` and ``verify``, no two subspace objects that the
+    memo layers and presence-table classes hold are equal: each is the
+    complex's canonical object, and so is every operand that a ``cut``,
+    ``meet`` or ``join`` key names by ``id``, so an id key is a value key."""
+    k = build()
+    compute_diagram(k)
+    run_verification(k, samples=20)
+    held = held_subspaces(k)
+    values = [_value(sub) for sub in held.values()]
+    assert len(set(values)) == len(values), (len(values), len(set(values)))
+    canonical = {id(sub) for sub in k.memo["canon"].values()}
+    assert held.keys() <= canonical
+    named = [i for key in k.memo["cut"] for i in key]
+    named += [i for layer in ("meet", "join") for key in k.memo[layer] for i in key]
+    assert named and set(named) <= canonical
 
 
 def test_many_cell_documents_keep_their_bytes():
