@@ -1,16 +1,21 @@
 """Exact linear algebra: matrices, canonical subspaces, lattice ops.
 
-Matrices and subspaces are tuples of exact rows, in one of three row
+Matrices and subspaces are tuples of exact rows, in one of two row
 forms:
 
 * GF(2): each row a Python int, column 0 as the highest bit, so adding
   one row to another is one XOR.
-* GF(p) for odd p: each row a sparse ``{column: value}`` dict of ints
-  mod p; zeros are never stored or visited.
-* Q: a matrix row is a sparse dict of ``Fraction`` objects, but a
-  subspace row is a sparse dict of ints with no common factor, so no
-  elimination step normalises a fraction.  Denominators are cleared once,
-  when a matrix row enters a pivot table.
+* GF(p) for odd p, and Q: each row a sparse ``{column: value}`` dict;
+  zeros are never stored or visited.  Over GF(p) the values are ints
+  mod p.  Over Q a matrix row holds ``Fraction`` objects, but a subspace
+  row holds ints with no common factor, so no elimination step
+  normalises a fraction.  Denominators are cleared once, when a matrix
+  row enters a pivot table.
+
+GF(p) and Q share one sparse elimination kernel; the field enters only
+through ``p`` (0 over Q) in :func:`_cleared` and :func:`_normalized`, in
+how rows enter a table (:func:`_table_rows`) and in how they are handed
+out (:func:`_handed_out`).
 
 A :class:`Subspace` is the pivot table of its canonical basis, the
 reduced row echelon form: each pivot maps to its RREF row in that row
@@ -170,8 +175,11 @@ def mask_columns(m: Matrix, keep: int) -> Matrix:
 # leading column over GF(p) and Q.  Every row in a table has a zero in every
 # other pivot, and a leading 1 over GF(p) or a positive leading entry and no
 # common factor over Q, so a row is reduced against the table by one pass
-# over its own pivot entries.  Rows are shared between subspaces, so no
-# kernel mutates a row it was given; a table row that changes is replaced.
+# over its own pivot entries.  There is one kernel for int rows and one for
+# sparse rows, keyed on p; all GF(p) and Q arithmetic is in _cleared, which
+# clears one column of a row, and _normalized, which scales a row to its
+# canonical multiple.  Rows are shared between subspaces, so no kernel
+# mutates a row it was given; a table row that changes is replaced.
 
 
 def _eliminate(field: FieldSpec, table: dict, rows: Iterable) -> dict:
@@ -179,16 +187,15 @@ def _eliminate(field: FieldSpec, table: dict, rows: Iterable) -> dict:
 
     Each incoming row is reduced against the pivot rows, normalised (a
     leading 1, or over Q a primitive integer row with a positive lead),
-    and then cleared from the other pivot rows.  Over Q the rows must hold
-    ints; see :func:`_table_rows`.
+    and then cleared from the other pivot rows: XORs over GF(2), and
+    :func:`_cleared` and :func:`_normalized` over GF(p) and Q alike.  Over
+    Q the rows must hold ints; see :func:`_table_rows`.
     """
     p = field.characteristic
     if p == 2:
         _eliminate_gf2(table, rows)
-    elif p:
-        _eliminate_sparse(table, rows, p)
     else:
-        _eliminate_int(table, rows)
+        _eliminate_sparse(table, rows, p)
     return table
 
 
@@ -198,9 +205,7 @@ def _residual(field: FieldSpec, table: dict, row):
     p = field.characteristic
     if p == 2:
         return _residual_gf2(table, row)
-    if p:
-        return _residual_sparse(table, row, p)
-    return _residual_int(table, row)
+    return _residual_sparse(table, row, p)
 
 
 def _table_rows(field: FieldSpec, rows: Iterable) -> Iterable:
@@ -245,77 +250,43 @@ def _eliminate_sparse(table: dict[int, dict], rows: Iterable[dict], p: int) -> N
         if not row:
             continue
         lead = min(row)
-        scale = row[lead]
-        if scale != 1:
-            inv = pow(scale, -1, p)
-            row = {j: v * inv % p for j, v in row.items()}
+        row = _normalized(row, lead, p)
         for c, prow in table.items():
-            factor = prow.get(lead)
-            if factor is not None:
-                table[c] = _axpy(dict(prow), factor, row, p)
+            if lead in prow:
+                table[c] = _normalized(_cleared(dict(prow), lead, row, p), c, p)
         table[lead] = row
 
 
 def _residual_sparse(table: dict[int, dict], row: dict, p: int) -> dict:
-    """``row`` minus its pivot entries times the pivot rows, as a new dict
-    when anything is subtracted.  Clearing one pivot column leaves the
-    other pivot entries as they were, so they are read from ``row``."""
+    """``row`` reduced against the pivot rows, as a new dict when anything
+    is subtracted.  A pivot row is zero in every other pivot column, so
+    each factor is read from the current row."""
     hits = [c for c in row if c in table]
     if not hits:
         return row
     out = dict(row)
     for c in hits:
-        _axpy(out, row[c], table[c], p)
+        _cleared(out, c, table[c], p)
     return out
 
 
-def _axpy(row: dict, factor: int, pivot_row: dict, p: int) -> dict:
-    """``row -= factor * pivot_row`` mod p in place, dropping entries that vanish."""
-    for j, v in pivot_row.items():
-        x = (row.get(j, 0) - factor * v) % p
-        if x:
-            row[j] = x
-        else:
-            del row[j]
-    return row
-
-
-def _eliminate_int(table: dict[int, dict], rows: Iterable[dict]) -> None:
-    # Fraction-free, in the spirit of Bareiss's integer-preserving
-    # elimination: every step is an integer combination of two rows, and
-    # dividing by the row's content keeps the entries small.
-    for row in rows:
-        row = _residual_int(table, row)
-        if not row:
-            continue
-        lead = min(row)
-        row = _primitive(row, lead)
-        top = row[lead]
-        for c, prow in table.items():
-            factor = prow.get(lead)
-            if factor is not None:
-                table[c] = _primitive(_combine(dict(prow), top, factor, row), c)
-        table[lead] = row
-
-
-def _residual_int(table: dict[int, dict], row: dict) -> dict:
-    """A positive multiple of ``row`` minus multiples of the pivot rows,
-    with a zero in every pivot column, as a new dict when anything is
-    subtracted.  Each step scales the row, so the other pivot entries are
-    read from the current one."""
-    hits = [c for c in row if c in table]
-    if not hits:
+def _cleared(row: dict, c: int, pivot_row: dict, p: int) -> dict:
+    """``row`` with column ``c`` cleared by ``pivot_row`` in place, dropping
+    entries that vanish: ``row -= row[c] * pivot_row`` mod p, where
+    ``pivot_row`` has a 1 at ``c``; over Q (p == 0), fraction-free in the
+    spirit of Bareiss's integer-preserving elimination, ``row = a * row -
+    b * pivot_row`` with ``a = pivot_row[c] > 0`` and ``b = row[c]`` first
+    divided by their gcd."""
+    b = row[c]
+    if p:
+        for j, v in pivot_row.items():
+            x = (row.get(j, 0) - b * v) % p
+            if x:
+                row[j] = x
+            else:
+                del row[j]
         return row
-    out = dict(row)
-    for c in hits:
-        prow = table[c]
-        _combine(out, prow[c], out[c], prow)
-    return out
-
-
-def _combine(row: dict, a: int, b: int, pivot_row: dict) -> dict:
-    """``row = a * row - b * pivot_row`` in place, with ``a > 0`` and ``b``
-    first divided by their gcd, dropping entries that vanish."""
+    a = pivot_row[c]
     g = gcd(a, b)
     if g != 1:
         a //= g
@@ -332,9 +303,16 @@ def _combine(row: dict, a: int, b: int, pivot_row: dict) -> dict:
     return row
 
 
-def _primitive(row: dict, lead: int) -> dict:
-    """``row``, which is not zero, divided by the gcd of its entries and
-    by the sign of its entry in column ``lead``."""
+def _normalized(row: dict, lead: int, p: int) -> dict:
+    """``row``, which is not zero, scaled to a 1 at ``lead`` mod p, or over
+    Q divided by the gcd of its entries and by the sign of its entry at
+    ``lead``; a new dict when that changes anything."""
+    if p:
+        scale = row[lead]
+        if scale == 1:
+            return row
+        inv = pow(scale, -1, p)
+        return {j: v * inv % p for j, v in row.items()}
     g = gcd(*row.values())
     if row[lead] < 0:
         g = -g
@@ -552,16 +530,9 @@ def _restrict_sparse(table: dict[int, dict], outside: set, p: int) -> tuple[dict
             c = min(hits)
             prow = pivots.get(c)
             if prow is None:
-                if p:
-                    inv = pow(row[c], -1, p)
-                    pivots[c] = {j: v * inv % p for j, v in row.items()}
-                else:
-                    pivots[c] = _primitive(row, c)
+                pivots[c] = _normalized(row, c, p)
                 break
-            if p:
-                row = _axpy(dict(row), row[c], prow, p)
-            else:
-                row = _combine(dict(row), prow[c], row[c], prow)
+            row = _cleared(dict(row), c, prow, p)
             hits = [c for c in row if c in outside]
         else:
             changed.append(row)

@@ -14,6 +14,7 @@ sampling is seeded, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 
 from .calculus import (
@@ -114,10 +115,7 @@ class _DiagramPairs:
     """
 
     def __init__(self, p):
-        from bisect import bisect_right
-
         self.p = p
-        self.find = bisect_right
         self.births = diagram_order(p, p.top().bits)
         self.starts = []
         total = 0
@@ -133,7 +131,7 @@ class _DiagramPairs:
     def __getitem__(self, j: int) -> PairOpen:
         if not 0 <= j < self.size:
             raise IndexError(j)
-        at = self.find(self.starts, j) - 1
+        at = bisect_right(self.starts, j) - 1
         pairs = self.drawn.get(at)
         if pairs is None:
             pairs = self.drawn[at] = birth_pairs(self.p, self.births[at])
@@ -279,6 +277,11 @@ def run_verification(
     shift = degree_shift_action()
     int_cod = integer_subtraction_action()
     sq_cod = square_subtraction_action()
+    mor_dom = ChangeAction(
+        act=lambda m, dm: (shift.act(m[0], dm[0]), shift.act(m[1], dm[1])),
+        add=lambda a, b: (a[0] + b[0], a[1] + b[1]),
+        zero=(0, 0),
+    )
     for d in degrees:
         F = union_rank_functor(k, d, _LAW_MODE)
         objs = _sample_graded_pairs(rng, pairs, samples)
@@ -307,11 +310,6 @@ def run_verification(
         report.results.append(cad2)
 
         # Morphism level: comparable graded pairs via blanket walks.
-        mor_dom = ChangeAction(
-            act=lambda m, dm: (shift.act(m[0], dm[0]), shift.act(m[1], dm[1])),
-            add=lambda a, b: (a[0] + b[0], a[1] + b[1]),
-            zero=(0, 0),
-        )
         morphisms = []
         for _ in range(max(samples // 4, 4)):
             base = rng.choice(pairs)

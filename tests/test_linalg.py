@@ -512,9 +512,10 @@ def test_lattice_ops_match_dense_reference(case):
 
 @st.composite
 def containment_case(draw):
-    """Two subspaces over GF(2), GF(5) or Q, the second drawn half the time
-    inside the first: the span of random combinations of its rows."""
-    field = draw(st.sampled_from([GF2, GF5, QQ]))
+    """Two subspaces over a field of ``KERNEL_FIELDS``, the second drawn
+    half the time inside the first: the span of random combinations of its
+    rows."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
     ambient = draw(st.integers(0, 6))
     sa, a = draw(subspace_case(field, ambient))
     if not draw(st.booleans()):
@@ -572,7 +573,7 @@ def _coordinate(field, keep: int, ambient: int) -> Subspace:
 
 @settings(max_examples=200)
 @given(
-    st.sampled_from([GF2, GF5, QQ]).flatmap(
+    st.sampled_from(KERNEL_FIELDS).flatmap(
         lambda f: st.integers(0, 7).flatmap(
             lambda n: st.tuples(subspace_case(f, n), st.integers(0, (1 << n) - 1))
         )
